@@ -317,6 +317,8 @@ _SUITE_RUNNERS = {
 
 def _cmd_check(args: argparse.Namespace) -> int:
     started = time.monotonic()
+    if args.samples is not None and args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     mu = _resolve_distribution(
         args.dist, args.voters, args.candidates, args.epsilon, args.y_index

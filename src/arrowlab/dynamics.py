@@ -15,6 +15,8 @@ import random
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import eq
 from pathlib import Path
 from typing import Literal, Sequence
 
@@ -24,7 +26,7 @@ from .measures import (
     has_full_support,
     is_permutation_invariant,
 )
-from .orders import all_voter_permutations, encode_digits, profile_digit_tuples
+from .orders import all_voter_permutations, profile_digit_columns, seat_map_indices
 from .rules import (
     VotingRule,
     compose_collapse,
@@ -109,33 +111,30 @@ def _check_dims(mu: Distribution, rule: VotingRule) -> None:
         )
 
 
+def _force_numerator(mu: Distribution, rule: VotingRule, column: tuple[int, ...]) -> int:
+    """A voter's force times ``mu.denominator``, given the voter's ballot
+    column: the sum of the numerators of the profiles the voter wins."""
+    return sum(compress(mu.numerators, map(eq, rule.table, column)))
+
+
 def force(mu: Distribution, rule: VotingRule, i: int) -> Fraction:
     """Probability under ``mu`` that the outcome equals voter i's ballot."""
     _check_dims(mu, rule)
     if not 0 <= i < rule.n:
         raise ValueError(f"voter {i} out of range for n={rule.n}")
-    total = Fraction(0)
-    for k, digits in enumerate(profile_digit_tuples(rule.n, rule.m)):
-        if rule.table[k] == digits[i]:
-            total += mu.weights[k]
-    return total
+    column = profile_digit_columns(rule.n, rule.m)[i]
+    return Fraction(_force_numerator(mu, rule, column), mu.denominator)
 
 
 def force_profile(mu: Distribution, rule: VotingRule) -> ForceProfile:
     """Forces of all voters in one sweep, with exact argmax/argmin sets."""
     _check_dims(mu, rule)
-    totals = [Fraction(0)] * rule.n
-    for k, digits in enumerate(profile_digit_tuples(rule.n, rule.m)):
-        out = rule.table[k]
-        w = mu.weights[k]
-        for i in range(rule.n):
-            if digits[i] == out:
-                totals[i] += w
+    totals = [_force_numerator(mu, rule, c) for c in profile_digit_columns(rule.n, rule.m)]
     top = max(totals)
     bottom = min(totals)
     most = tuple(i for i, v in enumerate(totals) if v == top)
     least = tuple(i for i, v in enumerate(totals) if v == bottom)
-    return ForceProfile(tuple(totals), most, least)
+    return ForceProfile(tuple(Fraction(v, mu.denominator) for v in totals), most, least)
 
 
 def _transfer_source(fp: ForceProfile, tie_break: TieBreak, tie_break_seed: int) -> int:
@@ -152,14 +151,8 @@ def _transfer_table(
     rule: VotingRule, fp: ForceProfile, tie_break: TieBreak, tie_break_seed: int
 ) -> tuple[int, ...]:
     source = _transfer_source(fp, tie_break, tie_break_seed)
-    least = set(fp.least_forceful)
-    table = []
-    for digits in profile_digit_tuples(rule.n, rule.m):
-        rewritten = tuple(
-            digits[source] if i in least else digits[i] for i in range(rule.n)
-        )
-        table.append(rule.table[encode_digits(rewritten, rule.m)])
-    return tuple(table)
+    seats = tuple(source if i in fp.least_forceful else i for i in range(rule.n))
+    return tuple(map(rule.table.__getitem__, seat_map_indices(rule.n, rule.m, seats)))
 
 
 def force_transfer(

@@ -1,6 +1,10 @@
 """Exact-rational probability distributions over profile space.
 
-Every weight is a ``fractions.Fraction``; no float enters any computation.
+A distribution stores one non-negative Python ``int`` numerator per profile
+over a single common ``int`` denominator, in lowest terms, so every kernel
+sums integers and divides once; Python ints cannot overflow and no float
+enters any computation.  ``fractions.Fraction`` appears only at the boundary:
+the public constructor, ``weights``, ``weight_of`` and the file format.
 Besides the uniform (impartial-culture) distribution, the module provides the
 near-unanimous "star" family, which loads one unanimous profile and spreads
 the rest evenly, and the permutation-averaged lift that turns a distribution
@@ -12,10 +16,11 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial
+from functools import cached_property
+from math import factorial, gcd, lcm
+from operator import add
 from pathlib import Path
 
 from .orders import (
@@ -24,8 +29,8 @@ from .orders import (
     check_scale,
     encode_digits,
     order_index,
-    profile_digit_tuples,
     profile_index,
+    seat_map_indices,
 )
 
 DISTRIBUTION_FORMAT_VERSION = 1
@@ -46,26 +51,82 @@ def _as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Distribution:
-    """Exact weights over all (m!)^n profiles, indexed by profile index."""
+    """Exact weights over all (m!)^n profiles: profile k has weight
+    ``numerators[k] / denominator``.
+
+    ``Distribution(n, m, weights)`` takes exact rationals (``Fraction``,
+    ``int`` or ``'p/q'`` strings, never floats); ``from_numerators`` takes the
+    integer form.  Both reduce to lowest terms, so equality is value equality.
+    """
 
     n: int
     m: int
-    weights: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
+    denominator: int
+    full_support: bool = field(compare=False, repr=False)
 
-    def __post_init__(self):
-        check_scale(self.n, self.m)
-        weights = tuple(_as_fraction(w) for w in self.weights)
-        object.__setattr__(self, "weights", weights)
-        size = factorial(self.m) ** self.n
-        if len(weights) != size:
-            raise ValueError(f"{len(weights)} weights, expected {size}")
-        if any(w < 0 for w in weights):
+    def __init__(self, n: int, m: int, weights):
+        fractions = [_as_fraction(w) for w in weights]
+        denominator = lcm(*(w.denominator for w in fractions))
+        numerators = tuple(w.numerator * (denominator // w.denominator) for w in fractions)
+        self._store(n, m, numerators, denominator)
+
+    @classmethod
+    def from_numerators(cls, n: int, m: int, numerators, denominator: int) -> "Distribution":
+        """The distribution with weights ``numerators[k] / denominator``."""
+        numerators = tuple(numerators)
+        if not {type(denominator), *map(type, numerators)} <= {int}:
+            raise TypeError("numerators and denominator must be ints")
+        dist = cls.__new__(cls)
+        dist._store(n, m, numerators, denominator)
+        return dist
+
+    def _store(self, n: int, m: int, numerators: tuple[int, ...], denominator: int) -> None:
+        check_scale(n, m)
+        size = factorial(m) ** n
+        if len(numerators) != size:
+            raise ValueError(f"{len(numerators)} weights, expected {size}")
+        if denominator < 1:
+            raise ValueError(f"denominator must be positive, got {denominator}")
+        lowest = min(numerators)
+        if lowest < 0:
             raise ValueError("weights must be nonnegative")
-        total = sum(weights)
-        if total != 1:
-            raise ValueError(f"weights sum to {total}, expected exactly 1")
+        total = sum(numerators)
+        if total != denominator:
+            raise ValueError(
+                f"weights sum to {Fraction(total, denominator)}, expected exactly 1"
+            )
+        common = gcd(denominator, *numerators)
+        if common > 1:
+            numerators = tuple(k // common for k in numerators)
+            denominator //= common
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "numerators", numerators)
+        object.__setattr__(self, "denominator", denominator)
+        object.__setattr__(self, "full_support", lowest > 0)
+
+    @property
+    def weights(self) -> tuple[Fraction, ...]:
+        """Every profile's weight as a ``Fraction``, built on each access."""
+        return tuple(Fraction(k, self.denominator) for k in self.numerators)
+
+    @cached_property
+    def permutation_invariant(self) -> bool:
+        """True iff every voter relabeling leaves all weights unchanged.
+
+        Adjacent seat swaps generate every relabeling, so checking those n-1
+        suffices.  Computed on first use, then kept on the instance.
+        """
+        nums = self.numerators
+        for s in range(self.n - 1):
+            swap = list(range(self.n))
+            swap[s], swap[s + 1] = s + 1, s
+            if tuple(map(nums.__getitem__, seat_map_indices(self.n, self.m, tuple(swap)))) != nums:
+                return False
+        return True
 
 
 def weight_of(dist: Distribution, profile: Profile) -> Fraction:
@@ -73,14 +134,14 @@ def weight_of(dist: Distribution, profile: Profile) -> Fraction:
         raise ValueError(
             f"profile ({profile.n}, {profile.m}) incompatible with distribution ({dist.n}, {dist.m})"
         )
-    return dist.weights[profile_index(profile)]
+    return Fraction(dist.numerators[profile_index(profile)], dist.denominator)
 
 
 def uniform_distribution(n: int, m: int) -> Distribution:
     """Every profile equally likely (the impartial-culture distribution)."""
+    check_scale(n, m)
     size = factorial(m) ** n
-    w = Fraction(1, size)
-    return Distribution(n, m, (w,) * size)
+    return Distribution.from_numerators(n, m, (1,) * size, size)
 
 
 def star_distribution(k: int, m: int, epsilon: Fraction, y: LinearOrder) -> Distribution:
@@ -98,11 +159,13 @@ def star_distribution(k: int, m: int, epsilon: Fraction, y: LinearOrder) -> Dist
         raise ValueError(f"epsilon must lie strictly between 0 and {limit}, got {epsilon}")
     if y.m != m:
         raise ValueError(f"order over {y.m} candidates does not match m={m}")
+    check_scale(k, m)
     size = factorial(m) ** k
-    spread = epsilon / (size - 1)
-    unanimous = encode_digits((order_index(y),) * k, m)
-    weights = tuple(1 - epsilon if idx == unanimous else spread for idx in range(size))
-    return Distribution(k, m, weights)
+    # Over the denominator q * (size - 1): the spread is p, the top (q - p) * (size - 1).
+    p, q = epsilon.numerator, epsilon.denominator
+    numerators = [p] * size
+    numerators[encode_digits((order_index(y),) * k, m)] = (q - p) * (size - 1)
+    return Distribution.from_numerators(k, m, numerators, q * (size - 1))
 
 
 def lift_distribution(dist: Distribution, i: int) -> Distribution:
@@ -113,6 +176,12 @@ def lift_distribution(dist: Distribution, i: int) -> Distribution:
     invariant under every voter relabeling, and keeps full support whenever
     the input has it.  (The normalizing constant already accounts for the
     relabeling sum, so the weights themselves total 1.)
+
+    Summing over all relabelings removes each seat j of a profile x once per
+    order of the other n-1 ballots, so the sum equals
+    ``sum_j sym(x without seat j)`` with ``sym`` the sum of the input over
+    the (n-1)! seat orders; the dropped seat ``i`` does not matter.  ``sym``
+    is built once on the small table, then each profile takes n lookups.
     """
     n = dist.n + 1
     m = dist.m
@@ -120,34 +189,33 @@ def lift_distribution(dist: Distribution, i: int) -> Distribution:
         raise ValueError(f"seat {i} out of range for n={n}")
     check_scale(n, m)
     mf = factorial(m)
-    denom = factorial(n) * mf
-    perms = tuple(itertools.permutations(range(n)))
-    weights = []
-    for digits in profile_digit_tuples(n, m):
-        total = Fraction(0)
-        for tau in perms:
-            permuted = tuple(digits[tau[j]] for j in range(n))
-            dropped = permuted[:i] + permuted[i + 1 :]
-            total += dist.weights[encode_digits(dropped, m)]
-        weights.append(total / denom)
-    return Distribution(n, m, tuple(weights))
+    nums = dist.numerators
+    relabeled = [
+        map(nums.__getitem__, seat_map_indices(n - 1, m, seats))
+        for seats in itertools.permutations(range(n - 1))
+    ]
+    sym = list(map(sum, zip(*relabeled)))
+    numerators = [0] * mf**n
+    for j in range(n):
+        # Profiles list the ballots after seat j fastest: each run of that
+        # many ``sym`` entries repeats once per ballot at seat j.
+        run = mf ** (n - 1 - j)
+        dropped = itertools.chain.from_iterable(
+            sym[start : start + run] * mf for start in range(0, len(sym), run)
+        )
+        numerators = list(map(add, numerators, dropped))
+    return Distribution.from_numerators(
+        n, m, numerators, dist.denominator * factorial(n) * mf
+    )
 
 
-@lru_cache(maxsize=None)
 def is_permutation_invariant(dist: Distribution) -> bool:
     """True iff every voter relabeling leaves all weights unchanged."""
-    digit_tuples = profile_digit_tuples(dist.n, dist.m)
-    for mapping in itertools.permutations(range(dist.n)):
-        for k, digits in enumerate(digit_tuples):
-            permuted = encode_digits(tuple(digits[j] for j in mapping), dist.m)
-            if dist.weights[permuted] != dist.weights[k]:
-                return False
-    return True
+    return dist.permutation_invariant
 
 
-@lru_cache(maxsize=None)
 def has_full_support(dist: Distribution) -> bool:
-    return all(w > 0 for w in dist.weights)
+    return dist.full_support
 
 
 def save_distribution(dist: Distribution, path: str | Path) -> None:
@@ -162,9 +230,14 @@ def save_distribution(dist: Distribution, path: str | Path) -> None:
 
 def load_distribution(path: str | Path) -> Distribution:
     record = json.loads(Path(path).read_text())
+    if not isinstance(record, dict):
+        raise ValueError("distribution file does not hold a JSON object")
     if record.get("format_version") != DISTRIBUTION_FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported distribution format_version {record.get('format_version')!r}"
-        )
-    weights = tuple(parse_rational(w) for w in record["weights"])
-    return Distribution(record["n"], record["m"], weights)
+        raise ValueError(f"unsupported distribution format_version {record.get('format_version')!r}")
+    n, m, weights = (record.get(key) for key in ("n", "m", "weights"))
+    for key, value in (("n", n), ("m", m)):
+        if type(value) is not int:
+            raise ValueError(f"distribution field {key!r} is missing or not an integer")
+    if not isinstance(weights, list) or not {*map(type, weights)} <= {str}:
+        raise ValueError("distribution field 'weights' is missing or not a list of 'p/q' strings")
+    return Distribution(n, m, (parse_rational(w) for w in weights))

@@ -15,6 +15,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
+from operator import add, mul
 
 MAX_VOTERS = 4
 MAX_CANDIDATES = 4
@@ -158,6 +159,35 @@ def profile_digit_tuples(n: int, m: int) -> tuple[tuple[int, ...], ...]:
     """Every profile at scale (n, m) as a tuple of ballot indices, listed in profile-index order."""
     check_scale(n, m)
     return tuple(itertools.product(range(factorial(m)), repeat=n))
+
+
+@lru_cache(maxsize=None)
+def profile_digit_columns(n: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """The digit matrix of scale (n, m) stored by voter: column i lists voter
+    i's ballot index for every profile, in profile-index order."""
+    check_scale(n, m)
+    mf = factorial(m)
+    columns = []
+    for i in range(n):
+        run = mf ** (n - 1 - i)
+        block = tuple(itertools.chain.from_iterable(itertools.repeat(d, run) for d in range(mf)))
+        columns.append(block * mf**i)
+    return tuple(columns)
+
+
+def seat_map_indices(n: int, m: int, seats: tuple[int, ...]) -> list[int]:
+    """For each profile index k, the index of the profile whose seat i holds
+    the ballot that profile k has at seat ``seats[i]``.
+
+    ``seats`` need not be a bijection: a voter relabeling is one, and copying
+    one voter's ballot onto other seats is another.
+    """
+    columns = profile_digit_columns(n, m)
+    mf = factorial(m)
+    index = list(columns[seats[0]])
+    for j in seats[1:]:
+        index = list(map(add, map(mul, index, itertools.repeat(mf)), columns[j]))
+    return index
 
 
 def encode_digits(digits: tuple[int, ...], m: int) -> int:

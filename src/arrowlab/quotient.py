@@ -13,6 +13,8 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import ne
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -96,11 +98,7 @@ def rule_distance(mu: Distribution, f: VotingRule, g: VotingRule) -> Fraction:
     """Probability under ``mu`` that two rules elect different rankings."""
     if not (mu.n == f.n == g.n and mu.m == f.m == g.m):
         raise ValueError("distribution and rules disagree on (n, m)")
-    total = Fraction(0)
-    for w, a, b in zip(mu.weights, f.table, g.table):
-        if a != b:
-            total += w
-    return total
+    return Fraction(sum(compress(mu.numerators, map(ne, f.table, g.table))), mu.denominator)
 
 
 def space_from_rules(mu: Distribution, rules: Sequence[VotingRule]) -> FiniteMetricSpace:

@@ -21,11 +21,12 @@ from .orders import (
     Profile,
     VoterPermutation,
     check_scale,
-    encode_digits,
     enumerate_orders,
     order_index,
+    profile_digit_columns,
     profile_digit_tuples,
     profile_index,
+    seat_map_indices,
 )
 
 RULE_FORMAT_VERSION = 1
@@ -46,9 +47,9 @@ class VotingRule:
         if len(self.table) != size:
             raise ValueError(f"table has {len(self.table)} entries, expected {size}")
         mf = factorial(self.m)
-        for entry in self.table:
-            if not 0 <= entry < mf:
-                raise ValueError(f"table entry {entry} out of range for m={self.m}")
+        if not 0 <= min(self.table) <= max(self.table) < mf:
+            entry = next(e for e in self.table if not 0 <= e < mf)
+            raise ValueError(f"table entry {entry} out of range for m={self.m}")
 
 
 def evaluate(rule: VotingRule, profile: Profile) -> LinearOrder:
@@ -74,8 +75,7 @@ def dictator(n: int, m: int, i: int) -> VotingRule:
     """The rule that copies voter i's ballot verbatim."""
     if not 0 <= i < n:
         raise ValueError(f"voter {i} out of range for n={n}")
-    table = tuple(digits[i] for digits in profile_digit_tuples(n, m))
-    return VotingRule(n, m, table)
+    return VotingRule(n, m, profile_digit_columns(n, m)[i])
 
 
 def constant_rule(n: int, m: int, order: LinearOrder) -> VotingRule:
@@ -109,7 +109,6 @@ def _pareto_consistent_outputs(digits: tuple[int, ...], m: int) -> tuple[int, ..
     )
 
 
-@lru_cache(maxsize=None)
 def is_pareto(rule: VotingRule) -> bool:
     """True iff every unanimous pairwise comparison is reproduced in the output."""
     pref = _prefers_matrix(rule.m)
@@ -124,7 +123,6 @@ def is_pareto(rule: VotingRule) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
 def is_iia(rule: VotingRule) -> bool:
     """True iff the output comparison of any two candidates depends only on the
     voters' comparisons of those two.
@@ -151,8 +149,8 @@ def is_iia(rule: VotingRule) -> bool:
 
 def is_dictatorship(rule: VotingRule) -> int | None:
     """The voter whose ballot the rule always copies, or None."""
-    for i in range(rule.n):
-        if all(rule.table[k] == digits[i] for k, digits in enumerate(profile_digit_tuples(rule.n, rule.m))):
+    for i, column in enumerate(profile_digit_columns(rule.n, rule.m)):
+        if rule.table == column:
             return i
     return None
 
@@ -160,10 +158,7 @@ def is_dictatorship(rule: VotingRule) -> int | None:
 @lru_cache(maxsize=None)
 def _permutation_index_map(n: int, m: int, mapping: tuple[int, ...]) -> tuple[int, ...]:
     """For each profile index k, the index of the relabeled profile."""
-    result = []
-    for digits in profile_digit_tuples(n, m):
-        result.append(encode_digits(tuple(digits[j] for j in mapping), m))
-    return tuple(result)
+    return tuple(seat_map_indices(n, m, mapping))
 
 
 def compose_voter_permutation(rule: VotingRule, perm: VoterPermutation) -> VotingRule:
@@ -171,7 +166,7 @@ def compose_voter_permutation(rule: VotingRule, perm: VoterPermutation) -> Votin
     if perm.n != rule.n:
         raise ValueError(f"permutation on {perm.n} voters, rule has {rule.n}")
     index_map = _permutation_index_map(rule.n, rule.m, perm.mapping)
-    return VotingRule(rule.n, rule.m, tuple(rule.table[k] for k in index_map))
+    return VotingRule(rule.n, rule.m, tuple(map(rule.table.__getitem__, index_map)))
 
 
 def compose_collapse(rule: VotingRule, i: int) -> VotingRule:
@@ -180,8 +175,8 @@ def compose_collapse(rule: VotingRule, i: int) -> VotingRule:
         raise ValueError(f"voter {i} out of range for n={rule.n}")
     mf = factorial(rule.m)
     unit = (mf**rule.n - 1) // (mf - 1) if mf > 1 else 1
-    table = tuple(rule.table[digits[i] * unit] for digits in profile_digit_tuples(rule.n, rule.m))
-    return VotingRule(rule.n, rule.m, table)
+    column = profile_digit_columns(rule.n, rule.m)[i]
+    return VotingRule(rule.n, rule.m, tuple(rule.table[d * unit] for d in column))
 
 
 def cylinder_extend(rule: VotingRule) -> VotingRule:
@@ -290,6 +285,14 @@ def save_rule(rule: VotingRule, path: str | Path) -> None:
 
 def load_rule(path: str | Path) -> VotingRule:
     record = json.loads(Path(path).read_text())
+    if not isinstance(record, dict):
+        raise ValueError("rule file does not hold a JSON object")
     if record.get("format_version") != RULE_FORMAT_VERSION:
         raise ValueError(f"unsupported rule format_version {record.get('format_version')!r}")
-    return VotingRule(record["n"], record["m"], tuple(record["table"]))
+    n, m, table = (record.get(key) for key in ("n", "m", "table"))
+    for key, value in (("n", n), ("m", m)):
+        if type(value) is not int:
+            raise ValueError(f"rule field {key!r} is missing or not an integer")
+    if not isinstance(table, list) or not {*map(type, table)} <= {int}:
+        raise ValueError("rule field 'table' is missing or not a list of integers")
+    return VotingRule(n, m, tuple(table))

@@ -152,3 +152,48 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["rules_found_count"] == 1
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_check_rejects_samples_below_one(samples, capsys):
+    code, out, err = run_cli(
+        ["check", "--suite", "metric", "--voters", "3", "--candidates", "3", "--samples", samples],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"format_version": 1, "n": 2, "m": 3},
+        {"format_version": 1, "n": 2, "m": 3, "table": "0,1,2"},
+        {"format_version": 1, "n": 2, "m": 3, "table": [0.0] * 36},
+        {"format_version": 1, "n": "2", "m": 3, "table": [0] * 36},
+        {"format_version": 1, "m": 3, "table": [0] * 36},
+        [1, 2, 3],
+    ],
+    ids=["missing-table", "table-not-list", "float-entries", "string-n", "missing-n", "not-object"],
+)
+def test_iterate_rejects_malformed_rule_file(record, tmp_path, capsys):
+    rule_path = tmp_path / "rule.json"
+    rule_path.write_text(json.dumps(record))
+    code, out, err = run_cli(["iterate", "--rule", str(rule_path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_cli_import_leaves_numpy_out():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, arrowlab.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"

@@ -1,0 +1,111 @@
+"""The integer kernels equal the reference ``Fraction`` loops exactly.
+
+Populations are seeded: Pareto rules from ``random_pareto_rule`` and
+distributions with small random integer weights, some of them zero, that no
+voter relabeling preserves.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+from math import factorial
+
+import pytest
+
+import fraction_kernels as ref
+from arrowlab.dynamics import force, force_profile
+from arrowlab.measures import (
+    Distribution,
+    is_permutation_invariant,
+    lift_distribution,
+    star_distribution,
+    uniform_distribution,
+)
+from arrowlab.orders import encode_digits, enumerate_orders, profile_digit_tuples
+from arrowlab.quotient import rule_distance
+from arrowlab.rules import random_pareto_rule
+
+SCALES = ((2, 3), (3, 3), (4, 3), (2, 4), (3, 4))
+RULES_PER_SCALE = 3
+
+
+def _random_distribution(n: int, m: int, seed: int) -> Distribution:
+    """Weights in 0..5 over their sum, about one in six of them zero."""
+    rng = random.Random(seed)
+    raw = [rng.randrange(6) for _ in range(factorial(m) ** n)]
+    raw[0] += 1  # a nonzero total even in the unlikely all-zero draw
+    total = sum(raw)
+    return Distribution(n, m, tuple(Fraction(v, total) for v in raw))
+
+
+def _distributions(n: int, m: int) -> list[Distribution]:
+    dists = [uniform_distribution(n, m), _random_distribution(n, m, 100 * n + m)]
+    if m >= 3:
+        dists.append(star_distribution(n, m, Fraction(2, 7), enumerate_orders(m)[1]))
+    return dists
+
+
+@pytest.mark.parametrize("n,m", SCALES)
+def test_forces_equal_reference(n, m):
+    rules = [random_pareto_rule(n, m, seed) for seed in range(RULES_PER_SCALE)]
+    for mu in _distributions(n, m):
+        for rule in rules:
+            fp = force_profile(mu, rule)
+            forces, most, least = ref.force_profile(mu, rule)
+            assert (fp.forces, fp.most_forceful, fp.least_forceful) == (forces, most, least)
+            assert tuple(force(mu, rule, i) for i in range(n)) == forces
+
+
+@pytest.mark.parametrize("n,m", SCALES)
+def test_rule_distance_equals_reference(n, m):
+    rules = [random_pareto_rule(n, m, seed) for seed in range(RULES_PER_SCALE)]
+    for mu in _distributions(n, m):
+        for f, g in itertools.combinations(rules, 2):
+            assert rule_distance(mu, f, g) == ref.rule_distance(mu, f, g)
+        assert rule_distance(mu, rules[0], rules[0]) == 0
+
+
+@pytest.mark.parametrize("n,m", SCALES)
+def test_lift_from_every_seat_equals_reference(n, m):
+    nu = _random_distribution(n - 1, m, 7 * n + m)
+    assert nu.n == 1 or not is_permutation_invariant(nu)
+    for i in range(n):
+        lifted = lift_distribution(nu, i)
+        assert lifted.weights == ref.lift_weights(nu, i)
+
+
+@pytest.mark.parametrize("n,m", SCALES)
+def test_permutation_invariance_equals_reference(n, m):
+    nu = _random_distribution(n - 1, m, 3 * n + m)
+    cases = _distributions(n, m) + [lift_distribution(nu, 0)]
+    if n >= 3:
+        # Symmetric under swapping voters 0 and 1 only: invariant under the
+        # first adjacent swap, not under the others.
+        raw = _random_distribution(n, m, 11 * n + m).weights
+        swapped = [raw[encode_digits((t[1], t[0]) + t[2:], m)] for t in profile_digit_tuples(n, m)]
+        cases.append(Distribution(n, m, tuple((a + b) / 2 for a, b in zip(raw, swapped))))
+    verdicts = [is_permutation_invariant(mu) for mu in cases]
+    assert verdicts == [ref.is_permutation_invariant(mu) for mu in cases]
+    assert verdicts[0] is True and verdicts[1] is False and verdicts[-2] is True
+    if n >= 3:
+        assert verdicts[-1] is False
+
+
+def test_lift_star_at_four_by_four_matches_closed_form():
+    """Under an invariant base the lift is (1/(n*m!)) * sum_j nu(x without seat j)."""
+    n, m = 4, 4
+    y = 5
+    eps = Fraction(1, 2)
+    nu = star_distribution(n - 1, m, eps, enumerate_orders(m)[y])
+    mu = lift_distribution(nu, n - 1)
+    top = 1 - eps
+    spread = eps / (factorial(m) ** (n - 1) - 1)
+    scale = Fraction(1, n * factorial(m))
+    # nu(x without seat j) is ``top`` exactly when the other three seats hold y.
+    expected = {c: scale * (c * top + (n - c) * spread) for c in range(n + 1)}
+    for k, digits in enumerate(itertools.product(range(factorial(m)), repeat=n)):
+        ys = digits.count(y)
+        unanimous_drops = n if ys == n else (1 if ys == n - 1 else 0)
+        weight = expected[unanimous_drops]
+        assert mu.numerators[k] * weight.denominator == weight.numerator * mu.denominator
+    assert mu.full_support

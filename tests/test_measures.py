@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from math import factorial
 
@@ -156,3 +157,44 @@ def test_distribution_file_round_trip(tmp_path):
     assert load_distribution(path) == mu
     text = path.read_text()
     assert '"1/2"' in text and '"1/70"' in text
+
+
+def test_numerator_form_is_lowest_terms_and_value_equal():
+    by_fractions = Distribution(1, 3, (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4), 0, 0, 0))
+    by_numerators = Distribution.from_numerators(1, 3, (4, 2, 2, 0, 0, 0), 8)
+    assert by_fractions == by_numerators
+    assert by_numerators.numerators == (2, 1, 1, 0, 0, 0)
+    assert by_numerators.denominator == 4
+    assert not has_full_support(by_numerators)
+    assert "weights" not in vars(by_numerators)
+    assert by_numerators.weights == by_fractions.weights
+
+
+def test_numerator_form_validation():
+    with pytest.raises(ValueError):
+        Distribution.from_numerators(1, 3, (1,) * 5, 5)
+    with pytest.raises(ValueError):
+        Distribution.from_numerators(1, 3, (2, -1, 1, 1, 1, 1), 5)
+    with pytest.raises(ValueError):
+        Distribution.from_numerators(1, 3, (1,) * 6, 7)
+    with pytest.raises(TypeError):
+        Distribution.from_numerators(1, 3, (1.0,) * 6, 6)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"format_version": 1, "n": 1, "m": 3},
+        {"format_version": 1, "n": 1, "m": 3, "weights": ["1/6"] * 5 + [1 / 6]},
+        {"format_version": 1, "n": 1.0, "m": 3, "weights": ["1/6"] * 6},
+        {"format_version": 1, "n": 1, "weights": ["1/6"] * 6},
+        {"format_version": 1, "n": 1, "m": 3, "weights": "1/6"},
+        ["1/6"] * 6,
+    ],
+    ids=["missing-weights", "float-weight", "float-n", "missing-m", "weights-not-list", "not-object"],
+)
+def test_load_distribution_schema(record, tmp_path):
+    path = tmp_path / "dist.json"
+    path.write_text(json.dumps(record))
+    with pytest.raises(ValueError):
+        load_distribution(path)
