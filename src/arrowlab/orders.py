@@ -15,7 +15,6 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-from operator import add, mul
 
 MAX_VOTERS = 4
 MAX_CANDIDATES = 4
@@ -181,12 +180,23 @@ def seat_map_indices(n: int, m: int, seats: tuple[int, ...]) -> list[int]:
 
     ``seats`` need not be a bijection: a voter relabeling is one, and copying
     one voter's ballot onto other seats is another.
+
+    Profile k's ballot at seat j adds ``coeff[j]`` times its index, where
+    ``coeff[j]`` sums (m!)^(n-1-i) over the seats i with ``seats[i] == j``.
+    The list grows from the last seat outward: a seat nobody reads repeats
+    it m! times, any other lays m! copies shifted by ``coeff[j]`` end to end.
     """
-    columns = profile_digit_columns(n, m)
+    check_scale(n, m)
     mf = factorial(m)
-    index = list(columns[seats[0]])
-    for j in seats[1:]:
-        index = list(map(add, map(mul, index, itertools.repeat(mf)), columns[j]))
+    coeff = [0] * n
+    for i, j in enumerate(seats):
+        coeff[j] += mf ** (n - 1 - i)
+    index = [0]
+    for c in reversed(coeff):
+        if c == 0:
+            index = index * mf
+        else:
+            index = [x + d for d in range(0, mf * c, c) for x in index]
     return index
 
 

@@ -310,10 +310,20 @@ def save_fixture(
 
 def load_fixture(path: str | Path) -> tuple[FiniteMetricSpace, EquivalencePartition]:
     record = json.loads(Path(path).read_text())
+    if not isinstance(record, dict):
+        raise ValueError("fixture file does not hold a JSON object")
     if record.get("format_version") != FIXTURE_FORMAT_VERSION:
         raise ValueError(f"unsupported fixture format_version {record.get('format_version')!r}")
-    n = record["points"]
-    values = [parse_rational(v) for v in record["dist"]]
+    n, dist, classes = (record.get(key) for key in ("points", "dist", "classes"))
+    if type(n) is not int or n < 0:
+        raise ValueError("fixture field 'points' is missing or not a non-negative integer")
+    if not isinstance(dist, list) or not {*map(type, dist)} <= {str}:
+        raise ValueError("fixture field 'dist' is missing or not a list of 'p/q' strings")
+    if not isinstance(classes, list) or not {*map(type, classes)} <= {int}:
+        raise ValueError("fixture field 'classes' is missing or not a list of integers")
+    if len(classes) != n:
+        raise ValueError(f"fixture has {len(classes)} class ids for {n} points")
+    values = [parse_rational(v) for v in dist]
     if len(values) != n * (n - 1) // 2:
         raise ValueError("upper-triangular distance array has the wrong length")
     matrix = [[Fraction(0)] * n for _ in range(n)]
@@ -324,4 +334,4 @@ def load_fixture(path: str | Path) -> tuple[FiniteMetricSpace, EquivalencePartit
             matrix[j][i] = values[pos]
             pos += 1
     space = FiniteMetricSpace(tuple(range(n)), tuple(tuple(row) for row in matrix))
-    return space, EquivalencePartition(tuple(record["classes"]))
+    return space, EquivalencePartition(tuple(classes))

@@ -11,7 +11,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
 from pathlib import Path
 from typing import Callable
@@ -50,6 +50,14 @@ class VotingRule:
         if not 0 <= min(self.table) <= max(self.table) < mf:
             entry = next(e for e in self.table if not 0 <= e < mf)
             raise ValueError(f"table entry {entry} out of range for m={self.m}")
+
+    @cached_property
+    def digest(self) -> str:
+        """SHA-256 over the ASCII bytes of ``"{n}:{m}:" + comma-joined table
+        entries``, computed on first use and kept on the instance."""
+        text = tuple(map(str, range(factorial(self.m))))
+        payload = f"{self.n}:{self.m}:" + ",".join(map(text.__getitem__, self.table))
+        return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
 
 def evaluate(rule: VotingRule, profile: Profile) -> LinearOrder:
@@ -95,14 +103,15 @@ def _prefers_matrix(m: int) -> tuple[tuple[tuple[bool, ...], ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _pareto_consistent_outputs(digits: tuple[int, ...], m: int) -> tuple[int, ...]:
-    """Order indices consistent with every unanimous pairwise comparison of the given ballots."""
+def _pareto_consistent_outputs(ballots: tuple[int, ...], m: int) -> tuple[int, ...]:
+    """Order indices consistent with every unanimous pairwise comparison of the given
+    ballots, passed as their sorted distinct indices so the cache holds one entry per set."""
     pref = _prefers_matrix(m)
     forced = [
         (a, b)
         for a in range(m)
         for b in range(m)
-        if a != b and all(pref[d][a][b] for d in digits)
+        if a != b and all(pref[d][a][b] for d in ballots)
     ]
     return tuple(
         oi for oi in range(factorial(m)) if all(pref[oi][a][b] for a, b in forced)
@@ -173,10 +182,8 @@ def compose_collapse(rule: VotingRule, i: int) -> VotingRule:
     """The rule evaluated on the profile where every seat holds voter i's ballot."""
     if not 0 <= i < rule.n:
         raise ValueError(f"voter {i} out of range for n={rule.n}")
-    mf = factorial(rule.m)
-    unit = (mf**rule.n - 1) // (mf - 1) if mf > 1 else 1
-    column = profile_digit_columns(rule.n, rule.m)[i]
-    return VotingRule(rule.n, rule.m, tuple(rule.table[d * unit] for d in column))
+    index_map = seat_map_indices(rule.n, rule.m, (i,) * rule.n)
+    return VotingRule(rule.n, rule.m, tuple(map(rule.table.__getitem__, index_map)))
 
 
 def cylinder_extend(rule: VotingRule) -> VotingRule:
@@ -197,7 +204,7 @@ def random_pareto_rule(n: int, m: int, seed: int) -> VotingRule:
     rng = random.Random(seed)
     table = []
     for digits in profile_digit_tuples(n, m):
-        allowed = _pareto_consistent_outputs(digits, m)
+        allowed = _pareto_consistent_outputs(tuple(sorted(set(digits))), m)
         table.append(allowed[rng.randrange(len(allowed))])
     return VotingRule(n, m, tuple(table))
 
@@ -244,7 +251,7 @@ def pairwise_majority_rule(
             ranking = tuple(sorted(range(m), key=lambda c: -outdeg[c]))
             table.append(order_index(LinearOrder(ranking)))
         else:
-            table.append(_pareto_consistent_outputs(digits, m)[0])
+            table.append(_pareto_consistent_outputs(tuple(sorted(set(digits))), m)[0])
     return VotingRule(n, m, tuple(table))
 
 
@@ -267,10 +274,8 @@ def borda_rule(n: int, m: int, tiebreak_order: LinearOrder | None = None) -> Vot
 
 
 def table_digest(rule: VotingRule) -> str:
-    """Stable identifier of a rule: SHA-256 over the ASCII bytes of
-    ``"{n}:{m}:" + comma-joined table entries``."""
-    payload = f"{rule.n}:{rule.m}:" + ",".join(map(str, rule.table))
-    return hashlib.sha256(payload.encode("ascii")).hexdigest()
+    """Stable identifier of a rule: its cached ``VotingRule.digest``."""
+    return rule.digest
 
 
 def save_rule(rule: VotingRule, path: str | Path) -> None:

@@ -3,17 +3,21 @@
 These are the straightforward loops the integer kernels in ``arrowlab``
 replaced.  They read a distribution only through its ``weights`` view and
 walk the profile space by digit tuples, so they share no arithmetic with the
-code under test; ``test_kernels.py`` requires both to agree exactly.
+code under test; ``test_kernels.py`` requires both to agree exactly.  The
+ballot rewrites (transfer, relabel, collapse) rewrite each digit tuple and
+re-encode it, and the seeded Pareto draw caches its allowed outputs per
+digit tuple, as ``random_pareto_rule`` once did.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 from math import factorial
 
 from arrowlab.measures import Distribution
-from arrowlab.orders import check_scale, encode_digits, profile_digit_tuples
+from arrowlab.orders import check_scale, encode_digits, enumerate_orders, profile_digit_tuples
 from arrowlab.rules import VotingRule
 
 
@@ -83,3 +87,35 @@ def is_permutation_invariant(dist: Distribution) -> bool:
             if weights[permuted] != weights[k]:
                 return False
     return True
+
+
+def rewrite(rule: VotingRule, seats: tuple[int, ...]) -> VotingRule:
+    """The rule evaluated on each profile with seat i holding the ballot at seat ``seats[i]``."""
+    table = []
+    for digits in profile_digit_tuples(rule.n, rule.m):
+        table.append(rule.table[encode_digits(tuple(digits[s] for s in seats), rule.m)])
+    return VotingRule(rule.n, rule.m, tuple(table))
+
+
+def force_transfer(mu: Distribution, rule: VotingRule) -> VotingRule:
+    """One transfer step, lowest-index tie-break among the most forceful."""
+    _, most, least = force_profile(mu, rule)
+    return rewrite(rule, tuple(most[0] if i in least else i for i in range(rule.n)))
+
+
+def random_pareto_rule(n: int, m: int, seed: int) -> VotingRule:
+    """The seeded Pareto draw, its allowed outputs cached per digit tuple."""
+    orders = enumerate_orders(m)
+    pairs = [(a, b) for a in range(m) for b in range(m) if a != b]
+    allowed_by_digits: dict[tuple[int, ...], list[int]] = {}
+    rng = random.Random(seed)
+    table = []
+    for digits in profile_digit_tuples(n, m):
+        if digits not in allowed_by_digits:
+            forced = [(a, b) for a, b in pairs if all(orders[d].prefers(a, b) for d in digits)]
+            allowed_by_digits[digits] = [
+                oi for oi, o in enumerate(orders) if all(o.prefers(a, b) for a, b in forced)
+            ]
+        allowed = allowed_by_digits[digits]
+        table.append(allowed[rng.randrange(len(allowed))])
+    return VotingRule(n, m, tuple(table))

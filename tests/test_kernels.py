@@ -2,28 +2,41 @@
 
 Populations are seeded: Pareto rules from ``random_pareto_rule`` and
 distributions with small random integer weights, some of them zero, that no
-voter relabeling preserves.
+voter relabeling preserves.  The seat map behind every ballot rewrite is
+checked against re-encoded digit tuples.
 """
 
 import itertools
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
 import fraction_kernels as ref
-from arrowlab.dynamics import force, force_profile
+from arrowlab.dynamics import force, force_profile, force_transfer
 from arrowlab.measures import (
     Distribution,
+    has_full_support,
     is_permutation_invariant,
     lift_distribution,
     star_distribution,
     uniform_distribution,
 )
-from arrowlab.orders import encode_digits, enumerate_orders, profile_digit_tuples
+from arrowlab.orders import (
+    all_voter_permutations,
+    encode_digits,
+    enumerate_orders,
+    profile_digit_tuples,
+    seat_map_indices,
+)
 from arrowlab.quotient import rule_distance
-from arrowlab.rules import random_pareto_rule
+from arrowlab.rules import (
+    _pareto_consistent_outputs,
+    compose_collapse,
+    compose_voter_permutation,
+    random_pareto_rule,
+)
 
 SCALES = ((2, 3), (3, 3), (4, 3), (2, 4), (3, 4))
 RULES_PER_SCALE = 3
@@ -43,6 +56,50 @@ def _distributions(n: int, m: int) -> list[Distribution]:
     if m >= 3:
         dists.append(star_distribution(n, m, Fraction(2, 7), enumerate_orders(m)[1]))
     return dists
+
+
+def _seat_map_oracle(n, m, seats, digit_tuples):
+    return [encode_digits(tuple(t[s] for s in seats), m) for t in digit_tuples]
+
+
+@pytest.mark.parametrize("n,m", ((1, 3),) + SCALES)
+def test_seat_map_equals_digit_oracle_for_every_seat_tuple(n, m):
+    digit_tuples = profile_digit_tuples(n, m)
+    for seats in itertools.product(range(n), repeat=n):
+        assert seat_map_indices(n, m, seats) == _seat_map_oracle(n, m, seats, digit_tuples)
+
+
+@pytest.mark.parametrize("seats", [(0, 0, 0, 0), (0, 1, 2, 0), (3, 1, 2, 3), (1, 0, 3, 2)])
+def test_seat_map_equals_digit_oracle_at_four_by_four(seats):
+    digit_tuples = itertools.product(range(factorial(4)), repeat=4)
+    assert seat_map_indices(4, 4, seats) == _seat_map_oracle(4, 4, seats, digit_tuples)
+
+
+@pytest.mark.parametrize("n,m", SCALES)
+def test_random_pareto_rule_equals_digit_keyed_draw(n, m):
+    for seed in range(RULES_PER_SCALE):
+        assert random_pareto_rule(n, m, seed) == ref.random_pareto_rule(n, m, seed)
+
+
+def test_pareto_output_cache_holds_one_entry_per_ballot_set():
+    n, m = 3, 4
+    _pareto_consistent_outputs.cache_clear()
+    random_pareto_rule(n, m, 0)
+    # Every set of at most n distinct ballots occurs in some profile.
+    ballot_sets = sum(comb(factorial(m), k) for k in range(1, n + 1))
+    assert _pareto_consistent_outputs.cache_info().currsize == ballot_sets
+
+
+@pytest.mark.parametrize("n,m", SCALES)
+def test_ballot_rewrites_equal_reference(n, m):
+    rules = [random_pareto_rule(n, m, seed) for seed in range(RULES_PER_SCALE)]
+    for rule in rules:
+        for mu in filter(has_full_support, _distributions(n, m)):
+            assert force_transfer(mu, rule) == ref.force_transfer(mu, rule)
+        for perm in all_voter_permutations(n):
+            assert compose_voter_permutation(rule, perm) == ref.rewrite(rule, perm.mapping)
+        for i in range(n):
+            assert compose_collapse(rule, i) == ref.rewrite(rule, (i,) * n)
 
 
 @pytest.mark.parametrize("n,m", SCALES)

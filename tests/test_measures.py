@@ -190,8 +190,17 @@ def test_numerator_form_validation():
         {"format_version": 1, "n": 1, "weights": ["1/6"] * 6},
         {"format_version": 1, "n": 1, "m": 3, "weights": "1/6"},
         ["1/6"] * 6,
+        {"format_version": 1, "n": 1, "m": 3, "weights": ["1/6"] * 5 + ["1/0"]},
     ],
-    ids=["missing-weights", "float-weight", "float-n", "missing-m", "weights-not-list", "not-object"],
+    ids=[
+        "missing-weights",
+        "float-weight",
+        "float-n",
+        "missing-m",
+        "weights-not-list",
+        "not-object",
+        "zero-denominator",
+    ],
 )
 def test_load_distribution_schema(record, tmp_path):
     path = tmp_path / "dist.json"

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -227,3 +228,52 @@ def test_fixture_file_round_trip(tmp_path):
     loaded_space, loaded_part = load_fixture(path)
     assert loaded_space.dist == space.dist
     assert loaded_part == part
+
+
+_FIXTURE = {"format_version": 1, "points": 3, "dist": ["1/2", "1/3", "1/4"], "classes": [0, 0, 2]}
+
+
+def test_load_fixture_accepts_well_formed_record(tmp_path):
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(_FIXTURE))
+    space, part = load_fixture(path)
+    assert space.distance(0, 2) == Fraction(1, 3) == space.distance(2, 0)
+    assert part.class_of == (0, 0, 2)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        [_FIXTURE],
+        {key: v for key, v in _FIXTURE.items() if key != "points"},
+        {**_FIXTURE, "points": 3.0},
+        {**_FIXTURE, "points": -1},
+        {key: v for key, v in _FIXTURE.items() if key != "dist"},
+        {**_FIXTURE, "dist": "1/2"},
+        {**_FIXTURE, "dist": ["1/2", "1/3", 0.25]},
+        {**_FIXTURE, "dist": ["1/2", "1/3", "1/0"]},
+        {key: v for key, v in _FIXTURE.items() if key != "classes"},
+        {**_FIXTURE, "classes": {"0": 0}},
+        {**_FIXTURE, "classes": [0, 0, "2"]},
+        {**_FIXTURE, "classes": [0, 0]},
+    ],
+    ids=[
+        "not-object",
+        "missing-points",
+        "float-points",
+        "negative-points",
+        "missing-dist",
+        "dist-not-list",
+        "float-distance",
+        "zero-denominator",
+        "missing-classes",
+        "classes-not-list",
+        "string-class",
+        "short-classes",
+    ],
+)
+def test_load_fixture_schema(record, tmp_path):
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(record))
+    with pytest.raises(ValueError):
+        load_fixture(path)

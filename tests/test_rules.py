@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -251,6 +253,46 @@ def test_table_digest_is_stable():
     assert d == table_digest(dictator(2, 3, 0))
     assert d != table_digest(dictator(2, 3, 1))
     assert len(d) == 64 and set(d) <= set("0123456789abcdef")
+
+
+def test_table_digest_pinned_literal():
+    assert (
+        table_digest(dictator(2, 3, 0))
+        == "6a1e7a4e09c20b94f704664cc8f041750c6638c001b0bf1f02724874d55ce8cd"
+    )
+
+
+def _independent_digest(rule):
+    payload = f"{rule.n}:{rule.m}:" + ",".join(map(str, rule.table))
+    return hashlib.sha256(payload.encode("ascii")).hexdigest()
+
+
+def test_table_digest_equals_independent_sha256():
+    rules = [random_pareto_rule(3, 4, seed) for seed in range(3)]
+    rules.append(cylinder_extend(random_pareto_rule(3, 4, 3)))
+    assert rules[-1].n == 4
+    for rule in rules:
+        assert table_digest(rule) == _independent_digest(rule) == rule.digest
+
+
+def test_cached_digest_takes_no_part_in_eq_hash_repr():
+    rule = random_pareto_rule(2, 3, 5)
+    fresh = VotingRule(rule.n, rule.m, rule.table)
+    assert table_digest(rule) == _independent_digest(rule)
+    assert "digest" in vars(rule) and "digest" not in vars(fresh)
+    assert rule == fresh and hash(rule) == hash(fresh) and repr(rule) == repr(fresh)
+    assert "digest" not in repr(rule)
+
+
+def test_pickled_rule_keeps_equality_and_digest():
+    for rule in (random_pareto_rule(3, 3, 1), random_pareto_rule(3, 3, 2)):
+        expected = _independent_digest(rule)
+        before = pickle.loads(pickle.dumps(rule))
+        table_digest(rule)
+        after = pickle.loads(pickle.dumps(rule))
+        for copy in (before, after):
+            assert copy == rule and hash(copy) == hash(rule)
+            assert table_digest(copy) == expected
 
 
 def test_scale_override_allows_larger_tables(monkeypatch):
