@@ -11,10 +11,7 @@ from .orders import (
     VoterPermutation,
     all_voter_permutations,
     apply_voter_permutation,
-    collapse_to_voter,
-    drop_voter,
     enumerate_orders,
-    insert_voter,
     order_index,
     profile_from_index,
     profile_index,
@@ -35,7 +32,6 @@ from .rules import (
     load_rule,
     pairwise_majority_rule,
     random_pareto_rule,
-    rule_from_function,
     save_rule,
     table_digest,
 )

@@ -11,7 +11,7 @@ that only the n dictatorships survive.
 
 from __future__ import annotations
 
-import multiprocessing
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -24,7 +24,7 @@ from .measures import (
     lift_distribution,
     star_distribution,
 )
-from .orders import LinearOrder, check_scale, order_index, profile_digit_tuples
+from .orders import LinearOrder, check_scale, profile_digit_tuples, tournament_order
 from .rules import (
     VotingRule,
     cylinder_extend,
@@ -86,12 +86,7 @@ def _table_from_free(free: int, n: int) -> int:
     Free rows are the inputs 1 .. 2^n - 2 in increasing order; bit r-1 of
     ``free`` is the output at row r.
     """
-    rows = 1 << n
-    table = 1 << (rows - 1)
-    for r in range(1, rows - 1):
-        if (free >> (r - 1)) & 1:
-            table |= 1 << r
-    return table
+    return (1 << ((1 << n) - 1)) | (free << 1)
 
 
 def aggregator_from_candidate_index(index: int, n: int, m: int) -> PairwiseAggregator:
@@ -140,51 +135,22 @@ def _pair_rows(n: int, m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _disagreement_scan_order(n: int, m: int) -> tuple[int, ...]:
-    """Profile indices ordered so contentious profiles come first; cyclic
-    combinations then fail after scanning only a handful of profiles."""
-    rows = _pair_rows(n, m)
-    full = (1 << n) - 1
-
-    def contention(k: int) -> int:
-        return sum(1 for pair_rows in rows if pair_rows[k] not in (0, full))
-
-    count = factorial(m) ** n
-    return tuple(sorted(range(count), key=lambda k: (-contention(k), k)))
-
-
-def _order_from_outcomes(bits: tuple[bool, ...], m: int) -> LinearOrder | None:
-    """Turn per-pair outcomes into a ranking, or None when the tournament cycles.
-
-    A tournament is transitive exactly when its out-degrees are all distinct,
-    in which case sorting by descending out-degree is the ranking.
-    """
-    outdeg = [0] * m
-    for (a, b), first_wins in zip(candidate_pairs(m), bits):
-        if first_wins:
-            outdeg[a] += 1
-        else:
-            outdeg[b] += 1
-    if sorted(outdeg) != list(range(m)):
-        return None
-    return LinearOrder(tuple(sorted(range(m), key=lambda c: -outdeg[c])))
-
-
 def assemble_rule(agg: PairwiseAggregator, n: int, m: int) -> VotingRule | None:
     """Evaluate the aggregator on every profile; the rule exists iff every
     profile's outcome tournament is acyclic."""
     if agg.n != n or agg.m != m:
         raise ValueError(f"aggregator ({agg.n}, {agg.m}) does not match (n={n}, m={m})")
     rows = _pair_rows(n, m)
-    pair_count = comb(m, 2)
+    pairs = candidate_pairs(m)
     table = []
     for k in range(factorial(m) ** n):
-        bits = tuple(agg.output(p, rows[p][k]) for p in range(pair_count))
-        order = _order_from_outcomes(bits, m)
+        outdeg = [0] * m
+        for p, (a, b) in enumerate(pairs):
+            outdeg[a if agg.output(p, rows[p][k]) else b] += 1
+        order = tournament_order(outdeg)
         if order is None:
             return None
-        table.append(order_index(order))
+        table.append(order)
     return VotingRule(n, m, tuple(table))
 
 
@@ -215,83 +181,36 @@ def aggregator_from_rule(rule: VotingRule) -> PairwiseAggregator | None:
 def _pair_output_masks(n: int, m: int) -> tuple[tuple[int, ...], ...]:
     """masks[pair_idx][free_bits]: outcome bits of that pair function, packed
     across all profiles into one integer (bit k = profile k)."""
-    rows = _pair_rows(n, m)
-    per_pair = 1 << free_bits_per_pair(n)
-    out = []
-    for pair_rows in rows:
-        per_function = []
-        for free in range(per_pair):
-            full_table = _table_from_free(free, n)
-            bits = 0
-            for k, row in enumerate(pair_rows):
-                if (full_table >> row) & 1:
-                    bits |= 1 << k
-            per_function.append(bits)
-        out.append(tuple(per_function))
-    return tuple(out)
+    tables = [_table_from_free(free, n) for free in range(1 << free_bits_per_pair(n))]
+    return tuple(
+        tuple(sum(1 << k for k, row in enumerate(pair_rows) if (t >> row) & 1) for t in tables)
+        for pair_rows in _pair_rows(n, m)
+    )
 
 
-def _scan_block_three_candidates(n: int, lo: int, hi: int) -> list[int]:
-    """Survivor candidate indices in [lo, hi) for m=3, via whole-profile bitmasks.
+def _survivors(n: int, m: int) -> list[int]:
+    """Candidate indices, in increasing order, whose every profile tournament
+    is acyclic.
 
-    With pairs (0,1), (0,2), (1,2) and outcome bits A, B, C, a profile is
-    cyclic exactly when A and C agree while B disagrees with them.
+    A tournament is transitive exactly when each candidate triple is.  For a
+    triple a < b < c with pair outcome masks A = (a,b), B = (a,c), C = (b,c),
+    a profile cycles exactly when A and C agree while B disagrees with them,
+    that is when both differ from B: ``(A ^ B) & (C ^ B)`` tests the triple
+    on every profile at once.
     """
-    m = 3
-    masks = _pair_output_masks(n, m)
-    per_pair = 1 << free_bits_per_pair(n)
-    full = (1 << (factorial(m) ** n)) - 1
+    slot = {pair: p for p, pair in enumerate(candidate_pairs(m))}
+    triples = [
+        (slot[a, b], slot[a, c], slot[b, c]) for a, b, c in itertools.combinations(range(m), 3)
+    ]
     survivors = []
-    for c in range(lo, hi):
-        t01, rest = divmod(c, per_pair * per_pair)
-        t02, t12 = divmod(rest, per_pair)
-        a = masks[0][t01]
-        b = masks[1][t02]
-        cc = masks[2][t12]
-        cyc = (a & cc & (b ^ full)) | ((a ^ full) & (cc ^ full) & b)
-        if cyc == 0:
-            survivors.append(c)
-    return survivors
-
-
-def _scan_block_general(n: int, m: int, lo: int, hi: int) -> list[int]:
-    """Survivor candidate indices in [lo, hi) for any m, with early abort on
-    the first cyclic profile."""
-    rows = _pair_rows(n, m)
-    pair_count = comb(m, 2)
-    per_pair = 1 << free_bits_per_pair(n)
-    scan_order = _disagreement_scan_order(n, m)
-    pairs = candidate_pairs(m)
-    survivors = []
-    for c in range(lo, hi):
-        digits = []
-        rem = c
-        for _ in range(pair_count):
-            rem, d = divmod(rem, per_pair)
-            digits.append(d)
-        digits.reverse()
-        tables = [_table_from_free(d, n) for d in digits]
-        ok = True
-        for k in scan_order:
-            outdeg = [0] * m
-            for p in range(pair_count):
-                if (tables[p] >> rows[p][k]) & 1:
-                    outdeg[pairs[p][0]] += 1
-                else:
-                    outdeg[pairs[p][1]] += 1
-            if sorted(outdeg) != list(range(m)):
-                ok = False
+    for index, masks in enumerate(itertools.product(*_pair_output_masks(n, m))):
+        for ab, ac, bc in triples:
+            a_over_c = masks[ac]
+            if (masks[ab] ^ a_over_c) & (masks[bc] ^ a_over_c):
                 break
-        if ok:
-            survivors.append(c)
+        else:
+            survivors.append(index)
     return survivors
-
-
-def _scan_block(args: tuple[int, int, int, int]) -> list[int]:
-    n, m, lo, hi = args
-    if m == 3:
-        return _scan_block_three_candidates(n, lo, hi)
-    return _scan_block_general(n, m, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -310,16 +229,13 @@ class ArrowReport:
         return all(d is not None for d in self.dictators)
 
 
-def verify_arrow(n: int, m: int, jobs: int = 1) -> ArrowReport:
+def verify_arrow(n: int, m: int) -> ArrowReport:
     """Enumerate every pinned aggregator combination, assemble each into a
     rule where possible, and report the survivors.
 
     The enumeration order is lexicographic in the truth-table bits, so the
-    report is reproducible byte for byte, and block-parallel scans merge into
-    the same order.
+    report is reproducible byte for byte.
     """
-    if n < 1:
-        raise ValueError(f"need at least one voter, got n={n}")
     if m < 3:
         raise ValueError(f"the theorem needs at least three candidates, got m={m}")
     check_scale(n, m)
@@ -329,16 +245,7 @@ def verify_arrow(n: int, m: int, jobs: int = 1) -> ArrowReport:
             f"{total} aggregator combinations at (n={n}, m={m}) exceed the "
             f"supported bound of {MAX_CANDIDATE_COMBINATIONS}"
         )
-    jobs = max(1, jobs)
-    if jobs == 1 or total < 4 * jobs:
-        survivors = _scan_block((n, m, 0, total))
-    else:
-        step = (total + jobs - 1) // jobs
-        blocks = [(n, m, lo, min(lo + step, total)) for lo in range(0, total, step)]
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=jobs) as pool:
-            survivors = [c for block in pool.map(_scan_block, blocks) for c in block]
-    survivors.sort()
+    survivors = _survivors(n, m)
     found = []
     for c in survivors:
         rule = assemble_rule(aggregator_from_candidate_index(c, n, m), n, m)

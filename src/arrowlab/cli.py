@@ -33,6 +33,7 @@ from .measures import (
     has_full_support,
     is_permutation_invariant,
     lift_distribution,
+    parse_rational,
     star_distribution,
     uniform_distribution,
 )
@@ -99,7 +100,7 @@ def _write_output(payload: dict, out_dir: Path | None, filename: str) -> None:
 
 def _cmd_verify_arrow(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    report = verify_arrow(args.voters, args.candidates, jobs=args.jobs)
+    report = verify_arrow(args.voters, args.candidates)
     elapsed = time.monotonic() - started
     rules_found = [
         {
@@ -350,6 +351,27 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return EXIT_OK if all_passed else EXIT_SUITE_FAILURE
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for ``--jobs``: an integer of at least 1."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _open_unit_rational(text: str) -> Fraction:
+    """argparse type for ``--epsilon``: a rational strictly between 0 and 1.
+    The star distribution narrows the upper end further, depending on m."""
+    try:
+        value = parse_rational(text)
+    except ValueError:
+        value = Fraction(0)
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a rational strictly between 0 and 1, got {text!r}"
+        )
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser, *, voters: bool = True) -> None:
     if voters:
         parser.add_argument("--voters", type=int, default=2, help="electorate size n")
@@ -362,7 +384,7 @@ def _add_common(parser: argparse.ArgumentParser, *, voters: bool = True) -> None
     )
     parser.add_argument(
         "--epsilon",
-        type=Fraction,
+        type=_open_unit_rational,
         default=Fraction(1, 2),
         help="near-unanimous spread mass as p/q (star and lift-star)",
     )
@@ -370,7 +392,9 @@ def _add_common(parser: argparse.ArgumentParser, *, voters: bool = True) -> None
         "--y-index", type=int, default=0, help="canonical index of the favored ranking"
     )
     parser.add_argument("--seed", type=int, default=0, help="base seed for rule populations")
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes")
+    parser.add_argument(
+        "--jobs", type=_positive_int, default=1, help="worker processes for the collapse suite"
+    )
     parser.add_argument("--out", type=Path, default=None, help="directory for report files")
 
 
@@ -387,7 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--voters", type=int, required=True)
     p_verify.add_argument("--candidates", type=int, required=True)
-    p_verify.add_argument("--jobs", type=int, default=1)
+    p_verify.add_argument(
+        "--jobs", type=_positive_int, default=1, help="accepted for symmetry; the scan is serial"
+    )
     p_verify.add_argument("--out", type=Path, default=None)
     p_verify.set_defaults(handler=_cmd_verify_arrow)
 

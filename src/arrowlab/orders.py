@@ -115,12 +115,6 @@ class VoterPermutation:
             raise ValueError("permutation sizes disagree")
         return VoterPermutation(tuple(self.mapping[j] for j in other.mapping))
 
-    def inverse(self) -> "VoterPermutation":
-        inv = [0] * self.n
-        for i, j in enumerate(self.mapping):
-            inv[j] = i
-        return VoterPermutation(tuple(inv))
-
     @staticmethod
     def identity(n: int) -> "VoterPermutation":
         return VoterPermutation(tuple(range(n)))
@@ -145,6 +139,27 @@ def _order_index_map(m: int) -> dict[tuple[int, ...], int]:
 def order_index(order: LinearOrder) -> int:
     """Canonical index of a ranking (its lexicographic rank)."""
     return _order_index_map(order.m)[order.ranking]
+
+
+@lru_cache(maxsize=None)
+def _outdegree_index_map(m: int) -> dict[tuple[int, ...], int]:
+    """Each ranking's out-degree vector (candidate c beats m-1-rank(c)
+    others) mapped to the ranking's canonical index."""
+    return {
+        tuple(m - 1 - o.ranking.index(c) for c in range(m)): i
+        for i, o in enumerate(enumerate_orders(m))
+    }
+
+
+def tournament_order(outdeg: list[int]) -> int | None:
+    """Canonical index of the ranking by falling out-degree, or None when the
+    out-degrees are not 0..m-1.
+
+    ``outdeg[c]`` counts the candidates that c beats.  A tournament is
+    transitive exactly when those counts are distinct, and the ranking by
+    falling count is then the one that agrees with every pairwise outcome.
+    """
+    return _outdegree_index_map(len(outdeg)).get(tuple(outdeg))
 
 
 @lru_cache(maxsize=None)
@@ -233,31 +248,6 @@ def apply_voter_permutation(profile: Profile, perm: VoterPermutation) -> Profile
     if profile.n != perm.n:
         raise ValueError(f"profile has {profile.n} voters but permutation has {perm.n}")
     return Profile(tuple(profile.ballots[j] for j in perm.mapping))
-
-
-def collapse_to_voter(profile: Profile, i: int) -> Profile:
-    """Replace every ballot by voter i's ballot."""
-    if not 0 <= i < profile.n:
-        raise ValueError(f"voter {i} out of range for n={profile.n}")
-    return Profile((profile.ballots[i],) * profile.n)
-
-
-def drop_voter(profile: Profile, i: int) -> Profile:
-    """Remove voter i's ballot, keeping the others in order."""
-    if profile.n < 2:
-        raise ValueError("cannot drop the only voter")
-    if not 0 <= i < profile.n:
-        raise ValueError(f"voter {i} out of range for n={profile.n}")
-    return Profile(profile.ballots[:i] + profile.ballots[i + 1 :])
-
-
-def insert_voter(profile: Profile, ballot: LinearOrder, i: int) -> Profile:
-    """Insert a ballot at seat i; inverse of ``drop_voter`` at the same seat."""
-    if not 0 <= i <= profile.n:
-        raise ValueError(f"seat {i} out of range for n={profile.n}")
-    if ballot.m != profile.m:
-        raise ValueError("ballot width disagrees with profile")
-    return Profile(profile.ballots[:i] + (ballot,) + profile.ballots[i:])
 
 
 def unanimous_profile(order: LinearOrder, n: int) -> Profile:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import factorial
 from pathlib import Path
-from typing import Callable
 
 from .orders import (
     LinearOrder,
@@ -27,6 +26,7 @@ from .orders import (
     profile_digit_tuples,
     profile_index,
     seat_map_indices,
+    tournament_order,
 )
 
 RULE_FORMAT_VERSION = 1
@@ -67,16 +67,6 @@ def evaluate(rule: VotingRule, profile: Profile) -> LinearOrder:
             f"profile ({profile.n}, {profile.m}) incompatible with rule ({rule.n}, {rule.m})"
         )
     return enumerate_orders(rule.m)[rule.table[profile_index(profile)]]
-
-
-def rule_from_function(n: int, m: int, fn: Callable[[Profile], LinearOrder]) -> VotingRule:
-    """Materialize a rule by evaluating ``fn`` on every profile."""
-    orders = enumerate_orders(m)
-    table = []
-    for digits in profile_digit_tuples(n, m):
-        out = fn(Profile(tuple(orders[d] for d in digits)))
-        table.append(order_index(out))
-    return VotingRule(n, m, tuple(table))
 
 
 def dictator(n: int, m: int, i: int) -> VotingRule:
@@ -243,15 +233,11 @@ def pairwise_majority_rule(
                     a_beats_b = pref[digits[tiebreak_voter]][a][b]
                 else:
                     a_beats_b = tiebreak_order.prefers(a, b)
-                if a_beats_b:
-                    outdeg[a] += 1
-                else:
-                    outdeg[b] += 1
-        if sorted(outdeg) == list(range(m)):
-            ranking = tuple(sorted(range(m), key=lambda c: -outdeg[c]))
-            table.append(order_index(LinearOrder(ranking)))
-        else:
-            table.append(_pareto_consistent_outputs(tuple(sorted(set(digits))), m)[0])
+                outdeg[a if a_beats_b else b] += 1
+        order = tournament_order(outdeg)
+        if order is None:
+            order = _pareto_consistent_outputs(tuple(sorted(set(digits))), m)[0]
+        table.append(order)
     return VotingRule(n, m, tuple(table))
 
 

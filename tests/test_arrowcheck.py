@@ -11,8 +11,7 @@ from arrowlab.arrowcheck import (
     projection_aggregator,
     replay_contradiction,
     verify_arrow,
-    _scan_block_general,
-    _scan_block_three_candidates,
+    _survivors,
 )
 from arrowlab.orders import enumerate_orders
 from arrowlab.rules import (
@@ -112,20 +111,14 @@ def test_verify_arrow_rejects_bad_scales():
         verify_arrow(4, 3)  # 2^14 per pair cubed exceeds the combination bound
 
 
-def test_verify_arrow_parallel_matches_serial():
-    serial = verify_arrow(2, 3, jobs=1)
-    parallel = verify_arrow(2, 3, jobs=4)
-    assert [c for c, _ in serial.found] == [c for c, _ in parallel.found]
-    assert serial.dictators == parallel.dictators
-
-
-def test_fast_and_general_scans_agree():
-    total = candidates_total(2, 3)
-    assert _scan_block_three_candidates(2, 0, total) == _scan_block_general(2, 3, 0, total)
-    # spot-check slices of the three-voter space
-    for lo in (0, 21_000, 130_000, 262_000):
-        hi = min(lo + 2_000, candidates_total(3, 3))
-        assert _scan_block_three_candidates(3, lo, hi) == _scan_block_general(3, 3, lo, hi)
+@pytest.mark.parametrize("n, m, stride", [(2, 3, 1), (2, 4, 1), (3, 3, 97)])
+def test_scan_agrees_with_assembly(n, m, stride):
+    # Assembly walks every profile's whole tournament, so it is an oracle for
+    # the per-triple bitmask scan.
+    survivors = set(_survivors(n, m))
+    for c in range(0, candidates_total(n, m), stride):
+        assembled = assemble_rule(aggregator_from_candidate_index(c, n, m), n, m)
+        assert (c in survivors) == (assembled is not None), c
 
 
 def test_verify_arrow_four_candidates_two_voters():

@@ -190,10 +190,43 @@ def test_cli_import_leaves_numpy_out():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, arrowlab.cli; print('numpy' in sys.modules)"],
+        [
+            sys.executable,
+            "-c",
+            "import sys, arrowlab.cli; print('numpy' in sys.modules, 'multiprocessing' in sys.modules)",
+        ],
         capture_output=True,
         text=True,
         env=env,
     )
     assert proc.returncode == 0
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
+
+
+@pytest.mark.parametrize("command", ["check", "verify-arrow"])
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_is_a_usage_error(command, jobs, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--voters", "2", "--candidates", "3", "--jobs", jobs])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--jobs" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("epsilon", ["1/0", "3/2", "0", "abc"])
+def test_epsilon_outside_the_open_unit_interval_is_a_usage_error(epsilon, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--suite", "metric", "--samples", "2", "--epsilon", epsilon])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--epsilon" in err and "Traceback" not in err
+
+
+def test_replay_script_runs_with_defaults():
+    script = SRC.parent / "scripts" / "replay_final_proof.py"
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "forces: 383/630, 383/630, 55/126" in lines
+    assert "transfer map fixes the extended rule exactly: True" in lines
+    assert "extended rule is a dictatorship: False" in lines

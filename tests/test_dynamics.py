@@ -217,6 +217,37 @@ def test_class_transfer_requires_invariant_distribution():
         force_transfer_class(mu, orbit_class(UNIFORM23, dictator(2, 3, 0)))
 
 
+def test_class_transfer_is_not_well_defined_at_three_voters():
+    # The spec's partition is not closed under the transfer map.  Seed 6 at
+    # (3, 3) has a unique top voter, so its class is a six-rule orbit; the
+    # image of its canonical representative has tied top voters, so that
+    # image is a singleton class and the other members' images miss it.
+    mu = uniform_distribution(3, 3)
+    cls = orbit_class(mu, random_pareto_rule(3, 3, 6))
+    assert len(cls.members) == 6
+    image = force_transfer(mu, cls.members[0])
+    assert len(force_profile(mu, image).most_forceful) > 1
+    assert orbit_class(mu, image).members == (image,)
+    with pytest.raises(RuntimeError, match="depends on the representative"):
+        force_transfer_class(mu, cls, verify_representatives=True)
+
+
+@pytest.mark.parametrize("n, seeds", [(3, range(200)), (4, range(10))])
+def test_transfer_commutes_with_relabeling(n, seeds):
+    # T(f o sigma) == T(f) o sigma for every rule with a unique top voter
+    # under a permutation-invariant distribution: the implementation is
+    # equivariant even where the class map above is not well defined.
+    mu = uniform_distribution(n, 3)
+    rules = [random_pareto_rule(n, 3, seed) for seed in seeds]
+    rules = [f for f in rules if len(force_profile(mu, f).most_forceful) == 1]
+    assert len(rules) == (191 if n == 3 else 10)
+    for f in rules:
+        image = force_transfer(mu, f)
+        for perm in all_voter_permutations(n):
+            relabeled = force_transfer(mu, compose_voter_permutation(f, perm))
+            assert relabeled == compose_voter_permutation(image, perm)
+
+
 def test_transfer_respects_equivalence():
     for seed in range(20):
         f = random_pareto_rule(2, 3, seed)

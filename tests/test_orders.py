@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,14 +11,11 @@ from arrowlab.orders import (
     all_voter_permutations,
     apply_voter_permutation,
     check_scale,
-    collapse_to_voter,
-    drop_voter,
     enumerate_orders,
-    insert_voter,
     order_index,
     profile_from_index,
     profile_index,
-    unanimous_profile,
+    tournament_order,
 )
 
 
@@ -123,38 +122,28 @@ def test_apply_rejects_length_mismatch():
         apply_voter_permutation(Profile((orders[0],)), VoterPermutation((0, 1)))
 
 
-def test_collapse_to_voter():
-    orders = enumerate_orders(3)
-    p = Profile((orders[0], orders[3]))
-    assert collapse_to_voter(p, 0).ballots == (orders[0], orders[0])
-    assert collapse_to_voter(p, 1).ballots == (orders[3], orders[3])
-    uni = unanimous_profile(orders[2], 3)
-    assert collapse_to_voter(uni, 1) == uni
-    with pytest.raises(ValueError):
-        collapse_to_voter(p, 2)
-
-
-def test_drop_and_insert_round_trip():
-    orders = enumerate_orders(3)
-    p = Profile((orders[0], orders[1], orders[2]))
-    assert drop_voter(p, 1).ballots == (orders[0], orders[2])
-    assert drop_voter(Profile((orders[0], orders[1])), 1).ballots == (orders[0],)
-    for i in range(3):
-        assert insert_voter(drop_voter(p, i), p.ballots[i], i) == p
-
-
-def test_drop_voter_rejections():
-    orders = enumerate_orders(3)
-    with pytest.raises(ValueError):
-        drop_voter(Profile((orders[0],)), 0)
-    with pytest.raises(ValueError):
-        drop_voter(Profile((orders[0], orders[1])), 2)
-
-
 def test_order_index_is_lexicographic_rank():
     for m in (1, 2, 3, 4):
         for i, o in enumerate(enumerate_orders(m)):
             assert order_index(o) == i
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_tournament_order_on_every_tournament(m):
+    pairs = list(itertools.combinations(range(m), 2))
+    for outcomes in itertools.product((True, False), repeat=len(pairs)):
+        beats = {(a, b) if first else (b, a) for (a, b), first in zip(pairs, outcomes)}
+        outdeg = [sum((c, d) in beats for d in range(m)) for c in range(m)]
+        cyclic = any(
+            {(a, b), (b, c), (c, a)} <= beats or {(b, a), (c, b), (a, c)} <= beats
+            for a, b, c in itertools.combinations(range(m), 3)
+        )
+        index = tournament_order(outdeg)
+        if cyclic:
+            assert index is None
+        else:
+            order = enumerate_orders(m)[index]
+            assert all(order.prefers(a, b) == ((a, b) in beats) for a, b in pairs)
 
 
 def test_scale_guard(monkeypatch):
