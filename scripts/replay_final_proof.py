@@ -9,13 +9,12 @@ status, and dictatorship status with exact rationals.
 
 import argparse
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from arrowlab.arrowcheck import replay_contradiction
-from arrowlab.measures import format_rational
+from arrowlab.measures import format_rational, parse_rational
 from arrowlab.orders import enumerate_orders
 from arrowlab.rules import pairwise_majority_rule
 
@@ -24,13 +23,23 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--base-voters", type=int, default=2, help="voters of the base rule")
     parser.add_argument("--candidates", type=int, default=3)
-    parser.add_argument("--epsilon", type=Fraction, default=Fraction(1, 2))
+    parser.add_argument("--epsilon", default="1/2", help="near-unanimous spread mass as p/q")
     parser.add_argument("--y-index", type=int, default=0)
     args = parser.parse_args()
+    try:
+        return replay(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
+
+def replay(args: argparse.Namespace) -> int:
+    epsilon = parse_rational(args.epsilon)
+    orders = enumerate_orders(args.candidates)
+    if not 0 <= args.y_index < len(orders):
+        raise ValueError(f"--y-index {args.y_index} out of range for m={args.candidates}")
     base = pairwise_majority_rule(args.base_voters, args.candidates)
-    y = enumerate_orders(args.candidates)[args.y_index]
-    report = replay_contradiction(base, args.epsilon, y)
+    report = replay_contradiction(base, epsilon, orders[args.y_index])
 
     print(f"base rule: pairwise majority over {args.base_voters} voters, digest {report.base_rule_digest[:16]}")
     print(f"extended rule over {report.n} voters, digest {report.extended_rule_digest[:16]}")

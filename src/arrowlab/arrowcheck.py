@@ -24,22 +24,24 @@ from .measures import (
     lift_distribution,
     star_distribution,
 )
-from .orders import LinearOrder, check_scale, profile_digit_tuples, tournament_order
+from .orders import (
+    LinearOrder,
+    candidate_pairs,
+    check_scale,
+    pair_signatures,
+    signature_codes,
+    tournament_orders,
+)
 from .rules import (
     VotingRule,
     cylinder_extend,
     is_dictatorship,
     is_pareto,
     table_digest,
-    _prefers_matrix,
+    _pair_truth_tables,
 )
 
 MAX_CANDIDATE_COMBINATIONS = 20_000_000
-
-
-def candidate_pairs(m: int) -> tuple[tuple[int, int], ...]:
-    """Unordered candidate pairs in lexicographic order; the pair axis of every aggregator."""
-    return tuple((a, b) for a in range(m) for b in range(a + 1, m))
 
 
 @dataclass(frozen=True)
@@ -67,9 +69,6 @@ class PairwiseAggregator:
                 raise ValueError("all-false input row must output false")
             if not (t >> (rows - 1)) & 1:
                 raise ValueError("all-true input row must output true")
-
-    def output(self, pair_idx: int, row: int) -> bool:
-        return bool((self.tables[pair_idx] >> row) & 1)
 
 
 def free_bits_per_pair(n: int) -> int:
@@ -116,64 +115,25 @@ def projection_aggregator(n: int, m: int, voter: int) -> PairwiseAggregator:
     return PairwiseAggregator(n, m, (table,) * comb(m, 2))
 
 
-@lru_cache(maxsize=None)
-def _pair_rows(n: int, m: int) -> tuple[tuple[int, ...], ...]:
-    """rows[pair_idx][profile_idx]: packed voter comparisons for that pair."""
-    pref = _prefers_matrix(m)
-    pairs = candidate_pairs(m)
-    digit_tuples = profile_digit_tuples(n, m)
-    out = []
-    for a, b in pairs:
-        row_list = []
-        for digits in digit_tuples:
-            row = 0
-            for i, d in enumerate(digits):
-                if pref[d][a][b]:
-                    row |= 1 << i
-            row_list.append(row)
-        out.append(tuple(row_list))
-    return tuple(out)
-
-
 def assemble_rule(agg: PairwiseAggregator, n: int, m: int) -> VotingRule | None:
     """Evaluate the aggregator on every profile; the rule exists iff every
     profile's outcome tournament is acyclic."""
     if agg.n != n or agg.m != m:
         raise ValueError(f"aggregator ({agg.n}, {agg.m}) does not match (n={n}, m={m})")
-    rows = _pair_rows(n, m)
-    pairs = candidate_pairs(m)
-    table = []
-    for k in range(factorial(m) ** n):
-        outdeg = [0] * m
-        for p, (a, b) in enumerate(pairs):
-            outdeg[a if agg.output(p, rows[p][k]) else b] += 1
-        order = tournament_order(outdeg)
-        if order is None:
-            return None
-        table.append(order)
+    codes = signature_codes(n, m, lambda p, s: ((agg.tables[p] >> s) & 1) << p)
+    table = list(map(tournament_orders(m).__getitem__, codes))
+    if None in table:
+        return None
     return VotingRule(n, m, tuple(table))
 
 
 def aggregator_from_rule(rule: VotingRule) -> PairwiseAggregator | None:
     """Recover the per-pair aggregator of a rule, or None when some pair's
     outcome is not a function of the voters' comparisons on that pair."""
-    pref = _prefers_matrix(rule.m)
-    rows = _pair_rows(rule.n, rule.m)
-    tables = []
-    for p, (a, b) in enumerate(candidate_pairs(rule.m)):
-        mapping: dict[int, bool] = {}
-        for k in range(factorial(rule.m) ** rule.n):
-            out = pref[rule.table[k]][a][b]
-            if mapping.setdefault(rows[p][k], out) != out:
-                return None
-        table = 0
-        for row, bit in mapping.items():
-            if bit:
-                table |= 1 << row
-        tables.append(table)
+    tables = _pair_truth_tables(rule)
     try:
-        return PairwiseAggregator(rule.n, rule.m, tuple(tables))
-    except ValueError:
+        return None if tables is None else PairwiseAggregator(rule.n, rule.m, tables)
+    except ValueError:  # a pinned all-agree row is violated
         return None
 
 
@@ -183,8 +143,8 @@ def _pair_output_masks(n: int, m: int) -> tuple[tuple[int, ...], ...]:
     across all profiles into one integer (bit k = profile k)."""
     tables = [_table_from_free(free, n) for free in range(1 << free_bits_per_pair(n))]
     return tuple(
-        tuple(sum(1 << k for k, row in enumerate(pair_rows) if (t >> row) & 1) for t in tables)
-        for pair_rows in _pair_rows(n, m)
+        tuple(sum(1 << k for k, s in enumerate(column) if (t >> s) & 1) for t in tables)
+        for column in pair_signatures(n, m)
     )
 
 

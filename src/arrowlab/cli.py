@@ -214,15 +214,17 @@ def _suite_welldef(args: argparse.Namespace, mu: Distribution) -> dict:
     count = _sample_count(args, "welldef")
     orbits_checked = 0
     for i in range(count):
-        rule = random_pareto_rule(args.voters, args.candidates, args.seed + i)
+        seed = args.seed + i
+        rule = random_pareto_rule(args.voters, args.candidates, seed)
         cls = orbit_class(mu, rule)
         try:
             force_transfer_class(mu, cls, verify_representatives=True)
+            closed = all(orbit_class(mu, member) == cls for member in cls.members)
         except RuntimeError:
-            return {"passed": False, "orbits_checked": orbits_checked}
-        for member in cls.members:
-            if orbit_class(mu, member) != cls:
-                return {"passed": False, "orbits_checked": orbits_checked}
+            closed = False
+        if not closed:
+            witness = {"seed": seed, "rule_table_digest": table_digest(rule)}
+            return {"passed": False, "orbits_checked": orbits_checked, "witness": witness}
         orbits_checked += 1
     return {"passed": True, "orbits_checked": orbits_checked}
 
@@ -249,12 +251,16 @@ def _suite_cylinder(args: argparse.Namespace, _mu: Distribution) -> dict:
         ok = part["full_support"] and part["permutation_invariant"]
         for i in range(count):
             g = random_pareto_rule(k, m, args.seed + i)
-            fp = force_profile(lifted, cylinder_extend(g))
-            if fp.forces[n - 1] > bound:
+            f = cylinder_extend(g)
+            fp = force_profile(lifted, f)
+            kept = all(fp.forces[j] >= force(nu, g, j) / n for j in range(k))
+            if fp.forces[n - 1] > bound or not kept:
                 ok = False
-                break
-            if any(fp.forces[j] < force(nu, g, j) / n for j in range(k)):
-                ok = False
+                part["witness"] = {
+                    "seed": args.seed + i,
+                    "rule_table_digest": table_digest(f),
+                    "forces": [format_rational(v) for v in fp.forces],
+                }
                 break
             part["rules_checked"] += 1
         part["passed"] = ok

@@ -11,10 +11,12 @@ this package.
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
+from typing import Callable
 
 MAX_VOTERS = 4
 MAX_CANDIDATES = 4
@@ -142,24 +144,29 @@ def order_index(order: LinearOrder) -> int:
 
 
 @lru_cache(maxsize=None)
-def _outdegree_index_map(m: int) -> dict[tuple[int, ...], int]:
-    """Each ranking's out-degree vector (candidate c beats m-1-rank(c)
-    others) mapped to the ranking's canonical index."""
-    return {
-        tuple(m - 1 - o.ranking.index(c) for c in range(m)): i
-        for i, o in enumerate(enumerate_orders(m))
-    }
+def candidate_pairs(m: int) -> tuple[tuple[int, int], ...]:
+    """Unordered candidate pairs (a, b), a < b, in lexicographic order; the
+    pair axis of every signature column and aggregator."""
+    return tuple(itertools.combinations(range(m), 2))
 
 
-def tournament_order(outdeg: list[int]) -> int | None:
-    """Canonical index of the ranking by falling out-degree, or None when the
-    out-degrees are not 0..m-1.
+@lru_cache(maxsize=None)
+def pair_above(m: int) -> tuple[tuple[int, ...], ...]:
+    """above[p][o]: 1 when ranking o puts pair p's first candidate above its second, else 0."""
+    orders = enumerate_orders(m)
+    return tuple(tuple(int(o.prefers(a, b)) for o in orders) for a, b in candidate_pairs(m))
 
-    ``outdeg[c]`` counts the candidates that c beats.  A tournament is
-    transitive exactly when those counts are distinct, and the ranking by
-    falling count is then the one that agrees with every pairwise outcome.
-    """
-    return _outdegree_index_map(len(outdeg)).get(tuple(outdeg))
+
+@lru_cache(maxsize=None)
+def tournament_orders(m: int) -> tuple[int | None, ...]:
+    """For each tournament code (bit p set when pair p's first candidate wins),
+    the ranking that agrees with every outcome, or None when the tournament is
+    cyclic.  Each ranking sets its own pairwise bits; no other code is transitive."""
+    above = pair_above(m)
+    table: list[int | None] = [None] * (1 << len(above))
+    for o in range(factorial(m)):
+        table[sum(bits[o] << p for p, bits in enumerate(above))] = o
+    return tuple(table)
 
 
 @lru_cache(maxsize=None)
@@ -170,7 +177,8 @@ def all_voter_permutations(n: int) -> tuple[VoterPermutation, ...]:
 
 @lru_cache(maxsize=None)
 def profile_digit_tuples(n: int, m: int) -> tuple[tuple[int, ...], ...]:
-    """Every profile at scale (n, m) as a tuple of ballot indices, listed in profile-index order."""
+    """Every profile at scale (n, m) as a tuple of ballot indices, listed in
+    profile-index order.  No kernel walks it; reference loops do."""
     check_scale(n, m)
     return tuple(itertools.product(range(factorial(m)), repeat=n))
 
@@ -187,6 +195,34 @@ def profile_digit_columns(n: int, m: int) -> tuple[tuple[int, ...], ...]:
         block = tuple(itertools.chain.from_iterable(itertools.repeat(d, run) for d in range(mf)))
         columns.append(block * mf**i)
     return tuple(columns)
+
+
+@lru_cache(maxsize=None)
+def pair_signatures(n: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """sig[p][k]: bit i set when voter i of profile k ranks pair p's first
+    candidate above its second.  Each column grows from the last seat outward,
+    as in ``seat_map_indices``: seat i lays out m! copies of the column so far,
+    with bit i set in the copies whose ballot ranks that candidate higher."""
+    check_scale(n, m)
+    columns = []
+    for above in pair_above(m):
+        column = [0]
+        for i in reversed(range(n)):
+            voted = [s | 1 << i for s in column]
+            column = list(itertools.chain.from_iterable(voted if bit else column for bit in above))
+        columns.append(tuple(column))
+    return tuple(columns)
+
+
+def signature_codes(n: int, m: int, share: Callable[[int, int], int]) -> list[int]:
+    """Per profile k, the sum over pairs p of ``share(p, sig[p][k])``: pair p's
+    part of a code when its signature is s, called once per pair and signature."""
+    columns = pair_signatures(n, m)  # checks the scale before any allocation
+    codes = [0] * factorial(m) ** n
+    for p, column in enumerate(columns):
+        lookup = [share(p, s) for s in range(1 << n)]
+        codes = list(map(operator.add, codes, map(lookup.__getitem__, column)))
+    return codes
 
 
 def seat_map_indices(n: int, m: int, seats: tuple[int, ...]) -> list[int]:

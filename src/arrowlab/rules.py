@@ -12,6 +12,7 @@ import json
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import compress
 from math import factorial
 from pathlib import Path
 
@@ -19,14 +20,17 @@ from .orders import (
     LinearOrder,
     Profile,
     VoterPermutation,
+    candidate_pairs,
     check_scale,
     enumerate_orders,
     order_index,
+    pair_above,
+    pair_signatures,
     profile_digit_columns,
-    profile_digit_tuples,
     profile_index,
     seat_map_indices,
-    tournament_order,
+    signature_codes,
+    tournament_orders,
 )
 
 RULE_FORMAT_VERSION = 1
@@ -82,68 +86,56 @@ def constant_rule(n: int, m: int, order: LinearOrder) -> VotingRule:
     return VotingRule(n, m, (oi,) * (factorial(m) ** n))
 
 
-@lru_cache(maxsize=None)
-def _prefers_matrix(m: int) -> tuple[tuple[tuple[bool, ...], ...], ...]:
-    """pref[order_index][a][b]: does that order rank a above b (False on the diagonal)."""
-    orders = enumerate_orders(m)
-    return tuple(
-        tuple(tuple(False if a == b else o.prefers(a, b) for b in range(m)) for a in range(m))
-        for o in orders
-    )
+def _unanimity_patterns(n: int, m: int) -> list[int]:
+    """Per profile, two bits per pair p: bit 2p when every voter ranks the
+    pair's first candidate higher, bit 2p+1 when every voter ranks it lower."""
+    full = (1 << n) - 1
+    return signature_codes(n, m, lambda p, s: (s == full) << (2 * p) | (s == 0) << (2 * p + 1))
 
 
 @lru_cache(maxsize=None)
-def _pareto_consistent_outputs(ballots: tuple[int, ...], m: int) -> tuple[int, ...]:
-    """Order indices consistent with every unanimous pairwise comparison of the given
-    ballots, passed as their sorted distinct indices so the cache holds one entry per set."""
-    pref = _prefers_matrix(m)
-    forced = [
-        (a, b)
-        for a in range(m)
-        for b in range(m)
-        if a != b and all(pref[d][a][b] for d in ballots)
-    ]
+def _pareto_consistent_outputs(pattern: int, m: int) -> tuple[int, ...]:
+    """Order indices that keep every unanimous comparison of a unanimity
+    pattern, so the cache holds one entry per pattern.  Order o breaks pair
+    p's comparison when bit 2p + above[p][o] of the pattern is set."""
     return tuple(
-        oi for oi in range(factorial(m)) if all(pref[oi][a][b] for a, b in forced)
+        o
+        for o in range(factorial(m))
+        if not any((pattern >> (2 * p + bits[o])) & 1 for p, bits in enumerate(pair_above(m)))
     )
 
 
 def is_pareto(rule: VotingRule) -> bool:
-    """True iff every unanimous pairwise comparison is reproduced in the output."""
-    pref = _prefers_matrix(rule.m)
-    for k, digits in enumerate(profile_digit_tuples(rule.n, rule.m)):
-        out = pref[rule.table[k]]
-        for a in range(rule.m):
-            for b in range(rule.m):
-                if a == b:
-                    continue
-                if not out[a][b] and all(pref[d][a][b] for d in digits):
-                    return False
+    """True iff every unanimous pairwise comparison is reproduced in the output:
+    a profile whose pair signature is all ones outputs the pair's first
+    candidate higher, one whose signature is zero outputs it lower."""
+    full = (1 << rule.n) - 1
+    for column, above in zip(pair_signatures(rule.n, rule.m), pair_above(rule.m)):
+        for signature, wanted in ((full, 1), (0, 0)):
+            outputs = set(compress(rule.table, map(signature.__eq__, column)))
+            if any(above[o] != wanted for o in outputs):
+                return False
     return True
+
+
+def _pair_truth_tables(rule: VotingRule) -> tuple[int, ...] | None:
+    """Per pair, the truth table (bit s set when signature s outputs the
+    pair's first candidate higher), or None when some pair's output is not a
+    function of its signature."""
+    tables = []
+    for column, above in zip(pair_signatures(rule.n, rule.m), pair_above(rule.m)):
+        seen = set(zip(column, map(above.__getitem__, rule.table)))
+        if len(seen) != len({s for s, _ in seen}):
+            return None
+        tables.append(sum(1 << s for s, bit in seen if bit))
+    return tuple(tables)
 
 
 def is_iia(rule: VotingRule) -> bool:
     """True iff the output comparison of any two candidates depends only on the
-    voters' comparisons of those two.
-
-    Equivalent to the exhaustive scan over profile pairs: profiles sharing a
-    per-voter comparison signature for a pair must share the output comparison,
-    so the output comparison is checked to be constant on each signature bucket.
-    """
-    pref = _prefers_matrix(rule.m)
-    digit_tuples = profile_digit_tuples(rule.n, rule.m)
-    for a in range(rule.m):
-        for b in range(a + 1, rule.m):
-            seen: dict[int, bool] = {}
-            for k, digits in enumerate(digit_tuples):
-                sig = 0
-                for i, d in enumerate(digits):
-                    if pref[d][a][b]:
-                        sig |= 1 << i
-                out = pref[rule.table[k]][a][b]
-                if seen.setdefault(sig, out) != out:
-                    return False
-    return True
+    voters' comparisons of those two: on each pair, profiles sharing a
+    signature share the output comparison."""
+    return _pair_truth_tables(rule) is not None
 
 
 def is_dictatorship(rule: VotingRule) -> int | None:
@@ -191,11 +183,10 @@ def random_pareto_rule(n: int, m: int, seed: int) -> VotingRule:
 
     Deterministic in the seed; the result always satisfies ``is_pareto``.
     """
-    rng = random.Random(seed)
-    table = []
-    for digits in profile_digit_tuples(n, m):
-        allowed = _pareto_consistent_outputs(tuple(sorted(set(digits))), m)
-        table.append(allowed[rng.randrange(len(allowed))])
+    patterns = _unanimity_patterns(n, m)
+    outputs = {u: _pareto_consistent_outputs(u, m) for u in set(patterns)}
+    randrange = random.Random(seed).randrange
+    table = [allowed[randrange(len(allowed))] for allowed in map(outputs.__getitem__, patterns)]
     return VotingRule(n, m, tuple(table))
 
 
@@ -218,45 +209,47 @@ def pairwise_majority_rule(
         tiebreak_order = enumerate_orders(m)[0]
     if tiebreak_voter is not None and not 0 <= tiebreak_voter < n:
         raise ValueError(f"tiebreak voter {tiebreak_voter} out of range for n={n}")
-    pref = _prefers_matrix(m)
-    table = []
-    for digits in profile_digit_tuples(n, m):
-        outdeg = [0] * m
-        for a in range(m):
-            for b in range(a + 1, m):
-                votes_a = sum(1 for d in digits if pref[d][a][b])
-                if 2 * votes_a > n:
-                    a_beats_b = True
-                elif 2 * votes_a < n:
-                    a_beats_b = False
-                elif tiebreak_voter is not None:
-                    a_beats_b = pref[digits[tiebreak_voter]][a][b]
-                else:
-                    a_beats_b = tiebreak_order.prefers(a, b)
-                outdeg[a if a_beats_b else b] += 1
-        order = tournament_order(outdeg)
-        if order is None:
-            order = _pareto_consistent_outputs(tuple(sorted(set(digits))), m)[0]
-        table.append(order)
+    pairs = candidate_pairs(m)
+
+    def first_wins(p: int, s: int) -> int:
+        margin = 2 * s.bit_count() - n
+        if margin:
+            return (margin > 0) << p
+        if tiebreak_voter is not None:
+            return ((s >> tiebreak_voter) & 1) << p
+        return tiebreak_order.prefers(*pairs[p]) << p
+
+    codes = signature_codes(n, m, first_wins)
+    table = list(map(tournament_orders(m).__getitem__, codes))
+    if None in table:
+        for k, u in enumerate(_unanimity_patterns(n, m)):
+            if table[k] is None:
+                table[k] = _pareto_consistent_outputs(u, m)[0]
     return VotingRule(n, m, tuple(table))
 
 
 def borda_rule(n: int, m: int, tiebreak_order: LinearOrder | None = None) -> VotingRule:
-    """Rank candidates by total positional score, ties broken by a fixed ranking."""
+    """Rank candidates by total positional score, ties broken by a fixed ranking.
+
+    A score sums the candidate's votes over its pairs, so the ranking is
+    computed once per distinct vector of pair vote counts (signature popcounts).
+    """
     if tiebreak_order is None:
         tiebreak_order = enumerate_orders(m)[0]
-    pref = _prefers_matrix(m)
-    table = []
-    for digits in profile_digit_tuples(n, m):
+    pairs = candidate_pairs(m)
+    radix = n + 1
+    counts = signature_codes(n, m, lambda p, s: s.bit_count() * radix**p)
+    ranked = {}
+    for code in set(counts):
         score = [0] * m
-        for d in digits:
-            for a in range(m):
-                score[a] += sum(1 for b in range(m) if a != b and pref[d][a][b])
-        ranking = tuple(
-            sorted(range(m), key=lambda c: (-score[c], tiebreak_order.ranking.index(c)))
-        )
-        table.append(order_index(LinearOrder(ranking)))
-    return VotingRule(n, m, tuple(table))
+        rest = code
+        for a, b in pairs:
+            rest, votes = divmod(rest, radix)
+            score[a] += votes
+            score[b] += n - votes
+        ranking = sorted(range(m), key=lambda c: (-score[c], tiebreak_order.ranking.index(c)))
+        ranked[code] = order_index(LinearOrder(ranking))
+    return VotingRule(n, m, tuple(map(ranked.__getitem__, counts)))
 
 
 def table_digest(rule: VotingRule) -> str:

@@ -6,7 +6,10 @@ walk the profile space by digit tuples, so they share no arithmetic with the
 code under test; ``test_kernels.py`` requires both to agree exactly.  The
 ballot rewrites (transfer, relabel, collapse) rewrite each digit tuple and
 re-encode it, and the seeded Pareto draw caches its allowed outputs per
-digit tuple, as ``random_pareto_rule`` once did.
+digit tuple, as ``random_pareto_rule`` once did.  The other rule builders and
+predicates (majority, Borda, unanimity, independence, the pair rows and the
+aggregator round trip) compare each digit tuple's ballots through a 3-D
+preference matrix, as ``arrowlab`` did before it read pair signature columns.
 """
 
 from __future__ import annotations
@@ -14,10 +17,19 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
+from arrowlab.arrowcheck import PairwiseAggregator
 from arrowlab.measures import Distribution
-from arrowlab.orders import check_scale, encode_digits, enumerate_orders, profile_digit_tuples
+from arrowlab.orders import (
+    LinearOrder,
+    check_scale,
+    encode_digits,
+    enumerate_orders,
+    order_index,
+    profile_digit_tuples,
+)
 from arrowlab.rules import VotingRule
 
 
@@ -103,6 +115,42 @@ def force_transfer(mu: Distribution, rule: VotingRule) -> VotingRule:
     return rewrite(rule, tuple(most[0] if i in least else i for i in range(rule.n)))
 
 
+def candidate_pairs(m: int) -> list[tuple[int, int]]:
+    return [(a, b) for a in range(m) for b in range(a + 1, m)]
+
+
+@lru_cache(maxsize=None)
+def prefers_matrix(m: int) -> tuple[tuple[tuple[bool, ...], ...], ...]:
+    """pref[order_index][a][b]: does that order rank a above b (False on the diagonal)."""
+    return tuple(
+        tuple(tuple(False if a == b else o.prefers(a, b) for b in range(m)) for a in range(m))
+        for o in enumerate_orders(m)
+    )
+
+
+@lru_cache(maxsize=None)
+def outdegree_index_map(m: int) -> dict[tuple[int, ...], int]:
+    """Each ranking's out-degree vector mapped to the ranking's canonical index."""
+    return {
+        tuple(m - 1 - o.ranking.index(c) for c in range(m)): i
+        for i, o in enumerate(enumerate_orders(m))
+    }
+
+
+def tournament_order(outdeg: list[int]) -> int | None:
+    return outdegree_index_map(len(outdeg)).get(tuple(outdeg))
+
+
+@lru_cache(maxsize=None)
+def pareto_consistent_outputs(ballots: tuple[int, ...], m: int) -> tuple[int, ...]:
+    """Order indices consistent with every unanimous comparison of a sorted ballot set."""
+    pref = prefers_matrix(m)
+    forced = [
+        (a, b) for a in range(m) for b in range(m) if a != b and all(pref[d][a][b] for d in ballots)
+    ]
+    return tuple(oi for oi in range(factorial(m)) if all(pref[oi][a][b] for a, b in forced))
+
+
 def random_pareto_rule(n: int, m: int, seed: int) -> VotingRule:
     """The seeded Pareto draw, its allowed outputs cached per digit tuple."""
     orders = enumerate_orders(m)
@@ -119,3 +167,129 @@ def random_pareto_rule(n: int, m: int, seed: int) -> VotingRule:
         allowed = allowed_by_digits[digits]
         table.append(allowed[rng.randrange(len(allowed))])
     return VotingRule(n, m, tuple(table))
+
+
+def is_pareto(rule: VotingRule) -> bool:
+    pref = prefers_matrix(rule.m)
+    for k, digits in enumerate(profile_digit_tuples(rule.n, rule.m)):
+        out = pref[rule.table[k]]
+        for a in range(rule.m):
+            for b in range(rule.m):
+                if a != b and not out[a][b] and all(pref[d][a][b] for d in digits):
+                    return False
+    return True
+
+
+def is_iia(rule: VotingRule) -> bool:
+    pref = prefers_matrix(rule.m)
+    digit_tuples = profile_digit_tuples(rule.n, rule.m)
+    for a in range(rule.m):
+        for b in range(a + 1, rule.m):
+            seen: dict[int, bool] = {}
+            for k, digits in enumerate(digit_tuples):
+                sig = 0
+                for i, d in enumerate(digits):
+                    if pref[d][a][b]:
+                        sig |= 1 << i
+                out = pref[rule.table[k]][a][b]
+                if seen.setdefault(sig, out) != out:
+                    return False
+    return True
+
+
+def pairwise_majority_rule(
+    n: int, m: int, tiebreak_order: LinearOrder | None = None, tiebreak_voter: int | None = None
+) -> VotingRule:
+    if tiebreak_voter is None and tiebreak_order is None:
+        tiebreak_order = enumerate_orders(m)[0]
+    pref = prefers_matrix(m)
+    table = []
+    for digits in profile_digit_tuples(n, m):
+        outdeg = [0] * m
+        for a in range(m):
+            for b in range(a + 1, m):
+                votes_a = sum(1 for d in digits if pref[d][a][b])
+                if 2 * votes_a > n:
+                    a_beats_b = True
+                elif 2 * votes_a < n:
+                    a_beats_b = False
+                elif tiebreak_voter is not None:
+                    a_beats_b = pref[digits[tiebreak_voter]][a][b]
+                else:
+                    a_beats_b = tiebreak_order.prefers(a, b)
+                outdeg[a if a_beats_b else b] += 1
+        order = tournament_order(outdeg)
+        if order is None:
+            order = pareto_consistent_outputs(tuple(sorted(set(digits))), m)[0]
+        table.append(order)
+    return VotingRule(n, m, tuple(table))
+
+
+def borda_rule(n: int, m: int, tiebreak_order: LinearOrder | None = None) -> VotingRule:
+    if tiebreak_order is None:
+        tiebreak_order = enumerate_orders(m)[0]
+    pref = prefers_matrix(m)
+    table = []
+    for digits in profile_digit_tuples(n, m):
+        score = [0] * m
+        for d in digits:
+            for a in range(m):
+                score[a] += sum(1 for b in range(m) if a != b and pref[d][a][b])
+        ranking = tuple(
+            sorted(range(m), key=lambda c: (-score[c], tiebreak_order.ranking.index(c)))
+        )
+        table.append(order_index(LinearOrder(ranking)))
+    return VotingRule(n, m, tuple(table))
+
+
+@lru_cache(maxsize=None)
+def pair_rows(n: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """rows[pair_idx][profile_idx]: packed voter comparisons for that pair."""
+    pref = prefers_matrix(m)
+    out = []
+    for a, b in candidate_pairs(m):
+        row_list = []
+        for digits in profile_digit_tuples(n, m):
+            row = 0
+            for i, d in enumerate(digits):
+                if pref[d][a][b]:
+                    row |= 1 << i
+            row_list.append(row)
+        out.append(tuple(row_list))
+    return tuple(out)
+
+
+def assemble_rule(agg: PairwiseAggregator, n: int, m: int) -> VotingRule | None:
+    rows = pair_rows(n, m)
+    pairs = candidate_pairs(m)
+    table = []
+    for k in range(factorial(m) ** n):
+        outdeg = [0] * m
+        for p, (a, b) in enumerate(pairs):
+            outdeg[a if (agg.tables[p] >> rows[p][k]) & 1 else b] += 1
+        order = tournament_order(outdeg)
+        if order is None:
+            return None
+        table.append(order)
+    return VotingRule(n, m, tuple(table))
+
+
+def aggregator_from_rule(rule: VotingRule) -> PairwiseAggregator | None:
+    pref = prefers_matrix(rule.m)
+    rows = pair_rows(rule.n, rule.m)
+    tables = []
+    for p, (a, b) in enumerate(candidate_pairs(rule.m)):
+        mapping: dict[int, bool] = {}
+        for k in range(factorial(rule.m) ** rule.n):
+            out = pref[rule.table[k]][a][b]
+            if mapping.setdefault(rows[p][k], out) != out:
+                return None
+        table = 0
+        for row, bit in mapping.items():
+            if bit:
+                table |= 1 << row
+        tables.append(table)
+    try:
+        return PairwiseAggregator(rule.n, rule.m, tuple(tables))
+    except ValueError:
+        return None

@@ -7,7 +7,14 @@ from pathlib import Path
 import pytest
 
 from arrowlab.cli import main
-from arrowlab.rules import cylinder_extend, dictator, pairwise_majority_rule, save_rule
+from arrowlab.rules import (
+    cylinder_extend,
+    dictator,
+    pairwise_majority_rule,
+    random_pareto_rule,
+    save_rule,
+    table_digest,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -193,14 +200,18 @@ def test_cli_import_leaves_numpy_out():
         [
             sys.executable,
             "-c",
-            "import sys, arrowlab.cli; print('numpy' in sys.modules, 'multiprocessing' in sys.modules)",
+            "import sys, arrowlab.cli; print('numpy' in sys.modules, 'multiprocessing' in sys.modules)\n"
+            "from arrowlab.orders import pair_signatures, profile_digit_columns, profile_digit_tuples\n"
+            "print([f.cache_info().currsize for f in "
+            "(pair_signatures, profile_digit_columns, profile_digit_tuples)])",
         ],
         capture_output=True,
         text=True,
         env=env,
     )
     assert proc.returncode == 0
-    assert proc.stdout.strip() == "False False"
+    # Importing builds no column: start-up stays free of profile-space work.
+    assert proc.stdout.splitlines() == ["False False", "[0, 0, 0]"]
 
 
 @pytest.mark.parametrize("command", ["check", "verify-arrow"])
@@ -222,11 +233,76 @@ def test_epsilon_outside_the_open_unit_interval_is_a_usage_error(epsilon, capsys
     assert "--epsilon" in err and "Traceback" not in err
 
 
+REPLAY_SCRIPT = SRC.parent / "scripts" / "replay_final_proof.py"
+
+
 def test_replay_script_runs_with_defaults():
-    script = SRC.parent / "scripts" / "replay_final_proof.py"
-    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, str(REPLAY_SCRIPT)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert "forces: 383/630, 383/630, 55/126" in lines
     assert "transfer map fixes the extended rule exactly: True" in lines
     assert "extended rule is a dictatorship: False" in lines
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["--epsilon", "1/0"], "zero denominator"),
+        (["--epsilon", "3/2"], "epsilon"),
+        (["--y-index", "9"], "--y-index 9 out of range"),
+        (["--candidates", "9"], "exceeds desk bounds"),
+    ],
+)
+def test_replay_script_rejects_bad_input_with_one_line(args, message):
+    proc = subprocess.run(
+        [sys.executable, str(REPLAY_SCRIPT), *args], capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+
+
+def test_welldef_failure_names_its_witness(capsys):
+    code, out, _ = run_cli(
+        ["check", "--suite", "welldef", "--voters", "3", "--candidates", "3", "--seed", "0"],
+        capsys,
+    )
+    assert code == 4
+    report = json.loads(out)["suites"]["welldef"]
+    digest = "c7211eb9a1d942ffc2b28a42e4062ba901a2c7f749226f5d198ad2ecb9db3920"
+    assert report == {
+        "passed": False,
+        "asserted": True,
+        "orbits_checked": 6,
+        "witness": {"seed": 6, "rule_table_digest": digest},
+    }
+    assert table_digest(random_pareto_rule(3, 3, 6)) == digest
+
+
+def test_cylinder_failure_names_its_witness(capsys):
+    code, out, _ = run_cli(
+        ["check", "--suite", "cylinder", "--voters", "3", "--candidates", "3", "--seed", "0"],
+        capsys,
+    )
+    assert code == 4
+    bases = json.loads(out)["suites"]["cylinder"]["base_distributions"]
+    digest = "9188cc484b824a3e9fde127ebef7b1d8fc4694f310b290e6aae90d5e346c9b5f"
+    assert table_digest(cylinder_extend(random_pareto_rule(2, 3, 0))) == digest
+    forces = {"uniform": ["1/2", "5/12", "1/6"], "star": ["61/105", "23/45", "139/630"]}
+    for label, base in bases.items():
+        assert base["passed"] is False and base["rules_checked"] == 0
+        assert base["witness"] == {"seed": 0, "rule_table_digest": digest, "forces": forces[label]}
+    assert set(bases) == set(forces)
+
+
+def test_passing_suites_carry_no_witness(capsys):
+    code, out, _ = run_cli(
+        ["check", "--suite", "all", "--voters", "2", "--candidates", "3", "--samples", "4"],
+        capsys,
+    )
+    assert code == 0
+    suites = json.loads(out)["suites"]
+    assert "witness" not in suites["welldef"]
+    assert all("witness" not in base for base in suites["cylinder"]["base_distributions"].values())

@@ -3,17 +3,26 @@
 Populations are seeded: Pareto rules from ``random_pareto_rule`` and
 distributions with small random integer weights, some of them zero, that no
 voter relabeling preserves.  The seat map behind every ballot rewrite is
-checked against re-encoded digit tuples.
+checked against re-encoded digit tuples, and the pair signature columns
+behind every rule builder and predicate against the per-profile walkers.
 """
 
 import itertools
 import random
 from fractions import Fraction
-from math import comb, factorial
+from functools import lru_cache
+from math import factorial
 
 import pytest
 
 import fraction_kernels as ref
+from arrowlab.arrowcheck import (
+    aggregator_from_candidate_index,
+    aggregator_from_rule,
+    assemble_rule,
+    candidates_total,
+    projection_aggregator,
+)
 from arrowlab.dynamics import force, force_profile, force_transfer
 from arrowlab.measures import (
     Distribution,
@@ -27,14 +36,22 @@ from arrowlab.orders import (
     all_voter_permutations,
     encode_digits,
     enumerate_orders,
+    pair_signatures,
     profile_digit_tuples,
     seat_map_indices,
 )
 from arrowlab.quotient import rule_distance
 from arrowlab.rules import (
+    VotingRule,
     _pareto_consistent_outputs,
+    borda_rule,
     compose_collapse,
     compose_voter_permutation,
+    constant_rule,
+    dictator,
+    is_iia,
+    is_pareto,
+    pairwise_majority_rule,
     random_pareto_rule,
 )
 
@@ -81,13 +98,90 @@ def test_random_pareto_rule_equals_digit_keyed_draw(n, m):
         assert random_pareto_rule(n, m, seed) == ref.random_pareto_rule(n, m, seed)
 
 
-def test_pareto_output_cache_holds_one_entry_per_ballot_set():
+def test_pareto_output_cache_holds_one_entry_per_unanimity_pattern():
     n, m = 3, 4
     _pareto_consistent_outputs.cache_clear()
     random_pareto_rule(n, m, 0)
-    # Every set of at most n distinct ballots occurs in some profile.
-    ballot_sets = sum(comb(factorial(m), k) for k in range(1, n + 1))
-    assert _pareto_consistent_outputs.cache_info().currsize == ballot_sets
+    orders = enumerate_orders(m)
+    ballot_sets = {frozenset(digits) for digits in profile_digit_tuples(n, m)}
+    forced_pair_sets = {
+        frozenset(
+            (a, b)
+            for a, b in itertools.permutations(range(m), 2)
+            if all(orders[d].prefers(a, b) for d in ballots)
+        )
+        for ballots in ballot_sets
+    }
+    assert _pareto_consistent_outputs.cache_info().currsize == len(forced_pair_sets)
+
+
+@pytest.mark.parametrize("n,m", ((1, 3),) + SCALES)
+def test_pair_signatures_equal_pair_rows(n, m):
+    assert pair_signatures(n, m) == ref.pair_rows(n, m)
+
+
+def _majority_variants(n, m):
+    """Keyword arguments for majority: the default, the reversed order and every tie-break voter."""
+    return [{}, {"tiebreak_order": enumerate_orders(m)[-1]}] + [
+        {"tiebreak_voter": v} for v in range(n)
+    ]
+
+
+def _edge_rules(n, m):
+    """Dictators, which pass both predicates; the constant rules on the first
+    and the last ranking, which break unanimity from opposite sides of every
+    pair; and dictator 0 changed on one profile, which leaves one conflicting
+    signature on each pair whose outcome it flips."""
+    orders = enumerate_orders(m)
+    changed = list(dictator(n, m, 0).table)
+    k = len(changed) // 2
+    changed[k] = (changed[k] + 1) % len(orders)
+    rules = [dictator(n, m, i) for i in range(n)]
+    rules += [constant_rule(n, m, orders[0]), constant_rule(n, m, orders[-1])]
+    return rules + [VotingRule(n, m, tuple(changed))]
+
+
+@lru_cache(maxsize=None)
+def _rule_population(n, m):
+    """Seeded draws, the edge rules, every majority variant and Borda under both orders."""
+    last = enumerate_orders(m)[-1]
+    rules = [random_pareto_rule(n, m, seed) for seed in range(RULES_PER_SCALE)]
+    rules += _edge_rules(n, m)
+    rules += [pairwise_majority_rule(n, m, **kw) for kw in _majority_variants(n, m)]
+    rules += [borda_rule(n, m), borda_rule(n, m, last)]
+    return rules
+
+
+@pytest.mark.parametrize("n,m", SCALES)
+def test_majority_and_borda_equal_reference(n, m):
+    for kw in _majority_variants(n, m):
+        assert pairwise_majority_rule(n, m, **kw) == ref.pairwise_majority_rule(n, m, **kw)
+    for order in (None, enumerate_orders(m)[-1]):
+        assert borda_rule(n, m, order) == ref.borda_rule(n, m, order)
+
+
+@pytest.mark.parametrize("n,m", SCALES)
+def test_predicates_and_aggregators_equal_reference(n, m):
+    verdicts = []
+    for rule in _rule_population(n, m):
+        agg = aggregator_from_rule(rule)
+        assert agg == ref.aggregator_from_rule(rule)
+        verdicts.append((is_pareto(rule), is_iia(rule), agg is not None))
+        assert verdicts[-1] == (ref.is_pareto(rule), ref.is_iia(rule), agg is not None)
+        if agg is not None:
+            assert assemble_rule(agg, n, m) == rule == ref.assemble_rule(agg, n, m)
+    edge = verdicts[RULES_PER_SCALE : RULES_PER_SCALE + n + 3]
+    assert edge[:n] == [(True, True, True)] * n
+    assert edge[n : n + 2] == [(False, True, False)] * 2
+    assert edge[n + 2][1:] == (False, False)
+    rng = random.Random(10 * n + m)
+    aggregators = [projection_aggregator(n, m, i) for i in range(n)]
+    aggregators += [
+        aggregator_from_candidate_index(rng.randrange(candidates_total(n, m)), n, m)
+        for _ in range(20)
+    ]
+    for agg in aggregators:
+        assert assemble_rule(agg, n, m) == ref.assemble_rule(agg, n, m)
 
 
 @pytest.mark.parametrize("n,m", SCALES)

@@ -15,7 +15,7 @@ from arrowlab.orders import (
     order_index,
     profile_from_index,
     profile_index,
-    tournament_order,
+    tournament_orders,
 )
 
 
@@ -131,14 +131,15 @@ def test_order_index_is_lexicographic_rank():
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_tournament_order_on_every_tournament(m):
     pairs = list(itertools.combinations(range(m), 2))
+    table = tournament_orders(m)
+    assert len(table) == 2 ** len(pairs)
     for outcomes in itertools.product((True, False), repeat=len(pairs)):
         beats = {(a, b) if first else (b, a) for (a, b), first in zip(pairs, outcomes)}
-        outdeg = [sum((c, d) in beats for d in range(m)) for c in range(m)]
         cyclic = any(
             {(a, b), (b, c), (c, a)} <= beats or {(b, a), (c, b), (a, c)} <= beats
             for a, b, c in itertools.combinations(range(m), 3)
         )
-        index = tournament_order(outdeg)
+        index = table[sum(first << p for p, first in enumerate(outcomes))]
         if cyclic:
             assert index is None
         else:
