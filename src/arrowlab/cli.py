@@ -1,5 +1,6 @@
 """Batch command-line front door: exhaustive theorem scans, transfer-map
-iterations with trace files, and the seeded property suites.
+iterations with trace files, the seeded property suites, and the replay of
+the final proof step.
 
 Exit codes: 0 success, 2 precondition or usage error, 3 iteration stopped at
 the step limit, 4 an asserted suite failed.  Report and trace files are byte
@@ -17,7 +18,7 @@ from fractions import Fraction
 from math import factorial
 from pathlib import Path
 
-from .arrowcheck import verify_arrow
+from .arrowcheck import replay_contradiction, verify_arrow
 from .dynamics import (
     check_collapse_conjecture,
     force,
@@ -37,7 +38,7 @@ from .measures import (
     star_distribution,
     uniform_distribution,
 )
-from .orders import enumerate_orders, all_voter_permutations
+from .orders import LinearOrder, all_voter_permutations, check_scale, enumerate_orders
 from .quotient import check_metric_axioms, rule_distance, space_from_rules
 from .rules import (
     compose_voter_permutation,
@@ -72,13 +73,18 @@ def _canonical_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _resolve_distribution(
-    name: str, n: int, m: int, epsilon: Fraction, y_index: int
-) -> Distribution:
+def _favored_ranking(m: int, y_index: int) -> LinearOrder:
+    """The ranking the star distribution favors: number ``--y-index`` of m's."""
     orders = enumerate_orders(m)
     if not 0 <= y_index < len(orders):
         raise ValueError(f"--y-index {y_index} out of range for m={m}")
-    y = orders[y_index]
+    return orders[y_index]
+
+
+def _resolve_distribution(
+    name: str, n: int, m: int, epsilon: Fraction, y_index: int
+) -> Distribution:
+    y = _favored_ranking(m, y_index)
     if name == "uniform":
         return uniform_distribution(n, m)
     if name == "star":
@@ -235,7 +241,7 @@ def _suite_cylinder(args: argparse.Namespace, _mu: Distribution) -> dict:
     count = _sample_count(args, "cylinder")
     n, m = args.voters, args.candidates
     k = n - 1
-    y = enumerate_orders(m)[args.y_index]
+    y = _favored_ranking(m, args.y_index)
     bound = Fraction(2, n * factorial(m))
     details: dict = {"passed": True, "bound": format_rational(bound), "base_distributions": {}}
     for label, nu in (
@@ -279,8 +285,7 @@ def _suite_collapse(args: argparse.Namespace, _mu: Distribution) -> dict:
     # Witness part: cylinder rules need a non-dictatorial base, so it runs at
     # the smallest electorate with one (three voters) regardless of --voters.
     nw = max(n, 3)
-    y = enumerate_orders(m)[args.y_index]
-    lifted = lift_distribution(star_distribution(nw - 1, m, args.epsilon, y), nw - 1)
+    lifted = _resolve_distribution("lift-star", nw, m, args.epsilon, args.y_index)
     witness_rules = [cylinder_extend(pairwise_majority_rule(nw - 1, m))]
     witness_rules += [
         cylinder_extend(random_pareto_rule(nw - 1, m, args.seed + i)) for i in range(3)
@@ -327,6 +332,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.samples is not None and args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
+    # Before the m! rankings are listed: m = 12 alone would list 479001600.
+    check_scale(args.voters, args.candidates)
     mu = _resolve_distribution(
         args.dist, args.voters, args.candidates, args.epsilon, args.y_index
     )
@@ -357,6 +364,35 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return EXIT_OK if all_passed else EXIT_SUITE_FAILURE
 
 
+def _cmd_replay(args: argparse.Namespace) -> int:
+    if args.voters < 2:
+        raise ValueError(f"replay needs at least two voters, got --voters {args.voters}")
+    base = pairwise_majority_rule(args.voters - 1, args.candidates)
+    report = replay_contradiction(
+        base, args.epsilon, _favored_ranking(args.candidates, args.y_index)
+    )
+    config = {
+        "command": "replay",
+        "voters": args.voters,
+        "candidates": args.candidates,
+        "epsilon": format_rational(args.epsilon),
+        "y_index": args.y_index,
+    }
+    rationals = {
+        "epsilon": format_rational(report.epsilon),
+        "forces": [format_rational(v) for v in report.forces],
+        "base_forces": [format_rational(v) for v in report.base_forces],
+    }
+    payload = {
+        "format_version": REPORT_FORMAT_VERSION,
+        "config": config,
+        **vars(report),
+        **rationals,
+    }
+    _write_output(payload, args.out, "replay_report.json")
+    return EXIT_OK
+
+
 def _positive_int(text: str) -> int:
     """argparse type for ``--jobs``: an integer of at least 1."""
     if not text.isdigit() or int(text) < 1:
@@ -378,16 +414,26 @@ def _open_unit_rational(text: str) -> Fraction:
     return value
 
 
-def _add_common(parser: argparse.ArgumentParser, *, voters: bool = True) -> None:
-    if voters:
-        parser.add_argument("--voters", type=int, default=2, help="electorate size n")
+def _add_common(
+    parser: argparse.ArgumentParser,
+    *,
+    voters: int | None,
+    dist: bool = True,
+    jobs: str | None = None,
+) -> None:
+    """Options shared by the subcommands; ``voters`` is the default of
+    ``--voters`` (None: no scale options), ``jobs`` the help of ``--jobs``
+    (None: no ``--jobs``)."""
+    if voters is not None:
+        parser.add_argument("--voters", type=int, default=voters, help="electorate size n")
         parser.add_argument("--candidates", type=int, default=3, help="candidate count m")
-    parser.add_argument(
-        "--dist",
-        choices=("uniform", "star", "lift-star"),
-        default="uniform",
-        help="profile distribution",
-    )
+    if dist:
+        parser.add_argument(
+            "--dist",
+            choices=("uniform", "star", "lift-star"),
+            default="uniform",
+            help="profile distribution",
+        )
     parser.add_argument(
         "--epsilon",
         type=_open_unit_rational,
@@ -397,10 +443,8 @@ def _add_common(parser: argparse.ArgumentParser, *, voters: bool = True) -> None
     parser.add_argument(
         "--y-index", type=int, default=0, help="canonical index of the favored ranking"
     )
-    parser.add_argument("--seed", type=int, default=0, help="base seed for rule populations")
-    parser.add_argument(
-        "--jobs", type=_positive_int, default=1, help="worker processes for the collapse suite"
-    )
+    if jobs is not None:
+        parser.add_argument("--jobs", type=_positive_int, default=1, help=jobs)
     parser.add_argument("--out", type=Path, default=None, help="directory for report files")
 
 
@@ -426,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_iter = sub.add_parser("iterate", help="iterate the ballot-transfer map on a rule file")
     p_iter.add_argument("--rule", type=Path, required=True, help="rule file to iterate")
     p_iter.add_argument("--max-steps", type=int, default=64)
-    _add_common(p_iter, voters=False)
+    _add_common(p_iter, voters=None, jobs="accepted for symmetry; the iteration is serial")
     p_iter.set_defaults(handler=_cmd_iterate)
 
     p_check = sub.add_parser("check", help="run the seeded property suites")
@@ -434,8 +478,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--samples", type=int, default=None, help="override the per-suite population size"
     )
-    _add_common(p_check)
+    p_check.add_argument("--seed", type=int, default=0, help="base seed for rule populations")
+    _add_common(p_check, voters=2, jobs="worker processes for the collapse suite")
     p_check.set_defaults(handler=_cmd_check)
+
+    p_replay = sub.add_parser(
+        "replay",
+        help="extend majority by an ignored voter and check the transfer map fixes it",
+    )
+    _add_common(p_replay, voters=3, dist=False)
+    p_replay.set_defaults(handler=_cmd_replay)
     return parser
 
 

@@ -11,7 +11,6 @@ status inspectable with exact arithmetic.
 from __future__ import annotations
 
 import json
-import random
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,8 +35,6 @@ from .rules import (
 )
 
 TRACE_FORMAT_VERSION = 1
-
-TieBreak = Literal["min", "max", "random"]
 
 
 @dataclass(frozen=True)
@@ -137,33 +134,16 @@ def force_profile(mu: Distribution, rule: VotingRule) -> ForceProfile:
     return ForceProfile(tuple(Fraction(v, mu.denominator) for v in totals), most, least)
 
 
-def _transfer_source(fp: ForceProfile, tie_break: TieBreak, tie_break_seed: int) -> int:
-    if tie_break == "min":
-        return min(fp.most_forceful)
-    if tie_break == "max":
-        return max(fp.most_forceful)
-    if tie_break == "random":
-        return random.Random(tie_break_seed).choice(fp.most_forceful)
-    raise ValueError(f"unknown tie_break {tie_break!r}")
-
-
-def _transfer_table(
-    rule: VotingRule, fp: ForceProfile, tie_break: TieBreak, tie_break_seed: int
-) -> tuple[int, ...]:
-    source = _transfer_source(fp, tie_break, tie_break_seed)
+def _transfer_table(rule: VotingRule, fp: ForceProfile) -> tuple[int, ...]:
+    source = fp.most_forceful[0]
     seats = tuple(source if i in fp.least_forceful else i for i in range(rule.n))
     return tuple(map(rule.table.__getitem__, seat_map_indices(rule.n, rule.m, seats)))
 
 
-def force_transfer(
-    mu: Distribution,
-    rule: VotingRule,
-    tie_break: TieBreak = "min",
-    tie_break_seed: int = 0,
-) -> VotingRule:
+def force_transfer(mu: Distribution, rule: VotingRule) -> VotingRule:
     """One application of the transfer map: every least-forceful voter's ballot
-    is replaced by the ballot of the tie-break choice among the most forceful
-    (lowest index by default), and the rule is evaluated on the rewritten profile.
+    is replaced by the ballot of the first (lowest-index) most-forceful voter,
+    and the rule is evaluated on the rewritten profile.
 
     Requires a full-support distribution.  Preserves the unanimity property:
     rewriting ballots with another ballot of the same profile cannot create a
@@ -172,8 +152,7 @@ def force_transfer(
     _check_dims(mu, rule)
     if not has_full_support(mu):
         raise ValueError("the transfer map requires a full-support distribution")
-    fp = force_profile(mu, rule)
-    return VotingRule(rule.n, rule.m, _transfer_table(rule, fp, tie_break, tie_break_seed))
+    return VotingRule(rule.n, rule.m, _transfer_table(rule, force_profile(mu, rule)))
 
 
 def equivalent(mu: Distribution, f: VotingRule, g: VotingRule) -> bool:
@@ -245,13 +224,7 @@ def force_transfer_class(
     return image
 
 
-def iterate_force_transfer(
-    mu: Distribution,
-    rule: VotingRule,
-    max_steps: int,
-    tie_break: TieBreak = "min",
-    tie_break_seed: int = 0,
-) -> IterationTrace:
+def iterate_force_transfer(mu: Distribution, rule: VotingRule, max_steps: int) -> IterationTrace:
     """Apply the transfer map until the newly computed rule equals the current
     one (a fixpoint) or ``max_steps`` applications have been spent.
 
@@ -267,10 +240,7 @@ def iterate_force_transfer(
     terminated: Literal["fixpoint", "step-limit"] = "step-limit"
     current = rule
     for _ in range(max_steps):
-        fp = steps[-1][1]
-        nxt = VotingRule(
-            current.n, current.m, _transfer_table(current, fp, tie_break, tie_break_seed)
-        )
+        nxt = VotingRule(current.n, current.m, _transfer_table(current, steps[-1][1]))
         if nxt == current:
             terminated = "fixpoint"
             break

@@ -30,6 +30,7 @@ from .orders import (
     encode_digits,
     order_index,
     profile_index,
+    read_record,
     seat_map_indices,
 )
 
@@ -232,11 +233,7 @@ def save_distribution(dist: Distribution, path: str | Path) -> None:
 
 
 def load_distribution(path: str | Path) -> Distribution:
-    record = json.loads(Path(path).read_text())
-    if not isinstance(record, dict):
-        raise ValueError("distribution file does not hold a JSON object")
-    if record.get("format_version") != DISTRIBUTION_FORMAT_VERSION:
-        raise ValueError(f"unsupported distribution format_version {record.get('format_version')!r}")
+    record = read_record(path, "distribution", DISTRIBUTION_FORMAT_VERSION)
     n, m, weights = (record.get(key) for key in ("n", "m", "weights"))
     for key, value in (("n", n), ("m", m)):
         if type(value) is not int:

@@ -11,11 +11,13 @@ this package.
 from __future__ import annotations
 
 import itertools
+import json
 import operator
 import os
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
+from pathlib import Path
 from typing import Callable
 
 MAX_VOTERS = 4
@@ -42,6 +44,23 @@ def check_scale(n: int, m: int) -> None:
             f"(n <= {MAX_VOTERS}, m <= {MAX_CANDIDATES}, table <= {MAX_TABLE_ENTRIES}); "
             f"set {SCALE_OVERRIDE_ENV}=1 to override"
         )
+
+
+def read_record(path: str | Path, kind: str, version: int) -> dict:
+    """The JSON object in a ``kind`` file, checked for ``format_version``.
+
+    Every malformed file raises ``ValueError``, nesting too deep for the
+    parser included; the caller checks its own fields.
+    """
+    try:
+        record = json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError(f"{kind} file nests too deeply to parse") from None
+    if not isinstance(record, dict):
+        raise ValueError(f"{kind} file does not hold a JSON object")
+    if record.get("format_version") != version:
+        raise ValueError(f"unsupported {kind} format_version {record.get('format_version')!r}")
+    return record
 
 
 @dataclass(frozen=True)

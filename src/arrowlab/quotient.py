@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .measures import Distribution, format_rational, parse_rational
+from .orders import read_record
 from .rules import VotingRule
 
 FIXTURE_FORMAT_VERSION = 1
@@ -309,11 +310,7 @@ def save_fixture(
 
 
 def load_fixture(path: str | Path) -> tuple[FiniteMetricSpace, EquivalencePartition]:
-    record = json.loads(Path(path).read_text())
-    if not isinstance(record, dict):
-        raise ValueError("fixture file does not hold a JSON object")
-    if record.get("format_version") != FIXTURE_FORMAT_VERSION:
-        raise ValueError(f"unsupported fixture format_version {record.get('format_version')!r}")
+    record = read_record(path, "fixture", FIXTURE_FORMAT_VERSION)
     n, dist, classes = (record.get(key) for key in ("points", "dist", "classes"))
     if type(n) is not int or n < 0:
         raise ValueError("fixture field 'points' is missing or not a non-negative integer")

@@ -28,6 +28,7 @@ from .orders import (
     pair_signatures,
     profile_digit_columns,
     profile_index,
+    read_record,
     seat_map_indices,
     signature_codes,
     tournament_orders,
@@ -268,11 +269,7 @@ def save_rule(rule: VotingRule, path: str | Path) -> None:
 
 
 def load_rule(path: str | Path) -> VotingRule:
-    record = json.loads(Path(path).read_text())
-    if not isinstance(record, dict):
-        raise ValueError("rule file does not hold a JSON object")
-    if record.get("format_version") != RULE_FORMAT_VERSION:
-        raise ValueError(f"unsupported rule format_version {record.get('format_version')!r}")
+    record = read_record(path, "rule", RULE_FORMAT_VERSION)
     n, m, table = (record.get(key) for key in ("n", "m", "table"))
     for key, value in (("n", n), ("m", m)):
         if type(value) is not int:

@@ -1,12 +1,18 @@
+import dataclasses
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from arrowlab.arrowcheck import ReplayReport, replay_contradiction
 from arrowlab.cli import main
+from arrowlab.orders import enumerate_orders
 from arrowlab.rules import (
     cylinder_extend,
     dictator,
@@ -172,21 +178,36 @@ def test_check_rejects_samples_below_one(samples, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_check_refuses_a_large_scale_before_listing_rankings(capsys):
+    misses = enumerate_orders.cache_info().misses
+    code, out, err = run_cli(["check", "--suite", "metric", "--candidates", "9"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: scale (n=2, m=9) exceeds desk bounds") and err.count("\n") == 1
+    assert enumerate_orders.cache_info().misses == misses
+
+
 @pytest.mark.parametrize(
-    "record",
+    "text",
     [
-        {"format_version": 1, "n": 2, "m": 3},
-        {"format_version": 1, "n": 2, "m": 3, "table": "0,1,2"},
-        {"format_version": 1, "n": 2, "m": 3, "table": [0.0] * 36},
-        {"format_version": 1, "n": "2", "m": 3, "table": [0] * 36},
-        {"format_version": 1, "m": 3, "table": [0] * 36},
-        [1, 2, 3],
+        *map(json.dumps, [
+            {"format_version": 1, "n": 2, "m": 3},
+            {"format_version": 1, "n": 2, "m": 3, "table": "0,1,2"},
+            {"format_version": 1, "n": 2, "m": 3, "table": [0.0] * 36},
+            {"format_version": 1, "n": "2", "m": 3, "table": [0] * 36},
+            {"format_version": 1, "m": 3, "table": [0] * 36},
+            [1, 2, 3],
+        ]),
+        "[" * 200_000,
     ],
-    ids=["missing-table", "table-not-list", "float-entries", "string-n", "missing-n", "not-object"],
+    ids=[
+        "missing-table", "table-not-list", "float-entries", "string-n", "missing-n",
+        "not-object", "deep-nesting",
+    ],
 )
-def test_iterate_rejects_malformed_rule_file(record, tmp_path, capsys):
+def test_iterate_rejects_malformed_rule_file(text, tmp_path, capsys):
     rule_path = tmp_path / "rule.json"
-    rule_path.write_text(json.dumps(record))
+    rule_path.write_text(text)
     code, out, err = run_cli(["iterate", "--rule", str(rule_path)], capsys)
     assert code == 2
     assert out == ""
@@ -226,42 +247,112 @@ def test_jobs_below_one_is_a_usage_error(command, jobs, capsys):
 
 @pytest.mark.parametrize("epsilon", ["1/0", "3/2", "0", "abc"])
 def test_epsilon_outside_the_open_unit_interval_is_a_usage_error(epsilon, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["check", "--suite", "metric", "--samples", "2", "--epsilon", epsilon])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "--epsilon" in err and "Traceback" not in err
+    for command in (["check", "--suite", "metric", "--samples", "2"], ["replay"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--epsilon", epsilon])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--epsilon" in err and "Traceback" not in err
 
 
-REPLAY_SCRIPT = SRC.parent / "scripts" / "replay_final_proof.py"
+def test_replay_default_report(capsys):
+    code, out, err = run_cli(["replay"], capsys)
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["config"] == {
+        "command": "replay", "voters": 3, "candidates": 3, "epsilon": "1/2", "y_index": 0,
+    }
+    assert report["forces"] == ["383/630", "383/630", "55/126"]
+    assert report["transfer_fixed"] is True
+    assert report["dictator_voter"] is None
+    assert report["last_voter_unique_least"] is True
+    assert report["last_force_bound_ok"] is False
 
 
-def test_replay_script_runs_with_defaults():
-    proc = subprocess.run([sys.executable, str(REPLAY_SCRIPT)], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert "forces: 383/630, 383/630, 55/126" in lines
-    assert "transfer map fixes the extended rule exactly: True" in lines
-    assert "extended rule is a dictatorship: False" in lines
+@pytest.mark.parametrize("voters,candidates", [(3, 3), (4, 3), (3, 4)])
+def test_replay_report_equals_replay_contradiction(voters, candidates, capsys):
+    code, out, _ = run_cli(
+        ["replay", "--voters", str(voters), "--candidates", str(candidates),
+         "--epsilon", "1/3", "--y-index", "1"],
+        capsys,
+    )
+    assert code == 0
+    expected = replay_contradiction(
+        pairwise_majority_rule(voters - 1, candidates), Fraction(1, 3),
+        enumerate_orders(candidates)[1],
+    )
+    report = json.loads(out)
+    for field in dataclasses.fields(ReplayReport):
+        value = getattr(expected, field.name)
+        if isinstance(value, Fraction):
+            value = f"{value.numerator}/{value.denominator}"
+        elif isinstance(value, tuple):
+            value = [f"{v.numerator}/{v.denominator}" for v in value]
+        assert report.pop(field.name) == value, field.name
+    assert set(report) == {"format_version", "config"}
+    assert (report["format_version"], report["config"]["voters"]) == (1, voters)
+
+
+def test_replay_out_file_equals_stdout_and_is_deterministic(tmp_path, capsys):
+    _, out_a, _ = run_cli(["replay", "--out", str(tmp_path / "a")], capsys)
+    _, out_b, _ = run_cli(["replay", "--out", str(tmp_path / "b")], capsys)
+    file_a = (tmp_path / "a" / "replay_report.json").read_text()
+    assert out_a == out_b == file_a
+    assert file_a == (tmp_path / "b" / "replay_report.json").read_text()
 
 
 @pytest.mark.parametrize(
     "args,message",
     [
-        (["--epsilon", "1/0"], "zero denominator"),
-        (["--epsilon", "3/2"], "epsilon"),
         (["--y-index", "9"], "--y-index 9 out of range"),
         (["--candidates", "9"], "exceeds desk bounds"),
+        (["--voters", "1"], "at least two voters"),
     ],
+    ids=["y-index", "candidates", "voters"],
 )
-def test_replay_script_rejects_bad_input_with_one_line(args, message):
-    proc = subprocess.run(
-        [sys.executable, str(REPLAY_SCRIPT), *args], capture_output=True, text=True
-    )
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    lines = proc.stderr.splitlines()
+def test_replay_rejects_bad_input_with_one_line(args, message, capsys):
+    code, out, err = run_cli(["replay", *args], capsys)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+
+
+@pytest.mark.parametrize("epsilon", ["1/0", "3/2"], ids=["zero-denominator", "above-one"])
+def test_replay_rejects_bad_epsilon_with_one_error_line(epsilon, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["replay", "--epsilon", epsilon])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert errors == [
+        "arrowlab replay: error: argument --epsilon: "
+        f"expected a rational strictly between 0 and 1, got '{epsilon}'"
+    ]
+
+
+def test_iterate_takes_no_seed(tmp_path, capsys):
+    rule_path = tmp_path / "rule.json"
+    save_rule(dictator(2, 3, 0), rule_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["iterate", "--rule", str(rule_path), "--seed", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
+def test_bench_tracer_follows_existing_names():
+    path = SRC.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("arrowlab_bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [
+        f"{module}.{name}"
+        for module, names in tracer.FOLLOWED.items()
+        for name in names
+        if not hasattr(importlib.import_module(f"arrowlab.{module}"), name)
+    ]
+    assert tracer.FOLLOWED and missing == []
 
 
 def test_welldef_failure_names_its_witness(capsys):

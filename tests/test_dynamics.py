@@ -134,16 +134,6 @@ def test_transfer_all_tied_branch_collapses_to_first_voter():
     assert image == dictator(2, 3, 0)
 
 
-def test_transfer_tie_break_variants():
-    rule = pairwise_majority_rule(2, 3)
-    assert force_transfer(UNIFORM23, rule, tie_break="max") == dictator(2, 3, 1)
-    r1 = force_transfer(UNIFORM23, rule, tie_break="random", tie_break_seed=3)
-    r2 = force_transfer(UNIFORM23, rule, tie_break="random", tie_break_seed=3)
-    assert r1 == r2
-    with pytest.raises(ValueError):
-        force_transfer(UNIFORM23, rule, tie_break="weird")
-
-
 def test_transfer_fixes_cylinder_under_lifted_star():
     f = cylinder_extend(pairwise_majority_rule(2, 3))
     assert force_transfer(lifted_star(), f) == f
