@@ -124,7 +124,7 @@ def assemble_rule(agg: PairwiseAggregator, n: int, m: int) -> VotingRule | None:
     table = list(map(tournament_orders(m).__getitem__, codes))
     if None in table:
         return None
-    return VotingRule(n, m, tuple(table))
+    return VotingRule(n, m, bytes(table))
 
 
 def aggregator_from_rule(rule: VotingRule) -> PairwiseAggregator | None:

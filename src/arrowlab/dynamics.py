@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from operator import eq
 from pathlib import Path
 from typing import Literal, Sequence
 
@@ -25,9 +24,10 @@ from .measures import (
     has_full_support,
     is_permutation_invariant,
 )
-from .orders import all_voter_permutations, profile_digit_columns, seat_map_indices
+from .orders import all_voter_permutations, profile_digit_columns, seat_gather
 from .rules import (
     VotingRule,
+    agreement,
     compose_collapse,
     compose_voter_permutation,
     is_dictatorship,
@@ -108,10 +108,10 @@ def _check_dims(mu: Distribution, rule: VotingRule) -> None:
         )
 
 
-def _force_numerator(mu: Distribution, rule: VotingRule, column: tuple[int, ...]) -> int:
+def _force_numerator(mu: Distribution, rule: VotingRule, column: bytes) -> int:
     """A voter's force times ``mu.denominator``, given the voter's ballot
     column: the sum of the numerators of the profiles the voter wins."""
-    return sum(compress(mu.numerators, map(eq, rule.table, column)))
+    return sum(compress(mu.numerators, agreement(rule.table, column)))
 
 
 def force(mu: Distribution, rule: VotingRule, i: int) -> Fraction:
@@ -134,10 +134,10 @@ def force_profile(mu: Distribution, rule: VotingRule) -> ForceProfile:
     return ForceProfile(tuple(Fraction(v, mu.denominator) for v in totals), most, least)
 
 
-def _transfer_table(rule: VotingRule, fp: ForceProfile) -> tuple[int, ...]:
+def _transfer_table(rule: VotingRule, fp: ForceProfile) -> bytes:
     source = fp.most_forceful[0]
     seats = tuple(source if i in fp.least_forceful else i for i in range(rule.n))
-    return tuple(map(rule.table.__getitem__, seat_map_indices(rule.n, rule.m, seats)))
+    return seat_gather(rule.table, rule.n, rule.m, seats)
 
 
 def force_transfer(mu: Distribution, rule: VotingRule) -> VotingRule:

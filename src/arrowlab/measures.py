@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, gcd, lcm
-from operator import add
 from pathlib import Path
 
 from .orders import (
@@ -31,7 +30,7 @@ from .orders import (
     order_index,
     profile_index,
     read_record,
-    seat_map_indices,
+    seat_gather,
 )
 
 DISTRIBUTION_FORMAT_VERSION = 1
@@ -43,6 +42,11 @@ def format_rational(q: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
+    """A rational written as ``p/q``, an integer or a decimal.  Exponent
+    notation is refused before ``Fraction`` sees it: a ten-character
+    ``"1e10000000"`` would take seconds to expand."""
+    if "e" in text.lower():
+        raise ValueError(f"rational {text!r} uses exponent notation; write it as p/q")
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -128,7 +132,7 @@ class Distribution:
         for s in range(self.n - 1):
             swap = list(range(self.n))
             swap[s], swap[s + 1] = s + 1, s
-            if tuple(map(nums.__getitem__, seat_map_indices(self.n, self.m, tuple(swap)))) != nums:
+            if seat_gather(nums, self.n, self.m, tuple(swap)) != nums:
                 return False
         return True
 
@@ -185,32 +189,23 @@ def lift_distribution(dist: Distribution, i: int) -> Distribution:
     order of the other n-1 ballots, so the sum equals
     ``sum_j sym(x without seat j)`` with ``sym`` the sum of the input over
     the (n-1)! seat orders; the dropped seat ``i`` does not matter.  ``sym``
-    is built once on the small table, then each profile takes n lookups.
+    is built once on the small table, then gathered once per dropped seat.
     """
     n = dist.n + 1
     m = dist.m
     if not 0 <= i < n:
         raise ValueError(f"seat {i} out of range for n={n}")
     check_scale(n, m)
-    mf = factorial(m)
     nums = dist.numerators
     relabeled = [
-        map(nums.__getitem__, seat_map_indices(n - 1, m, seats))
-        for seats in itertools.permutations(range(n - 1))
+        seat_gather(nums, n - 1, m, seats) for seats in itertools.permutations(range(n - 1))
     ]
-    sym = list(map(sum, zip(*relabeled)))
-    numerators = [0] * mf**n
-    for j in range(n):
-        # Profiles list the ballots after seat j fastest: each run of that
-        # many ``sym`` entries repeats once per ballot at seat j.
-        run = mf ** (n - 1 - j)
-        dropped = itertools.chain.from_iterable(
-            sym[start : start + run] * mf for start in range(0, len(sym), run)
-        )
-        numerators = list(map(add, numerators, dropped))
-    return Distribution.from_numerators(
-        n, m, numerators, dist.denominator * factorial(n) * mf
-    )
+    sym = tuple(map(sum, zip(*relabeled)))
+    # Dropping seat j: source seat s reads seat s before j and seat s + 1 after.
+    dropped = [seat_gather(sym, n, m, tuple(s + (s >= j) for s in range(n - 1))) for j in range(n)]
+    numerators = list(map(sum, zip(*dropped)))
+    denominator = dist.denominator * factorial(n) * factorial(m)
+    return Distribution.from_numerators(n, m, numerators, denominator)
 
 
 def is_permutation_invariant(dist: Distribution) -> bool:

@@ -24,25 +24,36 @@ MAX_VOTERS = 4
 MAX_CANDIDATES = 4
 MAX_TABLE_ENTRIES = 331_776
 SCALE_OVERRIDE_ENV = "ARROWLAB_SCALE_OVERRIDE"
+# Tables hold one byte per entry: 5! = 120 rankings fit, 6! = 720 do not.
+# A pair signature doubled plus one output bit must fit too: 2 * (2**7 - 1) + 1.
+BYTE_MAX_CANDIDATES = 5
+BYTE_MAX_VOTERS = 7
 
 
 def check_scale(n: int, m: int) -> None:
     """Reject electorate sizes whose dense tables stop being desk-scale.
 
     Setting the environment variable named by ``SCALE_OVERRIDE_ENV`` to a
-    non-empty value lifts the bound at the caller's own risk.
+    non-empty value lifts the desk bound at the caller's own risk; the byte
+    limit of the tables stays.
     """
     if n < 1:
         raise ValueError(f"need at least one voter, got n={n}")
     if m < 1:
         raise ValueError(f"need at least one candidate, got m={m}")
-    if os.environ.get(SCALE_OVERRIDE_ENV):
-        return
-    if n > MAX_VOTERS or m > MAX_CANDIDATES or factorial(m) ** n > MAX_TABLE_ENTRIES:
+    if not os.environ.get(SCALE_OVERRIDE_ENV) and (
+        n > MAX_VOTERS or m > MAX_CANDIDATES or factorial(m) ** n > MAX_TABLE_ENTRIES
+    ):
         raise ValueError(
             f"scale (n={n}, m={m}) exceeds desk bounds "
             f"(n <= {MAX_VOTERS}, m <= {MAX_CANDIDATES}, table <= {MAX_TABLE_ENTRIES}); "
             f"set {SCALE_OVERRIDE_ENV}=1 to override"
+        )
+    if n > BYTE_MAX_VOTERS or m > BYTE_MAX_CANDIDATES:
+        raise ValueError(
+            f"scale (n={n}, m={m}) exceeds the one-byte table limit "
+            f"(n <= {BYTE_MAX_VOTERS}, m <= {BYTE_MAX_CANDIDATES}), "
+            f"which {SCALE_OVERRIDE_ENV} does not lift"
         )
 
 
@@ -203,33 +214,33 @@ def profile_digit_tuples(n: int, m: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def profile_digit_columns(n: int, m: int) -> tuple[tuple[int, ...], ...]:
+def profile_digit_columns(n: int, m: int) -> tuple[bytes, ...]:
     """The digit matrix of scale (n, m) stored by voter: column i lists voter
-    i's ballot index for every profile, in profile-index order."""
+    i's ballot index for every profile, in profile-index order, one byte each."""
     check_scale(n, m)
     mf = factorial(m)
     columns = []
     for i in range(n):
         run = mf ** (n - 1 - i)
-        block = tuple(itertools.chain.from_iterable(itertools.repeat(d, run) for d in range(mf)))
+        block = b"".join(bytes((d,)) * run for d in range(mf))
         columns.append(block * mf**i)
     return tuple(columns)
 
 
 @lru_cache(maxsize=None)
-def pair_signatures(n: int, m: int) -> tuple[tuple[int, ...], ...]:
+def pair_signatures(n: int, m: int) -> tuple[bytes, ...]:
     """sig[p][k]: bit i set when voter i of profile k ranks pair p's first
-    candidate above its second.  Each column grows from the last seat outward,
-    as in ``seat_map_indices``: seat i lays out m! copies of the column so far,
+    candidate above its second, one byte per profile.  Each column grows from
+    the last seat outward: seat i lays out m! copies of the column so far,
     with bit i set in the copies whose ballot ranks that candidate higher."""
     check_scale(n, m)
     columns = []
     for above in pair_above(m):
-        column = [0]
+        column = b"\0"
         for i in reversed(range(n)):
-            voted = [s | 1 << i for s in column]
-            column = list(itertools.chain.from_iterable(voted if bit else column for bit in above))
-        columns.append(tuple(column))
+            voted = column.translate(bytes(s | 1 << i for s in range(256)))
+            column = b"".join(voted if bit else column for bit in above)
+        columns.append(column)
     return tuple(columns)
 
 
@@ -244,30 +255,44 @@ def signature_codes(n: int, m: int, share: Callable[[int, int], int]) -> list[in
     return codes
 
 
-def seat_map_indices(n: int, m: int, seats: tuple[int, ...]) -> list[int]:
-    """For each profile index k, the index of the profile whose seat i holds
-    the ballot that profile k has at seat ``seats[i]``.
+def seat_gather(values, n: int, m: int, seats: tuple[int, ...]):
+    """Rewrite ballots across a whole table: entry k of the result is the
+    entry of ``values`` at the profile whose seat i holds the ballot that
+    n-voter profile k has at seat ``seats[i]``.
 
-    ``seats`` need not be a bijection: a voter relabeling is one, and copying
-    one voter's ballot onto other seats is another.
+    ``values`` is a ``bytes`` table or a ``tuple`` of numerators over the
+    ``len(seats)``-voter profiles; the result has the same type.  ``seats``
+    need not be a bijection: a voter relabeling is one, copying one voter's
+    ballot onto other seats is another, and leaving an n-th seat unread
+    extends a table by an ignored voter.
 
-    Profile k's ballot at seat j adds ``coeff[j]`` times its index, where
-    ``coeff[j]`` sums (m!)^(n-1-i) over the seats i with ``seats[i] == j``.
-    The list grows from the last seat outward: a seat nobody reads repeats
-    it m! times, any other lays m! copies shifted by ``coeff[j]`` end to end.
+    Profile k's ballot at seat j moves the source index by ``coeff[j]`` per
+    ballot index, ``coeff[j]`` summing (m!)^(len(seats)-1-i) over the seats i
+    with ``seats[i] == j``.  So each setting of the first n-1 seats reads one
+    slice of stride ``coeff[n-1]``, or repeats one entry when nobody reads
+    the last seat: (m!)^(n-1) slices joined in profile-index order, fewer
+    when the trailing seats are read in place and so form one run.
     """
     check_scale(n, m)
     mf = factorial(m)
+    width = len(seats)
     coeff = [0] * n
     for i, j in enumerate(seats):
-        coeff[j] += mf ** (n - 1 - i)
-    index = [0]
-    for c in reversed(coeff):
-        if c == 0:
-            index = index * mf
-        else:
-            index = [x + d for d in range(0, mf * c, c) for x in index]
-    return index
+        coeff[j] += mf ** (width - 1 - i)
+    step, count, lead = coeff[-1], mf, n - 1
+    if step == 1:  # trailing seats read in place make one contiguous run
+        while lead and coeff[lead - 1] == count:
+            count, lead = count * mf, lead - 1
+    starts = [0]
+    for c in coeff[:lead]:
+        starts = [s + d * c for s in starts for d in range(mf)]
+    if step:
+        parts = (values[s : s + count * step : step] for s in starts)
+    else:
+        parts = (values[s : s + 1] * mf for s in starts)
+    if isinstance(values, bytes):
+        return b"".join(parts)
+    return tuple(itertools.chain.from_iterable(parts))  # one slice alive at a time
 
 
 def encode_digits(digits: tuple[int, ...], m: int) -> int:

@@ -14,13 +14,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from operator import ne
 from pathlib import Path
 from typing import Callable, Sequence
 
 from .measures import Distribution, format_rational, parse_rational
 from .orders import read_record
-from .rules import VotingRule
+from .rules import VotingRule, agreement
 
 FIXTURE_FORMAT_VERSION = 1
 
@@ -99,7 +98,8 @@ def rule_distance(mu: Distribution, f: VotingRule, g: VotingRule) -> Fraction:
     """Probability under ``mu`` that two rules elect different rankings."""
     if not (mu.n == f.n == g.n and mu.m == f.m == g.m):
         raise ValueError("distribution and rules disagree on (n, m)")
-    return Fraction(sum(compress(mu.numerators, map(ne, f.table, g.table))), mu.denominator)
+    same = sum(compress(mu.numerators, agreement(f.table, g.table)))
+    return Fraction(mu.denominator - same, mu.denominator)
 
 
 def space_from_rules(mu: Distribution, rules: Sequence[VotingRule]) -> FiniteMetricSpace:

@@ -1,8 +1,10 @@
 """Voting rules as dense lookup tables, with their structural predicates and compositions.
 
 A rule for n voters over m candidates is a table of (m!)^n canonical order
-indices, entry k being the output on the profile with index k.  Dense tables
-keep every predicate an exhaustive, doubt-free scan at desk scale.
+indices, entry k being the output on the profile with index k, stored as
+``bytes`` with one byte per entry.  Dense tables keep every predicate an
+exhaustive, doubt-free scan at desk scale, and byte tables let each scan run
+as a few whole-table operations (``translate``, ``int.from_bytes``, ``set``).
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ import json
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import compress
 from math import factorial
 from pathlib import Path
+from typing import Iterator
 
 from .orders import (
     LinearOrder,
@@ -29,40 +31,70 @@ from .orders import (
     profile_digit_columns,
     profile_index,
     read_record,
-    seat_map_indices,
+    seat_gather,
     signature_codes,
     tournament_orders,
 )
 
 RULE_FORMAT_VERSION = 1
 
+# Byte b of _SAME is 1 when b is 0: it turns an XOR of two tables into their agreement mask.
+_SAME = b"\1" + bytes(255)
+
 
 @dataclass(frozen=True)
 class VotingRule:
-    """A total map from profiles to a societal ranking, stored as a lookup table."""
+    """A total map from profiles to a societal ranking, stored as a lookup
+    table of one byte per profile.  Equality compares the bytes, and the
+    hash of the table is cached by ``bytes`` itself."""
 
     n: int
     m: int
-    table: tuple[int, ...]
+    table: bytes
 
     def __post_init__(self):
         check_scale(self.n, self.m)
-        object.__setattr__(self, "table", tuple(self.table))
-        size = factorial(self.m) ** self.n
-        if len(self.table) != size:
-            raise ValueError(f"table has {len(self.table)} entries, expected {size}")
         mf = factorial(self.m)
-        if not 0 <= min(self.table) <= max(self.table) < mf:
-            entry = next(e for e in self.table if not 0 <= e < mf)
-            raise ValueError(f"table entry {entry} out of range for m={self.m}")
+        try:
+            # iter(): bytes(k) of an int k would be k zero entries.
+            table = bytes(iter(self.table)) if type(self.table) is not bytes else self.table
+            bad = table.translate(None, bytes(range(mf)))
+        except (TypeError, ValueError):  # an entry that is not an int in 0..255
+            table = tuple(self.table)
+            bad = [e for e in table if not (isinstance(e, int) and 0 <= e < mf)]
+        size = mf**self.n
+        if len(table) != size:
+            raise ValueError(f"table has {len(table)} entries, expected {size}")
+        if bad:
+            raise ValueError(f"table entry {bad[0]!r} out of range for m={self.m}")
+        object.__setattr__(self, "table", table)
 
     @cached_property
     def digest(self) -> str:
         """SHA-256 over the ASCII bytes of ``"{n}:{m}:" + comma-joined table
-        entries``, computed on first use and kept on the instance."""
-        text = tuple(map(str, range(factorial(self.m))))
-        payload = f"{self.n}:{self.m}:" + ",".join(map(text.__getitem__, self.table))
-        return hashlib.sha256(payload.encode("ascii")).hexdigest()
+        entries``, computed on first use and kept on the instance.
+
+        Each entry takes ``width`` digit slots and a comma; one ``translate``
+        per digit place fills its slots, blank (zero) where the entry has no
+        digit there, and the blanks are deleted at the end."""
+        table = self.table
+        width = len(str(factorial(self.m) - 1))
+        payload = bytearray((width + 1) * len(table))
+        for place in range(width):
+            unit = 10 ** (width - 1 - place)
+            glyphs = bytes(48 + e // unit % 10 if e >= unit or unit == 1 else 0 for e in range(256))
+            payload[place :: width + 1] = table.translate(glyphs)
+        payload[width :: width + 1] = b"," * len(table)
+        del payload[-1]
+        head = f"{self.n}:{self.m}:".encode("ascii")
+        return hashlib.sha256(head + payload.translate(None, b"\0")).hexdigest()
+
+
+def agreement(f: bytes, g: bytes) -> bytes:
+    """Byte k is 1 where two equal-length tables (or a table and a ballot
+    column) hold the same entry, else 0: one XOR of the tables as integers."""
+    diff = int.from_bytes(f, "little") ^ int.from_bytes(g, "little")
+    return diff.to_bytes(len(f), "little").translate(_SAME)
 
 
 def evaluate(rule: VotingRule, profile: Profile) -> LinearOrder:
@@ -83,8 +115,7 @@ def dictator(n: int, m: int, i: int) -> VotingRule:
 
 def constant_rule(n: int, m: int, order: LinearOrder) -> VotingRule:
     """The rule that outputs the same ranking on every profile."""
-    oi = order_index(order)
-    return VotingRule(n, m, (oi,) * (factorial(m) ** n))
+    return VotingRule(n, m, bytes((order_index(order),)) * factorial(m) ** n)
 
 
 def _unanimity_patterns(n: int, m: int) -> list[int]:
@@ -106,17 +137,28 @@ def _pareto_consistent_outputs(pattern: int, m: int) -> tuple[int, ...]:
     )
 
 
+def _signature_outputs(rule: VotingRule) -> Iterator[set[int]]:
+    """Per pair, the set of ``2 * s + b`` over all profiles, where s is the
+    profile's signature and b is 1 when the output ranks the pair's first
+    candidate higher.  Signatures are below 2**7, so doubling the signature
+    column as one integer shifts each byte without a carry into the next."""
+    table = rule.table
+    size = len(table)
+    for column, above in zip(pair_signatures(rule.n, rule.m), pair_above(rule.m)):
+        bits = table.translate(bytes(above).ljust(256, b"\0"))
+        packed = int.from_bytes(column, "little") << 1 | int.from_bytes(bits, "little")
+        yield set(packed.to_bytes(size, "little"))
+
+
 def is_pareto(rule: VotingRule) -> bool:
     """True iff every unanimous pairwise comparison is reproduced in the output:
     a profile whose pair signature is all ones outputs the pair's first
     candidate higher, one whose signature is zero outputs it lower."""
-    full = (1 << rule.n) - 1
-    for column, above in zip(pair_signatures(rule.n, rule.m), pair_above(rule.m)):
-        for signature, wanted in ((full, 1), (0, 0)):
-            outputs = set(compress(rule.table, map(signature.__eq__, column)))
-            if any(above[o] != wanted for o in outputs):
-                return False
-    return True
+    full_but_lower = 2 * ((1 << rule.n) - 1)
+    zero_but_higher = 1
+    return not any(
+        full_but_lower in seen or zero_but_higher in seen for seen in _signature_outputs(rule)
+    )
 
 
 def _pair_truth_tables(rule: VotingRule) -> tuple[int, ...] | None:
@@ -124,11 +166,10 @@ def _pair_truth_tables(rule: VotingRule) -> tuple[int, ...] | None:
     pair's first candidate higher), or None when some pair's output is not a
     function of its signature."""
     tables = []
-    for column, above in zip(pair_signatures(rule.n, rule.m), pair_above(rule.m)):
-        seen = set(zip(column, map(above.__getitem__, rule.table)))
-        if len(seen) != len({s for s, _ in seen}):
+    for seen in _signature_outputs(rule):
+        if len(seen) != len({code >> 1 for code in seen}):
             return None
-        tables.append(sum(1 << s for s, bit in seen if bit))
+        tables.append(sum(1 << (code >> 1) for code in seen if code & 1))
     return tuple(tables)
 
 
@@ -147,35 +188,24 @@ def is_dictatorship(rule: VotingRule) -> int | None:
     return None
 
 
-@lru_cache(maxsize=None)
-def _permutation_index_map(n: int, m: int, mapping: tuple[int, ...]) -> tuple[int, ...]:
-    """For each profile index k, the index of the relabeled profile."""
-    return tuple(seat_map_indices(n, m, mapping))
-
-
 def compose_voter_permutation(rule: VotingRule, perm: VoterPermutation) -> VotingRule:
     """The rule that first relabels voters, then applies ``rule``."""
     if perm.n != rule.n:
         raise ValueError(f"permutation on {perm.n} voters, rule has {rule.n}")
-    index_map = _permutation_index_map(rule.n, rule.m, perm.mapping)
-    return VotingRule(rule.n, rule.m, tuple(map(rule.table.__getitem__, index_map)))
+    return VotingRule(rule.n, rule.m, seat_gather(rule.table, rule.n, rule.m, perm.mapping))
 
 
 def compose_collapse(rule: VotingRule, i: int) -> VotingRule:
     """The rule evaluated on the profile where every seat holds voter i's ballot."""
     if not 0 <= i < rule.n:
         raise ValueError(f"voter {i} out of range for n={rule.n}")
-    index_map = seat_map_indices(rule.n, rule.m, (i,) * rule.n)
-    return VotingRule(rule.n, rule.m, tuple(map(rule.table.__getitem__, index_map)))
+    return VotingRule(rule.n, rule.m, seat_gather(rule.table, rule.n, rule.m, (i,) * rule.n))
 
 
 def cylinder_extend(rule: VotingRule) -> VotingRule:
     """Extend a rule by one trailing voter whose ballot is ignored."""
     n = rule.n + 1
-    check_scale(n, rule.m)
-    mf = factorial(rule.m)
-    table = tuple(rule.table[k // mf] for k in range(mf**n))
-    return VotingRule(n, rule.m, table)
+    return VotingRule(n, rule.m, seat_gather(rule.table, n, rule.m, tuple(range(rule.n))))
 
 
 def random_pareto_rule(n: int, m: int, seed: int) -> VotingRule:
@@ -188,7 +218,7 @@ def random_pareto_rule(n: int, m: int, seed: int) -> VotingRule:
     outputs = {u: _pareto_consistent_outputs(u, m) for u in set(patterns)}
     randrange = random.Random(seed).randrange
     table = [allowed[randrange(len(allowed))] for allowed in map(outputs.__getitem__, patterns)]
-    return VotingRule(n, m, tuple(table))
+    return VotingRule(n, m, bytes(table))
 
 
 def pairwise_majority_rule(
@@ -226,7 +256,7 @@ def pairwise_majority_rule(
         for k, u in enumerate(_unanimity_patterns(n, m)):
             if table[k] is None:
                 table[k] = _pareto_consistent_outputs(u, m)[0]
-    return VotingRule(n, m, tuple(table))
+    return VotingRule(n, m, bytes(table))
 
 
 def borda_rule(n: int, m: int, tiebreak_order: LinearOrder | None = None) -> VotingRule:
@@ -250,7 +280,7 @@ def borda_rule(n: int, m: int, tiebreak_order: LinearOrder | None = None) -> Vot
             score[b] += n - votes
         ranking = sorted(range(m), key=lambda c: (-score[c], tiebreak_order.ranking.index(c)))
         ranked[code] = order_index(LinearOrder(ranking))
-    return VotingRule(n, m, tuple(map(ranked.__getitem__, counts)))
+    return VotingRule(n, m, bytes(map(ranked.__getitem__, counts)))
 
 
 def table_digest(rule: VotingRule) -> str:
@@ -276,4 +306,4 @@ def load_rule(path: str | Path) -> VotingRule:
             raise ValueError(f"rule field {key!r} is missing or not an integer")
     if not isinstance(table, list) or not {*map(type, table)} <= {int}:
         raise ValueError("rule field 'table' is missing or not a list of integers")
-    return VotingRule(n, m, tuple(table))
+    return VotingRule(n, m, table)

@@ -178,6 +178,14 @@ def test_check_rejects_samples_below_one(samples, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_override_still_refuses_six_candidates_in_one_line(monkeypatch, capsys):
+    monkeypatch.setenv("ARROWLAB_SCALE_OVERRIDE", "1")
+    code, out, err = run_cli(["check", "--voters", "1", "--candidates", "6"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: scale (n=1, m=6) exceeds the one-byte table limit")
+    assert err.count("\n") == 1
+
+
 def test_check_refuses_a_large_scale_before_listing_rankings(capsys):
     misses = enumerate_orders.cache_info().misses
     code, out, err = run_cli(["check", "--suite", "metric", "--candidates", "9"], capsys)
@@ -245,7 +253,7 @@ def test_jobs_below_one_is_a_usage_error(command, jobs, capsys):
     assert "--jobs" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("epsilon", ["1/0", "3/2", "0", "abc"])
+@pytest.mark.parametrize("epsilon", ["1/0", "3/2", "0", "abc", "1e-1000"])
 def test_epsilon_outside_the_open_unit_interval_is_a_usage_error(epsilon, capsys):
     for command in (["check", "--suite", "metric", "--samples", "2"], ["replay"]):
         with pytest.raises(SystemExit) as exc:

@@ -2,7 +2,7 @@
 
 Populations are seeded: Pareto rules from ``random_pareto_rule`` and
 distributions with small random integer weights, some of them zero, that no
-voter relabeling preserves.  The seat map behind every ballot rewrite is
+voter relabeling preserves.  The seat gather behind every ballot rewrite is
 checked against re-encoded digit tuples, and the pair signature columns
 behind every rule builder and predicate against the per-profile walkers.
 """
@@ -38,7 +38,7 @@ from arrowlab.orders import (
     enumerate_orders,
     pair_signatures,
     profile_digit_tuples,
-    seat_map_indices,
+    seat_gather,
 )
 from arrowlab.quotient import rule_distance
 from arrowlab.rules import (
@@ -76,20 +76,38 @@ def _distributions(n: int, m: int) -> list[Distribution]:
 
 
 def _seat_map_oracle(n, m, seats, digit_tuples):
-    return [encode_digits(tuple(t[s] for s in seats), m) for t in digit_tuples]
+    return tuple(encode_digits(tuple(t[s] for s in seats), m) for t in digit_tuples)
 
 
 @pytest.mark.parametrize("n,m", ((1, 3),) + SCALES)
 def test_seat_map_equals_digit_oracle_for_every_seat_tuple(n, m):
+    """Gathering the profile indices themselves yields the source index of
+    every profile; a byte table gathers to the same entries."""
     digit_tuples = profile_digit_tuples(n, m)
+    indices = tuple(range(len(digit_tuples)))
+    table = bytes(k % 251 for k in indices)
     for seats in itertools.product(range(n), repeat=n):
-        assert seat_map_indices(n, m, seats) == _seat_map_oracle(n, m, seats, digit_tuples)
+        expected = _seat_map_oracle(n, m, seats, digit_tuples)
+        assert seat_gather(indices, n, m, seats) == expected
+        assert seat_gather(table, n, m, seats) == bytes(map(table.__getitem__, expected))
 
 
 @pytest.mark.parametrize("seats", [(0, 0, 0, 0), (0, 1, 2, 0), (3, 1, 2, 3), (1, 0, 3, 2)])
 def test_seat_map_equals_digit_oracle_at_four_by_four(seats):
     digit_tuples = itertools.product(range(factorial(4)), repeat=4)
-    assert seat_map_indices(4, 4, seats) == _seat_map_oracle(4, 4, seats, digit_tuples)
+    indices = tuple(range(factorial(4) ** 4))
+    assert seat_gather(indices, 4, 4, seats) == _seat_map_oracle(4, 4, seats, digit_tuples)
+
+
+@pytest.mark.parametrize("n,m", ((2, 3), (3, 3), (2, 4)))
+def test_gather_onto_more_seats_leaves_the_unread_seats_free(n, m):
+    """Reading n-1 seats of an n-voter profile: the ignored-voter extension
+    and every seat the lift drops."""
+    digit_tuples = profile_digit_tuples(n, m)
+    indices = tuple(range(factorial(m) ** (n - 1)))
+    for dropped in range(n):
+        seats = tuple(s for s in range(n) if s != dropped)
+        assert seat_gather(indices, n, m, seats) == _seat_map_oracle(n, m, seats, digit_tuples)
 
 
 @pytest.mark.parametrize("n,m", SCALES)
@@ -117,7 +135,7 @@ def test_pareto_output_cache_holds_one_entry_per_unanimity_pattern():
 
 @pytest.mark.parametrize("n,m", ((1, 3),) + SCALES)
 def test_pair_signatures_equal_pair_rows(n, m):
-    assert pair_signatures(n, m) == ref.pair_rows(n, m)
+    assert tuple(map(tuple, pair_signatures(n, m))) == ref.pair_rows(n, m)
 
 
 def _majority_variants(n, m):

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 from math import factorial
 
@@ -148,6 +149,24 @@ def test_rational_formatting_round_trip():
         text = format_rational(q)
         assert "/" in text
         assert parse_rational(text) == q
+
+
+@pytest.mark.parametrize("text", ["1e-1000", "1E5", "2/1e3", "1e-1000000"])
+def test_parse_rational_refuses_exponent_notation(text):
+    with pytest.raises(ValueError, match="exponent notation"):
+        parse_rational(text)
+
+
+def test_exponent_weight_is_refused_in_milliseconds(tmp_path):
+    """``Fraction("1e10000000")`` expands ten million digits before any
+    range check; the loader refuses the notation itself."""
+    path = tmp_path / "dist.json"
+    weights = ["1e10000000"] + ["1/6"] * 5
+    path.write_text(json.dumps({"format_version": 1, "n": 1, "m": 3, "weights": weights}))
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="exponent notation"):
+        load_distribution(path)
+    assert time.perf_counter() - started < 1.0
 
 
 def test_distribution_file_round_trip(tmp_path):

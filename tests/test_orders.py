@@ -156,3 +156,16 @@ def test_scale_guard(monkeypatch):
     check_scale(4, 4)
     monkeypatch.setenv("ARROWLAB_SCALE_OVERRIDE", "1")
     check_scale(5, 3)
+
+
+@pytest.mark.parametrize("n,m", [(1, 6), (2, 9), (8, 2)])
+def test_scale_override_keeps_the_one_byte_limit(n, m, monkeypatch):
+    """6! = 720 rankings do not fit in a byte, nor does a doubled 8-voter
+    pair signature; the override lifts the desk bound only."""
+    monkeypatch.setenv("ARROWLAB_SCALE_OVERRIDE", "1")
+    message = f"^scale \\(n={n}, m={m}\\) exceeds the one-byte table limit \\(n <= 7, m <= 5\\)"
+    with pytest.raises(ValueError, match=message) as exc:
+        check_scale(n, m)
+    assert "\n" not in str(exc.value)
+    check_scale(7, 2)
+    check_scale(1, 5)

@@ -252,6 +252,7 @@ def test_load_fixture_accepts_well_formed_record(tmp_path):
         {**_FIXTURE, "dist": "1/2"},
         {**_FIXTURE, "dist": ["1/2", "1/3", 0.25]},
         {**_FIXTURE, "dist": ["1/2", "1/3", "1/0"]},
+        {**_FIXTURE, "dist": ["1/2", "1/3", "1e10000000"]},
         {key: v for key, v in _FIXTURE.items() if key != "classes"},
         {**_FIXTURE, "classes": {"0": 0}},
         {**_FIXTURE, "classes": [0, 0, "2"]},
@@ -266,6 +267,7 @@ def test_load_fixture_accepts_well_formed_record(tmp_path):
         "dist-not-list",
         "float-distance",
         "zero-denominator",
+        "exponent-distance",
         "missing-classes",
         "classes-not-list",
         "string-class",

@@ -1,6 +1,8 @@
 import hashlib
 import itertools
+import json
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -77,6 +79,28 @@ def test_voting_rule_validation():
         VotingRule(2, 3, (0,) * 35 + (6,))
     with pytest.raises(ValueError):
         VotingRule(5, 3, (0,) * 6**5)
+
+
+@pytest.mark.parametrize("entry", [-1, 24, 256, 10**9, "a"])
+def test_bad_table_entry_is_named_in_one_message(entry):
+    """Entries outside 0..m!-1 fail the same way whether ``bytes`` accepts
+    them (24 at m = 4) or not (negative, above a byte, not an integer)."""
+    table = [0] * 24**2
+    table[7] = entry
+    message = f"^{re.escape(f'table entry {entry!r} out of range for m=4')}$"
+    for given_table in (table, tuple(table)):
+        with pytest.raises(ValueError, match=message):
+            VotingRule(2, 4, given_table)
+
+
+def test_table_is_bytes_whatever_it_was_built_from():
+    rule = random_pareto_rule(2, 4, 1)
+    assert type(rule.table) is bytes
+    rebuilt = VotingRule(2, 4, list(rule.table))
+    assert type(rebuilt.table) is bytes
+    assert rebuilt == rule and hash(rebuilt) == hash(rule)
+    with pytest.raises(TypeError):
+        VotingRule(1, 3, 6)  # an int is no table, not six zero entries
 
 
 def test_pareto_rules_reproduce_unanimity():
@@ -241,6 +265,15 @@ def test_rule_file_round_trip(tmp_path):
     assert '"format_version": 1' in text
 
 
+def test_load_rule_rejects_boolean_entries(tmp_path):
+    """``bytes`` would read ``true`` as 1, so the loader checks entry types."""
+    path = tmp_path / "rule.json"
+    record = {"format_version": 1, "n": 1, "m": 3, "table": [0, 1, 2, 3, 4, True]}
+    path.write_text(json.dumps(record))
+    with pytest.raises(ValueError, match="not a list of integers"):
+        load_rule(path)
+
+
 def test_load_rule_rejects_unknown_version(tmp_path):
     path = tmp_path / "rule.json"
     path.write_text('{"format_version": 99, "n": 1, "m": 3, "table": [0, 1, 2, 3, 4, 5]}')
@@ -299,3 +332,11 @@ def test_scale_override_allows_larger_tables(monkeypatch):
     monkeypatch.setenv("ARROWLAB_SCALE_OVERRIDE", "1")
     rule = dictator(5, 2, 4)
     assert rule.n == 5
+
+
+def test_digest_at_five_candidates_writes_three_digit_entries(monkeypatch):
+    """5! = 120 rankings: entries above 99 take a third digit place."""
+    monkeypatch.setenv("ARROWLAB_SCALE_OVERRIDE", "1")
+    rule = dictator(2, 5, 1)
+    assert max(rule.table) == 119
+    assert table_digest(rule) == _independent_digest(rule)
