@@ -15,8 +15,10 @@ import json
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from pathlib import Path
+from typing import Callable
 
 from .arrowcheck import replay_contradiction, verify_arrow
 from .dynamics import (
@@ -41,6 +43,7 @@ from .measures import (
 from .orders import LinearOrder, all_voter_permutations, check_scale, enumerate_orders
 from .quotient import check_metric_axioms, rule_distance, space_from_rules
 from .rules import (
+    VotingRule,
     compose_voter_permutation,
     cylinder_extend,
     load_rule,
@@ -172,9 +175,13 @@ def _sample_count(args: argparse.Namespace, suite: str) -> int:
     return args.samples if args.samples is not None else DEFAULT_SAMPLES[suite]
 
 
-def _suite_metric(args: argparse.Namespace, mu: Distribution) -> dict:
+# ``random_pareto_rule`` behind a per-run cache: each seeded rule is drawn once.
+_Draw = Callable[[int, int, int], VotingRule]
+
+
+def _suite_metric(args: argparse.Namespace, mu: Distribution, draw: _Draw) -> dict:
     count = _sample_count(args, "metric")
-    rules = [random_pareto_rule(args.voters, args.candidates, args.seed + i) for i in range(count)]
+    rules = [draw(args.voters, args.candidates, args.seed + i) for i in range(count)]
     report = check_metric_axioms(space_from_rules(mu, rules))
     return {
         "passed": report.ok,
@@ -184,9 +191,9 @@ def _suite_metric(args: argparse.Namespace, mu: Distribution) -> dict:
     }
 
 
-def _suite_isometry(args: argparse.Namespace, mu: Distribution) -> dict:
+def _suite_isometry(args: argparse.Namespace, mu: Distribution, draw: _Draw) -> dict:
     count = _sample_count(args, "isometry")
-    rules = [random_pareto_rule(args.voters, args.candidates, args.seed + i) for i in range(count)]
+    rules = [draw(args.voters, args.candidates, args.seed + i) for i in range(count)]
     perms = all_voter_permutations(args.voters)
     checked = 0
     for f, g in zip(rules[0::2], rules[1::2]):
@@ -201,9 +208,9 @@ def _suite_isometry(args: argparse.Namespace, mu: Distribution) -> dict:
     return {"passed": True, "pairs_checked": checked}
 
 
-def _suite_relabel(args: argparse.Namespace, mu: Distribution) -> dict:
+def _suite_relabel(args: argparse.Namespace, mu: Distribution, draw: _Draw) -> dict:
     count = _sample_count(args, "relabel")
-    rules = [random_pareto_rule(args.voters, args.candidates, args.seed + i) for i in range(count)]
+    rules = [draw(args.voters, args.candidates, args.seed + i) for i in range(count)]
     perms = all_voter_permutations(args.voters)
     checked = 0
     for g in rules:
@@ -216,12 +223,12 @@ def _suite_relabel(args: argparse.Namespace, mu: Distribution) -> dict:
     return {"passed": True, "relabelings_checked": checked}
 
 
-def _suite_welldef(args: argparse.Namespace, mu: Distribution) -> dict:
+def _suite_welldef(args: argparse.Namespace, mu: Distribution, draw: _Draw) -> dict:
     count = _sample_count(args, "welldef")
     orbits_checked = 0
     for i in range(count):
         seed = args.seed + i
-        rule = random_pareto_rule(args.voters, args.candidates, seed)
+        rule = draw(args.voters, args.candidates, seed)
         cls = orbit_class(mu, rule)
         try:
             force_transfer_class(mu, cls, verify_representatives=True)
@@ -235,7 +242,7 @@ def _suite_welldef(args: argparse.Namespace, mu: Distribution) -> dict:
     return {"passed": True, "orbits_checked": orbits_checked}
 
 
-def _suite_cylinder(args: argparse.Namespace, _mu: Distribution) -> dict:
+def _suite_cylinder(args: argparse.Namespace, _mu: Distribution, draw: _Draw) -> dict:
     if args.voters < 2:
         raise ValueError("the cylinder suite needs at least two voters")
     count = _sample_count(args, "cylinder")
@@ -256,7 +263,7 @@ def _suite_cylinder(args: argparse.Namespace, _mu: Distribution) -> dict:
         }
         ok = part["full_support"] and part["permutation_invariant"]
         for i in range(count):
-            g = random_pareto_rule(k, m, args.seed + i)
+            g = draw(k, m, args.seed + i)
             f = cylinder_extend(g)
             fp = force_profile(lifted, f)
             kept = all(fp.forces[j] >= force(nu, g, j) / n for j in range(k))
@@ -275,11 +282,11 @@ def _suite_cylinder(args: argparse.Namespace, _mu: Distribution) -> dict:
     return details
 
 
-def _suite_collapse(args: argparse.Namespace, _mu: Distribution) -> dict:
+def _suite_collapse(args: argparse.Namespace, _mu: Distribution, draw: _Draw) -> dict:
     n, m = args.voters, args.candidates
     count = _sample_count(args, "collapse")
     mu = uniform_distribution(n, m)
-    rules = [random_pareto_rule(n, m, args.seed + i) for i in range(count)]
+    rules = [draw(n, m, args.seed + i) for i in range(count)]
     tally = check_collapse_conjecture(mu, rules, jobs=args.jobs)
 
     # Witness part: cylinder rules need a non-dictatorial base, so it runs at
@@ -287,9 +294,7 @@ def _suite_collapse(args: argparse.Namespace, _mu: Distribution) -> dict:
     nw = max(n, 3)
     lifted = _resolve_distribution("lift-star", nw, m, args.epsilon, args.y_index)
     witness_rules = [cylinder_extend(pairwise_majority_rule(nw - 1, m))]
-    witness_rules += [
-        cylinder_extend(random_pareto_rule(nw - 1, m, args.seed + i)) for i in range(3)
-    ]
+    witness_rules += [cylinder_extend(draw(nw - 1, m, args.seed + i)) for i in range(3)]
     witness_report = check_collapse_conjecture(lifted, witness_rules, jobs=args.jobs)
     witnesses = [
         {
@@ -329,8 +334,6 @@ _SUITE_RUNNERS = {
 
 def _cmd_check(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    if args.samples is not None and args.samples < 1:
-        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     # Before the m! rankings are listed: m = 12 alone would list 479001600.
     check_scale(args.voters, args.candidates)
@@ -338,8 +341,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
         args.dist, args.voters, args.candidates, args.epsilon, args.y_index
     )
     results = {}
+    draw = lru_cache(maxsize=None)(random_pareto_rule)
     for name in names:
-        outcome = _SUITE_RUNNERS[name](args, mu)
+        outcome = _SUITE_RUNNERS[name](args, mu, draw)
         outcome.setdefault("asserted", name in ASSERTED_SUITES)
         results[name] = outcome
     all_passed = all(r["passed"] for name, r in results.items() if name in ASSERTED_SUITES)
@@ -394,7 +398,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for ``--jobs``: an integer of at least 1."""
+    """argparse type for ``--jobs`` and ``--samples``: an integer of at least 1."""
     if not text.isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
@@ -476,7 +480,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run the seeded property suites")
     p_check.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
     p_check.add_argument(
-        "--samples", type=int, default=None, help="override the per-suite population size"
+        "--samples",
+        type=_positive_int,
+        default=None,
+        help="override the per-suite population size",
     )
     p_check.add_argument("--seed", type=int, default=0, help="base seed for rule populations")
     _add_common(p_check, voters=2, jobs="worker processes for the collapse suite")

@@ -9,13 +9,17 @@ Besides the uniform (impartial-culture) distribution, the module provides the
 near-unanimous "star" family, which loads one unanimous profile and spreads
 the rest evenly, and the permutation-averaged lift that turns a distribution
 for n-1 voters into an n-voter distribution that is invariant under every
-relabeling of the voters.
+relabeling of the voters.  The lift and the invariance test work on packed
+integer lanes (one fixed-width record per profile), never on tuples of ints.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import operator
+import struct
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -34,6 +38,42 @@ from .orders import (
 )
 
 DISTRIBUTION_FORMAT_VERSION = 1
+
+# Lanes: a table of unsigned entries packed into records of ``width`` bytes in
+# the machine's byte order, which ``struct`` and ``memoryview.cast`` share.  One
+# ``int.from_bytes`` turns a whole table into one integer, so one big-int add
+# sums two tables entry by entry as long as no lane carries into the next.
+# Lanes wider than 8 bytes are several 8-byte words.
+_ORDER = sys.byteorder
+_LANE_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _lane_width(bound: int) -> int:
+    """Bytes per lane for entries up to ``bound``: 1, 2, 4 or 8 where that
+    suffices, else the fewest 8-byte words that hold it."""
+    width = max(1, -(-bound.bit_length() // 8))
+    return next((w for w in (1, 2, 4) if w >= width), -(-width // 8) * 8)
+
+
+def _pack(entries: tuple[int, ...], width: int) -> bytes:
+    if width <= 8:
+        return struct.pack(f"{len(entries)}{_LANE_CODES[width]}", *entries)
+    return b"".join(map(int.to_bytes, entries, itertools.repeat(width), itertools.repeat(_ORDER)))
+
+
+def _unpack(total: int, width: int, size: int):
+    """The ``size`` lanes of ``total`` as a sequence of ints: a memoryview over
+    lanes of up to 8 bytes, a tuple summed word by word over wider ones."""
+    view = memoryview(total.to_bytes(size * width, _ORDER)).cast(_LANE_CODES[min(width, 8)])
+    words = width // 8
+    if words < 2:
+        return view
+    slots = range(words) if _ORDER == "little" else range(words - 1, -1, -1)
+    entries = view[slots[0] :: words]
+    for i in range(1, words):  # word i, counted from the least significant
+        high = map(operator.lshift, view[slots[i] :: words], itertools.repeat(64 * i))
+        entries = map(operator.add, entries, high)
+    return tuple(entries)
 
 
 def format_rational(q: Fraction) -> str:
@@ -91,28 +131,53 @@ class Distribution:
         dist._store(n, m, numerators, denominator)
         return dist
 
-    def _store(self, n: int, m: int, numerators: tuple[int, ...], denominator: int) -> None:
+    @classmethod
+    def _from_lanes(cls, n: int, m: int, total: int, width: int, denominator: int):
+        """The distribution whose numerators are the ``width``-byte lanes of
+        ``total`` over ``denominator``.  Lanes are unsigned ints by
+        construction, so they skip the type pass of ``from_numerators``; the
+        other checks run on the lane view.  Lanes of up to 8 bytes reduce to
+        lowest terms by one exact big-int division and a fresh cast; wider
+        lanes, already read into a tuple, divide entry by entry."""
+        size = factorial(m) ** n
+        divided = None
+        if width <= 8:
+            divided = lambda common: _unpack(total // common, width, size)  # noqa: E731
+        dist = cls.__new__(cls)
+        dist._store(n, m, _unpack(total, width, size), denominator, divided)
+        return dist
+
+    def _store(self, n: int, m: int, entries, denominator: int, divided=None) -> None:
+        """Check ``entries`` over ``denominator`` and keep them in lowest terms.
+
+        ``entries`` is a sequence of ints; ``divided(g)``, when given,
+        returns them divided by their common factor ``g``.
+        """
         check_scale(n, m)
         size = factorial(m) ** n
-        if len(numerators) != size:
-            raise ValueError(f"{len(numerators)} weights, expected {size}")
+        if len(entries) != size:
+            raise ValueError(f"{len(entries)} weights, expected {size}")
         if denominator < 1:
             raise ValueError(f"denominator must be positive, got {denominator}")
-        lowest = min(numerators)
+        distinct = set(entries)
+        lowest = min(distinct)
         if lowest < 0:
             raise ValueError("weights must be nonnegative")
-        total = sum(numerators)
+        total = sum(entries)
         if total != denominator:
             raise ValueError(
                 f"weights sum to {Fraction(total, denominator)}, expected exactly 1"
             )
-        common = gcd(denominator, *numerators)
+        common = gcd(denominator, *distinct)
         if common > 1:
-            numerators = tuple(k // common for k in numerators)
+            if divided:
+                entries = divided(common)
+            else:
+                entries = map(operator.floordiv, entries, itertools.repeat(common))
             denominator //= common
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "numerators", numerators)
+        object.__setattr__(self, "numerators", tuple(entries))
         object.__setattr__(self, "denominator", denominator)
         object.__setattr__(self, "full_support", lowest > 0)
 
@@ -129,10 +194,15 @@ class Distribution:
         suffices.  Computed on first use, then kept on the instance.
         """
         nums = self.numerators
+        width = _lane_width(max(nums))
+        if width > 8:  # wide weights: compare their ranks among the distinct weights
+            rank = {w: r for r, w in enumerate(set(nums))}
+            nums, width = tuple(map(rank.__getitem__, nums)), _lane_width(len(rank) - 1)
+        lanes = _pack(nums, width)
         for s in range(self.n - 1):
             swap = list(range(self.n))
             swap[s], swap[s + 1] = s + 1, s
-            if seat_gather(nums, self.n, self.m, tuple(swap)) != nums:
+            if seat_gather(lanes, self.n, self.m, tuple(swap), width) != lanes:
                 return False
         return True
 
@@ -189,23 +259,34 @@ def lift_distribution(dist: Distribution, i: int) -> Distribution:
     order of the other n-1 ballots, so the sum equals
     ``sum_j sym(x without seat j)`` with ``sym`` the sum of the input over
     the (n-1)! seat orders; the dropped seat ``i`` does not matter.  ``sym``
-    is built once on the small table, then gathered once per dropped seat.
+    is built once on the small table, then gathered once per dropped seat;
+    both sums add whole tables of packed lanes as integers.
     """
     n = dist.n + 1
     m = dist.m
     if not 0 <= i < n:
         raise ValueError(f"seat {i} out of range for n={n}")
     check_scale(n, m)
-    nums = dist.numerators
-    relabeled = [
-        seat_gather(nums, n - 1, m, seats) for seats in itertools.permutations(range(n - 1))
-    ]
-    sym = tuple(map(sum, zip(*relabeled)))
+    # A lifted entry sums n gathers of ``sym``, whose entries each sum (n-1)!
+    # input numerators, so it is at most n! * max(numerators): lanes that hold
+    # this bound never carry, and every sum below is one big-int add per table.
+    width = _lane_width(factorial(n) * max(dist.numerators))
+    small = _pack(dist.numerators, width)
+    sym = sum(
+        int.from_bytes(seat_gather(small, n - 1, m, seats, width), _ORDER)
+        for seats in itertools.permutations(range(n - 1))
+    )
+    sym_lanes = sym.to_bytes(len(small), _ORDER)
     # Dropping seat j: source seat s reads seat s before j and seat s + 1 after.
-    dropped = [seat_gather(sym, n, m, tuple(s + (s >= j) for s in range(n - 1))) for j in range(n)]
-    numerators = list(map(sum, zip(*dropped)))
+    total = sum(
+        int.from_bytes(
+            seat_gather(sym_lanes, n, m, tuple(s + (s >= j) for s in range(n - 1)), width),
+            _ORDER,
+        )
+        for j in range(n)
+    )
     denominator = dist.denominator * factorial(n) * factorial(m)
-    return Distribution.from_numerators(n, m, numerators, denominator)
+    return Distribution._from_lanes(n, m, total, width, denominator)
 
 
 def is_permutation_invariant(dist: Distribution) -> bool:

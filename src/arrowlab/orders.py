@@ -255,16 +255,18 @@ def signature_codes(n: int, m: int, share: Callable[[int, int], int]) -> list[in
     return codes
 
 
-def seat_gather(values, n: int, m: int, seats: tuple[int, ...]):
+def seat_gather(values, n: int, m: int, seats: tuple[int, ...], width: int = 1) -> bytes:
     """Rewrite ballots across a whole table: entry k of the result is the
     entry of ``values`` at the profile whose seat i holds the ballot that
     n-voter profile k has at seat ``seats[i]``.
 
-    ``values`` is a ``bytes`` table or a ``tuple`` of numerators over the
-    ``len(seats)``-voter profiles; the result has the same type.  ``seats``
-    need not be a bijection: a voter relabeling is one, copying one voter's
-    ballot onto other seats is another, and leaving an n-th seat unread
-    extends a table by an ignored voter.
+    ``values`` is a ``bytes`` table over the ``len(seats)``-voter profiles
+    whose entries are records of ``width`` bytes each: one byte for a rule
+    table, a packed integer lane for distribution weights.  The result is
+    ``bytes`` of the same record width.  ``seats`` need not be a bijection: a
+    voter relabeling is one, copying one voter's ballot onto other seats is
+    another, and leaving an n-th seat unread extends a table by an ignored
+    voter.
 
     Profile k's ballot at seat j moves the source index by ``coeff[j]`` per
     ballot index, ``coeff[j]`` summing (m!)^(len(seats)-1-i) over the seats i
@@ -275,10 +277,9 @@ def seat_gather(values, n: int, m: int, seats: tuple[int, ...]):
     """
     check_scale(n, m)
     mf = factorial(m)
-    width = len(seats)
     coeff = [0] * n
     for i, j in enumerate(seats):
-        coeff[j] += mf ** (width - 1 - i)
+        coeff[j] += mf ** (len(seats) - 1 - i)
     step, count, lead = coeff[-1], mf, n - 1
     if step == 1:  # trailing seats read in place make one contiguous run
         while lead and coeff[lead - 1] == count:
@@ -286,13 +287,14 @@ def seat_gather(values, n: int, m: int, seats: tuple[int, ...]):
     starts = [0]
     for c in coeff[:lead]:
         starts = [s + d * c for s in starts for d in range(mf)]
-    if step:
-        parts = (values[s : s + count * step : step] for s in starts)
-    else:
-        parts = (values[s : s + 1] * mf for s in starts)
-    if isinstance(values, bytes):
-        return b"".join(parts)
-    return tuple(itertools.chain.from_iterable(parts))  # one slice alive at a time
+    # One-byte records slice the bytes themselves: a view per slice, copied
+    # out by ``tobytes``, would take about twice as long on a rule table.
+    rows = values if width == 1 else memoryview(values).cast("B", (len(values) // width, width))
+    stop, stride = (count * step, step) if step else (1, 1)
+    parts = (rows[s : s + stop : stride] for s in starts)
+    if width > 1:
+        parts = map(memoryview.tobytes, parts)
+    return b"".join(parts if step else (part * mf for part in parts))
 
 
 def encode_digits(digits: tuple[int, ...], m: int) -> int:

@@ -11,7 +11,7 @@ import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 
@@ -79,24 +79,34 @@ def _seat_map_oracle(n, m, seats, digit_tuples):
     return tuple(encode_digits(tuple(t[s] for s in seats), m) for t in digit_tuples)
 
 
+def _gather_indices(n, m, seats, width):
+    """Gather the source profile indices themselves, packed as records of
+    ``width`` bytes, and read the gathered records back as ints."""
+    size = factorial(m) ** len(seats)
+    packed = b"".join(k.to_bytes(width, "little") for k in range(size))
+    out = seat_gather(packed, n, m, seats, width)
+    assert len(out) == factorial(m) ** n * width
+    return tuple(int.from_bytes(out[k : k + width], "little") for k in range(0, len(out), width))
+
+
 @pytest.mark.parametrize("n,m", ((1, 3),) + SCALES)
 def test_seat_map_equals_digit_oracle_for_every_seat_tuple(n, m):
-    """Gathering the profile indices themselves yields the source index of
-    every profile; a byte table gathers to the same entries."""
+    """Gathering the profile indices themselves, as 3- and 8-byte records,
+    yields the source index of every profile; a byte table gathers to the
+    same entries."""
     digit_tuples = profile_digit_tuples(n, m)
-    indices = tuple(range(len(digit_tuples)))
-    table = bytes(k % 251 for k in indices)
+    table = bytes(k % 251 for k in range(len(digit_tuples)))
     for seats in itertools.product(range(n), repeat=n):
         expected = _seat_map_oracle(n, m, seats, digit_tuples)
-        assert seat_gather(indices, n, m, seats) == expected
+        for width in (3, 8):
+            assert _gather_indices(n, m, seats, width) == expected
         assert seat_gather(table, n, m, seats) == bytes(map(table.__getitem__, expected))
 
 
 @pytest.mark.parametrize("seats", [(0, 0, 0, 0), (0, 1, 2, 0), (3, 1, 2, 3), (1, 0, 3, 2)])
 def test_seat_map_equals_digit_oracle_at_four_by_four(seats):
     digit_tuples = itertools.product(range(factorial(4)), repeat=4)
-    indices = tuple(range(factorial(4) ** 4))
-    assert seat_gather(indices, 4, 4, seats) == _seat_map_oracle(4, 4, seats, digit_tuples)
+    assert _gather_indices(4, 4, seats, 3) == _seat_map_oracle(4, 4, seats, digit_tuples)
 
 
 @pytest.mark.parametrize("n,m", ((2, 3), (3, 3), (2, 4)))
@@ -104,10 +114,11 @@ def test_gather_onto_more_seats_leaves_the_unread_seats_free(n, m):
     """Reading n-1 seats of an n-voter profile: the ignored-voter extension
     and every seat the lift drops."""
     digit_tuples = profile_digit_tuples(n, m)
-    indices = tuple(range(factorial(m) ** (n - 1)))
     for dropped in range(n):
         seats = tuple(s for s in range(n) if s != dropped)
-        assert seat_gather(indices, n, m, seats) == _seat_map_oracle(n, m, seats, digit_tuples)
+        expected = _seat_map_oracle(n, m, seats, digit_tuples)
+        for width in (3, 8):
+            assert _gather_indices(n, m, seats, width) == expected
 
 
 @pytest.mark.parametrize("n,m", SCALES)
@@ -241,6 +252,66 @@ def test_lift_from_every_seat_equals_reference(n, m):
     for i in range(n):
         lifted = lift_distribution(nu, i)
         assert lifted.weights == ref.lift_weights(nu, i)
+
+
+def _base(n: int, m: int, seed: int, zero=lambda digits: False) -> Distribution:
+    """Seeded weights in 1..6, zero on the profiles whose digit tuple ``zero`` picks."""
+    rng = random.Random(seed)
+    raw = [0 if zero(t) else 1 + rng.randrange(6) for t in profile_digit_tuples(n, m)]
+    return Distribution.from_numerators(n, m, raw, sum(raw))
+
+
+def _lift_equals_reference(nu: Distribution) -> Distribution:
+    """Lift ``nu`` from every seat; each lift equals the ``Fraction`` loop, in
+    lowest terms, with the support flag of its weights."""
+    for i in range(nu.n + 1):
+        lifted = lift_distribution(nu, i)
+        expected = ref.lift_weights(nu, i)
+        assert lifted.weights == expected
+        assert gcd(lifted.denominator, *lifted.numerators) == 1
+        assert lifted.full_support is all(expected)
+    return lifted
+
+
+LIFT_SCALES = ((3, 3), (4, 3))  # lifts from (2, 3) and from (3, 3)
+
+
+@pytest.mark.parametrize("n,m", LIFT_SCALES)
+def test_lift_in_wide_lanes_equals_reference(n, m):
+    """One base entry of at least 2**64 makes the lanes wider than 8 bytes."""
+    raw = list(_base(n - 1, m, 13 * n + m).numerators)
+    raw[7] += 2**70
+    nu = Distribution.from_numerators(n - 1, m, raw, sum(raw))
+    assert max(nu.numerators) >= 2**64
+    lifted = _lift_equals_reference(nu)
+    assert max(lifted.numerators) >= 2**64
+    assert is_permutation_invariant(lifted) and ref.is_permutation_invariant(lifted)
+    assert not is_permutation_invariant(nu) and not ref.is_permutation_invariant(nu)
+
+
+@pytest.mark.parametrize("n,m", LIFT_SCALES)
+def test_lift_of_dense_bases_with_zeros_equals_reference(n, m):
+    """Seeded bases with zeros, lifted with and without full support.  Zeros
+    where the last seat holds ballot 0 and the first does not leave every
+    profile a positive sub-profile; zeros wherever ballot 0 is cast leave the
+    profiles holding ballot 0 twice with none."""
+    full = _base(n - 1, m, 17 * n + m, lambda t: t[-1] == 0 and t[0] != 0)
+    sparse = _base(n - 1, m, 19 * n + m, lambda t: 0 in t)
+    assert not full.full_support and not sparse.full_support
+    assert _lift_equals_reference(full).full_support
+    assert not _lift_equals_reference(sparse).full_support
+
+
+@pytest.mark.parametrize("n,m", LIFT_SCALES)
+def test_lift_reduces_to_lowest_terms(n, m):
+    """The lifts of the uniform and star bases share a factor with n! * m!."""
+    unreduced = factorial(n) * factorial(m)
+    uniform = uniform_distribution(n - 1, m)
+    lifted = _lift_equals_reference(uniform)
+    assert lifted.numerators == (1,) * factorial(m) ** n
+    assert lifted.denominator == factorial(m) ** n < uniform.denominator * unreduced
+    star = star_distribution(n - 1, m, Fraction(2, 7), enumerate_orders(m)[1])
+    assert _lift_equals_reference(star).denominator < star.denominator * unreduced
 
 
 @pytest.mark.parametrize("n,m", SCALES)
