@@ -65,7 +65,6 @@ from .dynamics import (
     IterationTrace,
     OrbitClass,
     check_collapse_conjecture,
-    equivalent,
     force,
     force_profile,
     force_transfer,

@@ -11,10 +11,8 @@ status inspectable with exact arithmetic.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from pathlib import Path
 from typing import Literal, Sequence
 
@@ -27,7 +25,6 @@ from .measures import (
 from .orders import all_voter_permutations, profile_digit_columns, seat_gather
 from .rules import (
     VotingRule,
-    agreement,
     compose_collapse,
     compose_voter_permutation,
     is_dictatorship,
@@ -108,25 +105,19 @@ def _check_dims(mu: Distribution, rule: VotingRule) -> None:
         )
 
 
-def _force_numerator(mu: Distribution, rule: VotingRule, column: bytes) -> int:
-    """A voter's force times ``mu.denominator``, given the voter's ballot
-    column: the sum of the numerators of the profiles the voter wins."""
-    return sum(compress(mu.numerators, agreement(rule.table, column)))
-
-
 def force(mu: Distribution, rule: VotingRule, i: int) -> Fraction:
     """Probability under ``mu`` that the outcome equals voter i's ballot."""
     _check_dims(mu, rule)
     if not 0 <= i < rule.n:
         raise ValueError(f"voter {i} out of range for n={rule.n}")
     column = profile_digit_columns(rule.n, rule.m)[i]
-    return Fraction(_force_numerator(mu, rule, column), mu.denominator)
+    return Fraction(mu.agreement_mass(rule.table, column), mu.denominator)
 
 
 def force_profile(mu: Distribution, rule: VotingRule) -> ForceProfile:
     """Forces of all voters in one sweep, with exact argmax/argmin sets."""
     _check_dims(mu, rule)
-    totals = [_force_numerator(mu, rule, c) for c in profile_digit_columns(rule.n, rule.m)]
+    totals = [mu.agreement_mass(rule.table, c) for c in profile_digit_columns(rule.n, rule.m)]
     top = max(totals)
     bottom = min(totals)
     most = tuple(i for i, v in enumerate(totals) if v == top)
@@ -153,34 +144,6 @@ def force_transfer(mu: Distribution, rule: VotingRule) -> VotingRule:
     if not has_full_support(mu):
         raise ValueError("the transfer map requires a full-support distribution")
     return VotingRule(rule.n, rule.m, _transfer_table(rule, force_profile(mu, rule)))
-
-
-def equivalent(mu: Distribution, f: VotingRule, g: VotingRule) -> bool:
-    """Rules are equivalent when equal, or when one is a voter relabeling of
-    the other and has a unique most-forceful voter.
-
-    The relabeling case is only sound when ``mu`` is permutation-invariant;
-    exercising it under a non-invariant distribution raises a warning.
-    """
-    if not has_full_support(mu):
-        raise ValueError("equivalence is defined relative to a full-support distribution")
-    if f == g:
-        return True
-    if f.n != g.n or f.m != g.m:
-        return False
-    for perm in all_voter_permutations(f.n):
-        if f == compose_voter_permutation(g, perm):
-            if len(force_profile(mu, f).most_forceful) == 1:
-                if not is_permutation_invariant(mu):
-                    warnings.warn(
-                        "relabeling equivalence used under a distribution that is "
-                        "not permutation-invariant; the force structure need not transfer",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                return True
-            return False
-    return False
 
 
 def orbit_class(mu: Distribution, rule: VotingRule) -> OrbitClass:

@@ -1,6 +1,6 @@
 """Exact-rational probability distributions over profile space.
 
-A distribution stores one non-negative Python ``int`` numerator per profile
+A distribution holds one non-negative Python ``int`` numerator per profile
 over a single common ``int`` denominator, in lowest terms, so every kernel
 sums integers and divides once; Python ints cannot overflow and no float
 enters any computation.  ``fractions.Fraction`` appears only at the boundary:
@@ -9,8 +9,15 @@ Besides the uniform (impartial-culture) distribution, the module provides the
 near-unanimous "star" family, which loads one unanimous profile and spreads
 the rest evenly, and the permutation-averaged lift that turns a distribution
 for n-1 voters into an n-voter distribution that is invariant under every
-relabeling of the voters.  The lift and the invariance test work on packed
-integer lanes (one fixed-width record per profile), never on tuples of ints.
+relabeling of the voters.
+
+Weights with few distinct numerators, every distribution the CLI builds
+among them, are stored as levels: the distinct numerators, and one byte per
+profile naming its level.  Uniform and star write their levels in closed
+form, and the lift reads them off its packed integer lanes (one fixed-width
+record per profile); none of them builds a tuple of ints per profile.  Force
+and rule distance then take one popcount per level, and the invariance test
+gathers the one-byte level index.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import struct
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import factorial, gcd, lcm
 from pathlib import Path
 
@@ -38,6 +45,13 @@ from .orders import (
 )
 
 DISTRIBUTION_FORMAT_VERSION = 1
+
+# A distribution with at most this many distinct numerators keeps them as
+# levels.  Force and distance then cost one popcount per level, about 0.3 ms
+# at (4,4), against about 7 ms for one Python-level sum over every profile;
+# but each level's mask holds a byte per profile, so at ten levels the masks
+# take about as much memory as the tuple of numerators they replace.
+MAX_LEVELS = 10
 
 # Lanes: a table of unsigned entries packed into records of ``width`` bytes in
 # the machine's byte order, which ``struct`` and ``memoryview.cast`` share.  One
@@ -61,19 +75,10 @@ def _pack(entries: tuple[int, ...], width: int) -> bytes:
     return b"".join(map(int.to_bytes, entries, itertools.repeat(width), itertools.repeat(_ORDER)))
 
 
-def _unpack(total: int, width: int, size: int):
-    """The ``size`` lanes of ``total`` as a sequence of ints: a memoryview over
-    lanes of up to 8 bytes, a tuple summed word by word over wider ones."""
-    view = memoryview(total.to_bytes(size * width, _ORDER)).cast(_LANE_CODES[min(width, 8)])
-    words = width // 8
-    if words < 2:
-        return view
-    slots = range(words) if _ORDER == "little" else range(words - 1, -1, -1)
-    entries = view[slots[0] :: words]
-    for i in range(1, words):  # word i, counted from the least significant
-        high = map(operator.lshift, view[slots[i] :: words], itertools.repeat(64 * i))
-        entries = map(operator.add, entries, high)
-    return tuple(entries)
+@lru_cache(maxsize=None)
+def _byte_fill(byte: int, size: int) -> int:
+    """The little-endian int of ``size`` bytes that each hold ``byte``."""
+    return int.from_bytes(bytes((byte,)) * size, "little")
 
 
 def format_rational(q: Fraction) -> str:
@@ -99,7 +104,7 @@ def _as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class Distribution:
     """Exact weights over all (m!)^n profiles: profile k has weight
     ``numerators[k] / denominator``.
@@ -107,19 +112,28 @@ class Distribution:
     ``Distribution(n, m, weights)`` takes exact rationals (``Fraction``,
     ``int`` or ``'p/q'`` strings, never floats); ``from_numerators`` takes the
     integer form.  Both reduce to lowest terms, so equality is value equality.
+
+    Weights with at most ``MAX_LEVELS`` distinct numerators are kept as
+    levels: ``levels`` lists the distinct numerators in ascending order, and
+    byte k of ``level_index`` is the position of profile k's numerator in it.
+    Then ``numerators`` is built from the levels on first access.  Other
+    weights keep ``numerators`` itself, and ``levels`` and ``level_index``
+    are ``None``.  Every constructor picks the form by the count of distinct
+    numerators, so equal weights have equal forms.
     """
 
     n: int
     m: int
-    numerators: tuple[int, ...]
     denominator: int
-    full_support: bool = field(compare=False, repr=False)
+    levels: tuple[int, ...] | None = field(repr=False)
+    level_index: bytes | None = field(repr=False)
+    full_support: bool = field(repr=False)
 
     def __init__(self, n: int, m: int, weights):
         fractions = [_as_fraction(w) for w in weights]
         denominator = lcm(*(w.denominator for w in fractions))
         numerators = tuple(w.numerator * (denominator // w.denominator) for w in fractions)
-        self._store(n, m, numerators, denominator)
+        self._store_columns(n, m, (numerators,), denominator)
 
     @classmethod
     def from_numerators(cls, n: int, m: int, numerators, denominator: int) -> "Distribution":
@@ -128,58 +142,117 @@ class Distribution:
         if not {type(denominator), *map(type, numerators)} <= {int}:
             raise TypeError("numerators and denominator must be ints")
         dist = cls.__new__(cls)
-        dist._store(n, m, numerators, denominator)
+        dist._store_columns(n, m, (numerators,), denominator)
         return dist
 
     @classmethod
-    def _from_lanes(cls, n: int, m: int, total: int, width: int, denominator: int):
-        """The distribution whose numerators are the ``width``-byte lanes of
-        ``total`` over ``denominator``.  Lanes are unsigned ints by
-        construction, so they skip the type pass of ``from_numerators``; the
-        other checks run on the lane view.  Lanes of up to 8 bytes reduce to
-        lowest terms by one exact big-int division and a fresh cast; wider
-        lanes, already read into a tuple, divide entry by entry."""
-        size = factorial(m) ** n
-        divided = None
-        if width <= 8:
-            divided = lambda common: _unpack(total // common, width, size)  # noqa: E731
+    def _from_levels(cls, n: int, m: int, denominator: int, levels, index: bytes):
+        """The distribution whose profile k has numerator
+        ``levels[index[k]]``, the ``levels`` ascending."""
         dist = cls.__new__(cls)
-        dist._store(n, m, _unpack(total, width, size), denominator, divided)
+        dist._store(n, m, denominator, levels, index=index)
         return dist
 
-    def _store(self, n: int, m: int, entries, denominator: int, divided=None) -> None:
-        """Check ``entries`` over ``denominator`` and keep them in lowest terms.
+    @classmethod
+    def _from_lanes(cls, n: int, m: int, total: int, width: int, denominator: int, decode=None):
+        """The distribution whose numerators are the ``width``-byte lanes of
+        ``total`` over ``denominator``, or ``decode`` of each lane when given.
+        Lanes are unsigned ints by construction, so they skip the type pass
+        of ``from_numerators``.  Lanes wider than 8 bytes are read as columns
+        of 8-byte words, so few distinct lanes become levels without a big
+        int per profile."""
+        size = factorial(m) ** n
+        view = total.to_bytes(size * width, _ORDER)
+        if width > 1:
+            view = memoryview(view).cast(_LANE_CODES[min(width, 8)])
+        words = width // 8
+        slots = range(words) if _ORDER == "little" else range(words - 1, -1, -1)
+        columns = (view,) if words < 2 else tuple(view[s::words] for s in slots)
+        dist = cls.__new__(cls)
+        dist._store_columns(n, m, columns, denominator, decode)
+        return dist
 
-        ``entries`` is a sequence of ints; ``divided(g)``, when given,
-        returns them divided by their common factor ``g``.
-        """
+    def _store_columns(self, n: int, m: int, columns, denominator: int, decode=None) -> None:
+        """Store the entries held in ``columns``: one sequence of ints per
+        64-bit word, the least significant first, or the entries themselves
+        as the one column.  Each entry is a numerator, or ``decode`` of one
+        when given.  Few distinct numerators become levels."""
+        entries, value = (lambda: columns[0]), decode
+        if len(columns) > 1:
+            entries = lambda: zip(*columns)  # noqa: E731
+            join = lambda words: sum(w << 64 * i for i, w in enumerate(words))  # noqa: E731
+            value = join if decode is None else lambda words: decode(join(words))
+        keys = set(entries())
+        numerator_of = {k: value(k) for k in keys} if value else dict(zip(keys, keys))
+        levels = sorted(set(numerator_of.values()))
+        if len(levels) <= MAX_LEVELS:
+            position = dict(zip(levels, range(len(levels))))
+            rank = {k: position[v] for k, v in numerator_of.items()}
+            if isinstance(columns[0], bytes):  # one-byte lanes translate in C
+                index = columns[0].translate(bytes(map(rank.get, range(256), bytes(256))))
+            else:
+                index = bytes(map(rank.__getitem__, entries()))
+            self._store(n, m, denominator, tuple(levels), index=index)
+        else:
+            numerators = tuple(map(value, entries())) if value else tuple(entries())
+            self._store(n, m, denominator, tuple(levels), numerators=numerators)
+
+    def _store(self, n, m, denominator, levels, index=None, numerators=None) -> None:
+        """Check the weights over ``denominator``, given their ascending
+        distinct numerators ``levels``, and keep them in lowest terms: as
+        ``levels`` and the level ``index`` of every profile, or as the
+        ``numerators`` tuple."""
         check_scale(n, m)
         size = factorial(m) ** n
-        if len(entries) != size:
-            raise ValueError(f"{len(entries)} weights, expected {size}")
+        held = len(index if numerators is None else numerators)
+        if held != size:
+            raise ValueError(f"{held} weights, expected {size}")
         if denominator < 1:
             raise ValueError(f"denominator must be positive, got {denominator}")
-        distinct = set(entries)
-        lowest = min(distinct)
-        if lowest < 0:
+        if levels[0] < 0:
             raise ValueError("weights must be nonnegative")
-        total = sum(entries)
+        if numerators is None:
+            total = sum(v * index.count(r) for r, v in enumerate(levels))
+        else:
+            total = sum(numerators)
         if total != denominator:
             raise ValueError(
                 f"weights sum to {Fraction(total, denominator)}, expected exactly 1"
             )
-        common = gcd(denominator, *distinct)
+        common = gcd(denominator, *levels)
         if common > 1:
-            if divided:
-                entries = divided(common)
-            else:
-                entries = map(operator.floordiv, entries, itertools.repeat(common))
+            levels = tuple(v // common for v in levels)
             denominator //= common
+            if numerators is not None:
+                numerators = tuple(map(operator.floordiv, numerators, itertools.repeat(common)))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "numerators", tuple(entries))
         object.__setattr__(self, "denominator", denominator)
-        object.__setattr__(self, "full_support", lowest > 0)
+        object.__setattr__(self, "full_support", levels[0] > 0)
+        if numerators is None:
+            object.__setattr__(self, "levels", levels)
+            object.__setattr__(self, "level_index", index)
+        else:
+            object.__setattr__(self, "levels", None)
+            object.__setattr__(self, "level_index", None)
+            object.__setattr__(self, "numerators", numerators)
+
+    def _key(self) -> tuple:
+        return (self.n, self.m, self.denominator, self.levels, self.level_index or self.numerators)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Distribution):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    @cached_property
+    def numerators(self) -> tuple[int, ...]:
+        """Profile k's numerator over ``denominator``, for every profile; in
+        the level form built on first access, then kept on the instance."""
+        return tuple(map(self.levels.__getitem__, self.level_index))
 
     @property
     def weights(self) -> tuple[Fraction, ...]:
@@ -187,18 +260,46 @@ class Distribution:
         return tuple(Fraction(k, self.denominator) for k in self.numerators)
 
     @cached_property
+    def _level_masks(self) -> tuple[int, ...]:
+        """Per level, the little-endian int with 0x80 in byte k for every
+        profile k at that level, else 0."""
+        flag = [bytes(0x80 * (b == r) for b in range(256)) for r in range(len(self.levels))]
+        return tuple(int.from_bytes(self.level_index.translate(t), "little") for t in flag)
+
+    def agreement_mass(self, f: bytes, g: bytes) -> int:
+        """``denominator`` times the weight of the profiles where the one-byte
+        tables ``f`` and ``g`` hold the same entry: a voter's force when ``g``
+        is the voter's ballot column, one minus the distance when both are
+        rule tables.
+
+        Entries are below 128 (``orders.BYTE_MAX_CANDIDATES`` is 5 and
+        5! = 120), so adding 0x7f to each byte of the tables' XOR as ints
+        carries into no other byte and sets bit 7 exactly where they differ.
+        A level's mask keeps those bits at its profiles, so each level costs
+        one popcount; many-level weights sum their numerators instead."""
+        size = len(f)
+        diff = int.from_bytes(f, "little") ^ int.from_bytes(g, "little")
+        flags = diff + _byte_fill(0x7F, size)
+        if self.levels is None:
+            differ = (flags & _byte_fill(0x80, size)).to_bytes(size, "little")
+            return self.denominator - sum(itertools.compress(self.numerators, differ))
+        masks = self._level_masks
+        return self.denominator - sum(v * (flags & k).bit_count() for v, k in zip(self.levels, masks))
+
+    @cached_property
     def permutation_invariant(self) -> bool:
         """True iff every voter relabeling leaves all weights unchanged.
 
         Adjacent seat swaps generate every relabeling, so checking those n-1
-        suffices.  Computed on first use, then kept on the instance.
+        suffices: on the one-byte level index, or on the ranks of many-level
+        weights among their distinct values.  Computed on first use, then
+        kept on the instance.
         """
-        nums = self.numerators
-        width = _lane_width(max(nums))
-        if width > 8:  # wide weights: compare their ranks among the distinct weights
-            rank = {w: r for r, w in enumerate(set(nums))}
-            nums, width = tuple(map(rank.__getitem__, nums)), _lane_width(len(rank) - 1)
-        lanes = _pack(nums, width)
+        lanes, width = self.level_index, 1
+        if self.levels is None:
+            rank = {w: r for r, w in enumerate(set(self.numerators))}
+            width = _lane_width(len(rank) - 1)
+            lanes = _pack(tuple(map(rank.__getitem__, self.numerators)), width)
         for s in range(self.n - 1):
             swap = list(range(self.n))
             swap[s], swap[s + 1] = s + 1, s
@@ -219,7 +320,7 @@ def uniform_distribution(n: int, m: int) -> Distribution:
     """Every profile equally likely (the impartial-culture distribution)."""
     check_scale(n, m)
     size = factorial(m) ** n
-    return Distribution.from_numerators(n, m, (1,) * size, size)
+    return Distribution._from_levels(n, m, size, (1,), bytes(size))
 
 
 def star_distribution(k: int, m: int, epsilon: Fraction, y: LinearOrder) -> Distribution:
@@ -240,10 +341,12 @@ def star_distribution(k: int, m: int, epsilon: Fraction, y: LinearOrder) -> Dist
     check_scale(k, m)
     size = factorial(m) ** k
     # Over the denominator q * (size - 1): the spread is p, the top (q - p) * (size - 1).
+    # The top is the higher level, since epsilon < 1 - 2/m! <= (size - 1)/size.
     p, q = epsilon.numerator, epsilon.denominator
-    numerators = [p] * size
-    numerators[encode_digits((order_index(y),) * k, m)] = (q - p) * (size - 1)
-    return Distribution.from_numerators(k, m, numerators, q * (size - 1))
+    index = bytearray(size)
+    index[encode_digits((order_index(y),) * k, m)] = 1
+    levels = (p, (q - p) * (size - 1))
+    return Distribution._from_levels(k, m, q * (size - 1), levels, bytes(index))
 
 
 def lift_distribution(dist: Distribution, i: int) -> Distribution:
@@ -267,11 +370,24 @@ def lift_distribution(dist: Distribution, i: int) -> Distribution:
     if not 0 <= i < n:
         raise ValueError(f"seat {i} out of range for n={n}")
     check_scale(n, m)
-    # A lifted entry sums n gathers of ``sym``, whose entries each sum (n-1)!
-    # input numerators, so it is at most n! * max(numerators): lanes that hold
-    # this bound never carry, and every sum below is one big-int add per table.
-    width = _lane_width(factorial(n) * max(dist.numerators))
-    small = _pack(dist.numerators, width)
+    # A lifted entry sums n! input entries (n gathers of ``sym``, whose
+    # entries each sum (n-1)! of them).  Few levels lift as codes: level 0
+    # enters as 0 and level r > 0 as (n! + 1)**(r - 1), so a lifted code,
+    # read in base n! + 1, counts the input entries at each level above 0,
+    # and the other entries of the n! are at level 0.
+    if dist.levels is None:
+        entries, decode = dist.numerators, None
+    else:
+        radix, (low, *high) = factorial(n) + 1, dist.levels
+        codes = (0,) + tuple(radix**r for r in range(len(high)))
+        entries = tuple(map(codes.__getitem__, dist.level_index))
+        decode = lambda code: factorial(n) * low + sum(  # noqa: E731
+            code // c % radix * (v - low) for c, v in zip(codes[1:], high)
+        )
+    # Lanes that hold n! * max(entries) never carry, and every sum below is
+    # one big-int add per table.
+    width = _lane_width(factorial(n) * max(entries))
+    small = _pack(entries, width)
     sym = sum(
         int.from_bytes(seat_gather(small, n - 1, m, seats, width), _ORDER)
         for seats in itertools.permutations(range(n - 1))
@@ -286,7 +402,7 @@ def lift_distribution(dist: Distribution, i: int) -> Distribution:
         for j in range(n)
     )
     denominator = dist.denominator * factorial(n) * factorial(m)
-    return Distribution._from_lanes(n, m, total, width, denominator)
+    return Distribution._from_lanes(n, m, total, width, denominator, decode)
 
 
 def is_permutation_invariant(dist: Distribution) -> bool:

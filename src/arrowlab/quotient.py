@@ -13,13 +13,12 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from pathlib import Path
 from typing import Callable, Sequence
 
 from .measures import Distribution, format_rational, parse_rational
 from .orders import read_record
-from .rules import VotingRule, agreement
+from .rules import VotingRule
 
 FIXTURE_FORMAT_VERSION = 1
 
@@ -98,8 +97,7 @@ def rule_distance(mu: Distribution, f: VotingRule, g: VotingRule) -> Fraction:
     """Probability under ``mu`` that two rules elect different rankings."""
     if not (mu.n == f.n == g.n and mu.m == f.m == g.m):
         raise ValueError("distribution and rules disagree on (n, m)")
-    same = sum(compress(mu.numerators, agreement(f.table, g.table)))
-    return Fraction(mu.denominator - same, mu.denominator)
+    return Fraction(mu.denominator - mu.agreement_mass(f.table, g.table), mu.denominator)
 
 
 def space_from_rules(mu: Distribution, rules: Sequence[VotingRule]) -> FiniteMetricSpace:

@@ -38,9 +38,6 @@ from .orders import (
 
 RULE_FORMAT_VERSION = 1
 
-# Byte b of _SAME is 1 when b is 0: it turns an XOR of two tables into their agreement mask.
-_SAME = b"\1" + bytes(255)
-
 
 @dataclass(frozen=True)
 class VotingRule:
@@ -88,13 +85,6 @@ class VotingRule:
         del payload[-1]
         head = f"{self.n}:{self.m}:".encode("ascii")
         return hashlib.sha256(head + payload.translate(None, b"\0")).hexdigest()
-
-
-def agreement(f: bytes, g: bytes) -> bytes:
-    """Byte k is 1 where two equal-length tables (or a table and a ballot
-    column) hold the same entry, else 0: one XOR of the tables as integers."""
-    diff = int.from_bytes(f, "little") ^ int.from_bytes(g, "little")
-    return diff.to_bytes(len(f), "little").translate(_SAME)
 
 
 def evaluate(rule: VotingRule, profile: Profile) -> LinearOrder:

