@@ -77,10 +77,8 @@ from .arrowcheck import (
     ArrowReport,
     PairwiseAggregator,
     ReplayReport,
-    aggregator_from_candidate_index,
     aggregator_from_rule,
     assemble_rule,
-    projection_aggregator,
     replay_contradiction,
     verify_arrow,
 )

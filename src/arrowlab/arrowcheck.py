@@ -1,20 +1,22 @@
-"""Brute-force verification of Arrow's impossibility theorem at desk scale.
+"""Exhaustive verification of Arrow's impossibility theorem at desk scale.
 
 Any rule satisfying independence of irrelevant alternatives decomposes into
 one Boolean aggregator per candidate pair, mapping the voters' pairwise
 comparisons to the societal comparison; unanimity pins the all-agree rows.
-Enumerating every pinned aggregator combination and keeping the combinations
-whose per-profile tournament is acyclic therefore enumerates exactly the
-rules that satisfy both unanimity and independence.  Arrow's theorem predicts
-that only the n dictatorships survive.
+The aggregator makes a rule exactly when every candidate triple's outcome is
+transitive on every profile (Tang & Lin, Artif. Intell. 173, 2009), and on a
+triple the profiles reduce to the 6^n combinations of the voters' six
+transitive patterns.  A search over the truth-table rows under those
+constraints finds every pinned aggregator that makes a rule; Arrow's theorem
+predicts that only the n dictatorships do.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 
 from .dynamics import force, force_profile, force_transfer
@@ -29,7 +31,6 @@ from .orders import (
     candidate_pairs,
     check_scale,
     pair_signatures,
-    signature_codes,
     tournament_orders,
 )
 from .rules import (
@@ -41,7 +42,9 @@ from .rules import (
     _pair_truth_tables,
 )
 
-MAX_CANDIDATE_COMBINATIONS = 20_000_000
+# A voter's comparisons on a triple a < b < c, as (a over b, a over c, b over c):
+# all but the two cycles, where the first and last agree and the middle differs.
+_TRANSITIVE = tuple(bits for bits in itertools.product((0, 1), repeat=3) if bits[1] in bits[::2])
 
 
 @dataclass(frozen=True)
@@ -71,60 +74,31 @@ class PairwiseAggregator:
                 raise ValueError("all-true input row must output true")
 
 
-def free_bits_per_pair(n: int) -> int:
-    return (1 << n) - 2
-
-
 def candidates_total(n: int, m: int) -> int:
-    return (1 << free_bits_per_pair(n)) ** comb(m, 2)
-
-
-def _table_from_free(free: int, n: int) -> int:
-    """Expand a free-bit integer into a full truth table with pinned rows.
-
-    Free rows are the inputs 1 .. 2^n - 2 in increasing order; bit r-1 of
-    ``free`` is the output at row r.
-    """
-    return (1 << ((1 << n) - 1)) | (free << 1)
-
-
-def aggregator_from_candidate_index(index: int, n: int, m: int) -> PairwiseAggregator:
-    """Decode the lexicographic enumeration counter (pair 0 most significant,
-    free truth-table bits within each pair)."""
-    pair_count = comb(m, 2)
-    per_pair = 1 << free_bits_per_pair(n)
-    if not 0 <= index < per_pair**pair_count:
-        raise ValueError(f"candidate index {index} out of range for (n={n}, m={m})")
-    digits = []
-    for _ in range(pair_count):
-        index, d = divmod(index, per_pair)
-        digits.append(d)
-    digits.reverse()
-    return PairwiseAggregator(n, m, tuple(_table_from_free(d, n) for d in digits))
-
-
-def projection_aggregator(n: int, m: int, voter: int) -> PairwiseAggregator:
-    """The aggregator that copies one voter's comparison on every pair."""
-    if not 0 <= voter < n:
-        raise ValueError(f"voter {voter} out of range for n={n}")
-    rows = 1 << n
-    table = 0
-    for r in range(rows):
-        if (r >> voter) & 1:
-            table |= 1 << r
-    return PairwiseAggregator(n, m, (table,) * comb(m, 2))
+    """The number of pinned aggregators: 2^n - 2 free rows per pair."""
+    return 1 << ((1 << n) - 2) * comb(m, 2)
 
 
 def assemble_rule(agg: PairwiseAggregator, n: int, m: int) -> VotingRule | None:
     """Evaluate the aggregator on every profile; the rule exists iff every
-    profile's outcome tournament is acyclic."""
+    profile's outcome tournament is acyclic.  Each pair's outcomes are one
+    ``translate`` of its signature column, ORed into a tournament code per
+    profile, eight pairs to a byte; one lookup turns codes into rankings."""
     if agg.n != n or agg.m != m:
         raise ValueError(f"aggregator ({agg.n}, {agg.m}) does not match (n={n}, m={m})")
-    codes = signature_codes(n, m, lambda p, s: ((agg.tables[p] >> s) & 1) << p)
-    table = list(map(tournament_orders(m).__getitem__, codes))
-    if None in table:
-        return None
-    return VotingRule(n, m, bytes(table))
+    columns = pair_signatures(n, m)
+    size = factorial(m) ** n
+    lanes = [0] * (len(columns) // 8 + 1)  # one lane even with no pair, at m = 1
+    for p, (column, truth) in enumerate(zip(columns, agg.tables)):
+        outcome = bytes(((truth >> s) & 1) << p % 8 for s in range(256))
+        lanes[p // 8] |= int.from_bytes(column.translate(outcome), "little")
+    low, *high = (lane.to_bytes(size, "little") for lane in lanes)
+    ranks = bytes(255 if o is None else o for o in tournament_orders(m))
+    if high:  # ten pairs at m = 5: the code takes a second byte
+        table = bytes(map(ranks.__getitem__, map(operator.or_, low, map((256).__mul__, high[0]))))
+    else:
+        table = low.translate(ranks.ljust(256, b"\xff"))
+    return None if 255 in table else VotingRule(n, m, table)
 
 
 def aggregator_from_rule(rule: VotingRule) -> PairwiseAggregator | None:
@@ -137,52 +111,79 @@ def aggregator_from_rule(rule: VotingRule) -> PairwiseAggregator | None:
         return None
 
 
-@lru_cache(maxsize=None)
-def _pair_output_masks(n: int, m: int) -> tuple[tuple[int, ...], ...]:
-    """masks[pair_idx][free_bits]: outcome bits of that pair function, packed
-    across all profiles into one integer (bit k = profile k)."""
-    tables = [_table_from_free(free, n) for free in range(1 << free_bits_per_pair(n))]
-    return tuple(
-        tuple(sum(1 << k for k, s in enumerate(column) if (t >> s) & 1) for t in tables)
-        for column in pair_signatures(n, m)
-    )
+def _pattern_rows(n: int) -> tuple[bytes, bytes, bytes]:
+    """For each of the 6^n ways the voters can order a triple a < b < c, the
+    signatures of its pairs (a, b), (a, c) and (b, c), as three byte columns.
+    Each voter lays out six copies of the columns so far, one per pattern."""
+    columns = (b"\0",) * 3
+    for i in range(n):
+        voted = bytes(s | 1 << i for s in range(256))
+        columns = tuple(
+            b"".join(column.translate(voted) if bits[k] else column for bits in _TRANSITIVE)
+            for k, column in enumerate(columns)
+        )
+    return columns
 
 
-def _survivors(n: int, m: int) -> list[int]:
-    """Candidate indices, in increasing order, whose every profile tournament
-    is acyclic.
+def _search(n: int, m: int) -> tuple[list[list[list[int]]], int]:
+    """Every assignment of the pairs' truth-table rows, the all-agree rows
+    pinned, that keeps every candidate triple transitive, and the number of
+    search nodes visited.
 
-    A tournament is transitive exactly when each candidate triple is.  For a
-    triple a < b < c with pair outcome masks A = (a,b), B = (a,c), C = (b,c),
-    a profile cycles exactly when A and C agree while B disagrees with them,
-    that is when both differ from B: ``(A ^ B) & (C ^ B)`` tests the triple
-    on every profile at once.
-    """
+    Each node sets the outcomes its assignment forces, then branches on the
+    first unset row.  A triple's outcomes (A, B, C) on its pairs (a, b),
+    (a, c), (b, c) cycle exactly when A == C != B, so A == C forces B = A,
+    and A != B or B != C forces the third outcome to equal B."""
     slot = {pair: p for p, pair in enumerate(candidate_pairs(m))}
     triples = [
         (slot[a, b], slot[a, c], slot[b, c]) for a, b, c in itertools.combinations(range(m), 3)
     ]
-    survivors = []
-    for index, masks in enumerate(itertools.product(*_pair_output_masks(n, m))):
-        for ab, ac, bc in triples:
-            a_over_c = masks[ac]
-            if (masks[ab] ^ a_over_c) & (masks[bc] ^ a_over_c):
-                break
-        else:
-            survivors.append(index)
-    return survivors
+    columns = _pattern_rows(n)
+    solutions, nodes, stack = [], 0, [[[0] + [None] * ((1 << n) - 2) + [1] for _ in slot]]
+    while stack:
+        outputs, changed, consistent = stack.pop(), True, True
+        nodes += 1
+        while changed and consistent:
+            changed = False
+            for ab, ac, bc in triples:
+                tab, tac, tbc = outputs[ab], outputs[ac], outputs[bc]
+                for x, y, z in zip(*columns):
+                    a, b, c = tab[x], tac[y], tbc[z]
+                    if b is None:
+                        if a is not None and a == c:
+                            tac[y], changed = a, True
+                    elif a is None:
+                        if c is not None and c != b:
+                            tab[x], changed = b, True
+                    elif c is None:
+                        if a != b:
+                            tbc[z], changed = b, True
+                    elif a == c != b:
+                        consistent = False
+        unset = [(p, r) for p, t in enumerate(outputs) for r, v in enumerate(t) if v is None]
+        if consistent and not unset:
+            solutions.append(outputs)
+        elif consistent:
+            p, r = unset[0]
+            for bit in (0, 1):
+                child = [list(table) for table in outputs]
+                child[p][r] = bit
+                stack.append(child)
+    return solutions, nodes
 
 
 @dataclass(frozen=True)
 class ArrowReport:
-    """Outcome of the exhaustive scan: every total rule found, with its
-    candidate index and dictatorship status."""
+    """Outcome of the exhaustive search: every total rule found, with its
+    candidate index among the ``candidates_scanned`` pinned aggregators and
+    its dictatorship status, and the number of search nodes visited."""
 
     n: int
     m: int
     candidates_scanned: int
     found: tuple[tuple[int, VotingRule], ...]
     dictators: tuple[int | None, ...]
+    search_nodes: int
 
     @property
     def all_dictators(self) -> bool:
@@ -190,30 +191,25 @@ class ArrowReport:
 
 
 def verify_arrow(n: int, m: int) -> ArrowReport:
-    """Enumerate every pinned aggregator combination, assemble each into a
-    rule where possible, and report the survivors.
-
-    The enumeration order is lexicographic in the truth-table bits, so the
-    report is reproducible byte for byte.
-    """
+    """Search every pinned aggregator combination, assemble each solution into
+    a rule, and report the rules in increasing candidate index: the
+    lexicographic counter with pair 0 most significant and, within a pair,
+    bit r - 1 the output at row r."""
     if m < 3:
         raise ValueError(f"the theorem needs at least three candidates, got m={m}")
     check_scale(n, m)
-    total = candidates_total(n, m)
-    if total > MAX_CANDIDATE_COMBINATIONS:
-        raise ValueError(
-            f"{total} aggregator combinations at (n={n}, m={m}) exceed the "
-            f"supported bound of {MAX_CANDIDATE_COMBINATIONS}"
-        )
-    survivors = _survivors(n, m)
+    solutions, nodes = _search(n, m)
     found = []
-    for c in survivors:
-        rule = assemble_rule(aggregator_from_candidate_index(c, n, m), n, m)
+    for outputs in solutions:
+        agg = PairwiseAggregator(n, m, [sum(v << r for r, v in enumerate(t)) for t in outputs])
+        index = int("0" + "".join(str(v) for t in outputs for v in reversed(t[1:-1])), 2)
+        rule = assemble_rule(agg, n, m)
         if rule is None:
-            raise RuntimeError(f"scan accepted candidate {c} but assembly found a cycle")
-        found.append((c, rule))
+            raise RuntimeError(f"search accepted candidate {index} but assembly found a cycle")
+        found.append((index, rule))
+    found.sort(key=operator.itemgetter(0))
     dictators = tuple(is_dictatorship(rule) for _, rule in found)
-    return ArrowReport(n, m, total, tuple(found), dictators)
+    return ArrowReport(n, m, candidates_total(n, m), tuple(found), dictators, nodes)
 
 
 @dataclass(frozen=True)

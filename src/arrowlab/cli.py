@@ -1,4 +1,4 @@
-"""Batch command-line front door: exhaustive theorem scans, transfer-map
+"""Batch command-line front door: exhaustive theorem searches, transfer-map
 iterations with trace files, the seeded property suites, and the replay of
 the final proof step.
 
@@ -138,7 +138,7 @@ def _cmd_verify_arrow(args: argparse.Namespace) -> int:
     if args.out is not None:
         for index, rule in report.found:
             save_rule(rule, args.out / f"rule_{index:06d}.json")
-    print(f"verify-arrow: scanned {report.candidates_scanned} in {elapsed:.2f}s", file=sys.stderr)
+    print(f"verify-arrow: {report.search_nodes} search nodes in {elapsed:.3f}s", file=sys.stderr)
     if not report.all_dictators:
         print("verify-arrow: found a non-dictatorial survivor", file=sys.stderr)
         return EXIT_SUITE_FAILURE
@@ -461,12 +461,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser(
         "verify-arrow",
-        help="enumerate all unanimity+independence rules and check they are dictatorships",
+        help="find all unanimity+independence rules and check they are dictatorships",
     )
     p_verify.add_argument("--voters", type=int, required=True)
     p_verify.add_argument("--candidates", type=int, required=True)
     p_verify.add_argument(
-        "--jobs", type=_positive_int, default=1, help="accepted for symmetry; the scan is serial"
+        "--jobs", type=_positive_int, default=1, help="accepted for symmetry; the search is serial"
     )
     p_verify.add_argument("--out", type=Path, default=None)
     p_verify.set_defaults(handler=_cmd_verify_arrow)

@@ -83,8 +83,9 @@ class VotingRule:
             payload[place :: width + 1] = table.translate(glyphs)
         payload[width :: width + 1] = b"," * len(table)
         del payload[-1]
-        head = f"{self.n}:{self.m}:".encode("ascii")
-        return hashlib.sha256(head + payload.translate(None, b"\0")).hexdigest()
+        digest = hashlib.sha256(f"{self.n}:{self.m}:".encode("ascii"))
+        digest.update(payload.translate(None, b"\0"))
+        return digest.hexdigest()
 
 
 def evaluate(rule: VotingRule, profile: Profile) -> LinearOrder:
@@ -285,7 +286,10 @@ def save_rule(rule: VotingRule, path: str | Path) -> None:
         "m": rule.m,
         "table": list(rule.table),
     }
-    Path(path).write_text(json.dumps(record, sort_keys=True, indent=2) + "\n")
+    # Streamed: ``json.dumps`` with an indent would join one string per entry.
+    with open(path, "w") as fp:
+        json.dump(record, fp, sort_keys=True, indent=2)
+        fp.write("\n")
 
 
 def load_rule(path: str | Path) -> VotingRule:

@@ -10,6 +10,9 @@ digit tuple, as ``random_pareto_rule`` once did.  The other rule builders and
 predicates (majority, Borda, unanimity, independence, the pair rows and the
 aggregator round trip) compare each digit tuple's ballots through a 3-D
 preference matrix, as ``arrowlab`` did before it read pair signature columns.
+The Arrow scan walks every pinned aggregator combination in candidate-index
+order and tests each candidate triple on every profile at once, as
+``arrowlab`` did before its search over per-voter triple patterns.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 from arrowlab.arrowcheck import PairwiseAggregator
 from arrowlab.measures import Distribution
@@ -293,3 +296,75 @@ def aggregator_from_rule(rule: VotingRule) -> PairwiseAggregator | None:
         return PairwiseAggregator(rule.n, rule.m, tuple(tables))
     except ValueError:
         return None
+
+
+def table_from_free(free: int, n: int) -> int:
+    """Expand a free-bit integer into a full truth table with pinned rows.
+
+    Free rows are the inputs 1 .. 2^n - 2 in increasing order; bit r-1 of
+    ``free`` is the output at row r.
+    """
+    return (1 << ((1 << n) - 1)) | (free << 1)
+
+
+def aggregator_from_candidate_index(index: int, n: int, m: int) -> PairwiseAggregator:
+    """Decode the lexicographic enumeration counter (pair 0 most significant,
+    free truth-table bits within each pair)."""
+    pair_count = comb(m, 2)
+    per_pair = 1 << ((1 << n) - 2)
+    if not 0 <= index < per_pair**pair_count:
+        raise ValueError(f"candidate index {index} out of range for (n={n}, m={m})")
+    digits = []
+    for _ in range(pair_count):
+        index, d = divmod(index, per_pair)
+        digits.append(d)
+    digits.reverse()
+    return PairwiseAggregator(n, m, tuple(table_from_free(d, n) for d in digits))
+
+
+def projection_aggregator(n: int, m: int, voter: int) -> PairwiseAggregator:
+    """The aggregator that copies one voter's comparison on every pair."""
+    if not 0 <= voter < n:
+        raise ValueError(f"voter {voter} out of range for n={n}")
+    rows = 1 << n
+    table = 0
+    for r in range(rows):
+        if (r >> voter) & 1:
+            table |= 1 << r
+    return PairwiseAggregator(n, m, (table,) * comb(m, 2))
+
+
+@lru_cache(maxsize=None)
+def pair_output_masks(n: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """masks[pair_idx][free_bits]: outcome bits of that pair function, packed
+    across all profiles into one integer (bit k = profile k)."""
+    tables = [table_from_free(free, n) for free in range(1 << ((1 << n) - 2))]
+    return tuple(
+        tuple(sum(1 << k for k, s in enumerate(rows) if (t >> s) & 1) for t in tables)
+        for rows in pair_rows(n, m)
+    )
+
+
+def survivors(n: int, m: int) -> list[int]:
+    """Candidate indices, in increasing order, whose every profile tournament
+    is acyclic.
+
+    A tournament is transitive exactly when each candidate triple is.  For a
+    triple a < b < c with pair outcome masks A = (a,b), B = (a,c), C = (b,c),
+    a profile cycles exactly when A and C agree while B disagrees with them,
+    that is when both differ from B: ``(A ^ B) & (C ^ B)`` tests the triple
+    on every profile at once.
+    """
+    slot = {pair: p for p, pair in enumerate(candidate_pairs(m))}
+    triples = [
+        (slot[a, b], slot[a, c], slot[b, c]) for a, b, c in itertools.combinations(range(m), 3)
+    ]
+    found = []
+    for index, masks in enumerate(itertools.product(*pair_output_masks(n, m))):
+        for ab, ac, bc in triples:
+            a_over_c = masks[ac]
+            if (masks[ab] ^ a_over_c) & (masks[bc] ^ a_over_c):
+                break
+        else:
+            found.append(index)
+    return found

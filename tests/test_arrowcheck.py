@@ -2,16 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+import fraction_kernels as ref
 from arrowlab.arrowcheck import (
     PairwiseAggregator,
-    aggregator_from_candidate_index,
     aggregator_from_rule,
     assemble_rule,
     candidates_total,
-    projection_aggregator,
     replay_contradiction,
     verify_arrow,
-    _survivors,
 )
 from arrowlab.orders import enumerate_orders
 from arrowlab.rules import (
@@ -23,6 +21,7 @@ from arrowlab.rules import (
     is_pareto,
     pairwise_majority_rule,
 )
+from fraction_kernels import aggregator_from_candidate_index, projection_aggregator
 
 ORDERS3 = enumerate_orders(3)
 
@@ -107,18 +106,44 @@ def test_verify_arrow_rejects_bad_scales():
         verify_arrow(2, 2)
     with pytest.raises(ValueError):
         verify_arrow(0, 3)
-    with pytest.raises(ValueError):
-        verify_arrow(4, 3)  # 2^14 per pair cubed exceeds the combination bound
 
 
 @pytest.mark.parametrize("n, m, stride", [(2, 3, 1), (2, 4, 1), (3, 3, 97)])
 def test_scan_agrees_with_assembly(n, m, stride):
     # Assembly walks every profile's whole tournament, so it is an oracle for
     # the per-triple bitmask scan.
-    survivors = set(_survivors(n, m))
+    survivors = set(ref.survivors(n, m))
     for c in range(0, candidates_total(n, m), stride):
         assembled = assemble_rule(aggregator_from_candidate_index(c, n, m), n, m)
         assert (c in survivors) == (assembled is not None), c
+
+
+@pytest.mark.parametrize("n, m", [(1, 3), (2, 3), (3, 3), (1, 4), (2, 4)])
+def test_search_finds_what_the_scan_finds(n, m):
+    report = verify_arrow(n, m)
+    scanned = [
+        (c, ref.assemble_rule(aggregator_from_candidate_index(c, n, m), n, m).digest)
+        for c in ref.survivors(n, m)
+    ]
+    assert [(c, rule.digest) for c, rule in report.found] == scanned
+    assert report.candidates_scanned == candidates_total(n, m)
+
+
+def _candidate_index(agg):
+    """The enumeration counter of an aggregator, read off its free rows."""
+    free = (1 << agg.n) - 2
+    digits = [(table >> 1) % (1 << free) for table in agg.tables]
+    return sum(d << free * (len(digits) - 1 - p) for p, d in enumerate(digits))
+
+
+@pytest.mark.parametrize("n, m", [(4, 3), (3, 4), (4, 4)])
+def test_search_finds_exactly_the_dictators_beyond_the_scan(n, m):
+    report = verify_arrow(n, m)
+    assert report.candidates_scanned == candidates_total(n, m)
+    assert report.dictators == tuple(range(n))
+    indices = [_candidate_index(projection_aggregator(n, m, i)) for i in range(n)]
+    assert list(report.found) == [(c, dictator(n, m, i)) for i, c in enumerate(indices)]
+    assert 0 < report.search_nodes <= 2 * n
 
 
 def test_verify_arrow_four_candidates_two_voters():

@@ -3,6 +3,7 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -32,11 +33,12 @@ def run_cli(args, capsys):
 
 
 def test_verify_arrow_command(tmp_path, capsys):
-    code, out, _ = run_cli(
+    code, out, err = run_cli(
         ["verify-arrow", "--voters", "2", "--candidates", "3", "--out", str(tmp_path)],
         capsys,
     )
     assert code == 0
+    assert re.fullmatch(r"verify-arrow: 3 search nodes in \d+\.\d{3}s\n", err)
     payload = json.loads(out)
     assert payload["rules_found_count"] == 2
     assert payload["all_dictators"] is True

@@ -20,13 +20,7 @@ from math import factorial, gcd
 import pytest
 
 import fraction_kernels as ref
-from arrowlab.arrowcheck import (
-    aggregator_from_candidate_index,
-    aggregator_from_rule,
-    assemble_rule,
-    candidates_total,
-    projection_aggregator,
-)
+from arrowlab.arrowcheck import aggregator_from_rule, assemble_rule, candidates_total
 from arrowlab.dynamics import force, force_profile, force_transfer, iterate_force_transfer
 from arrowlab.measures import (
     MAX_LEVELS,
@@ -229,13 +223,37 @@ def test_predicates_and_aggregators_equal_reference(n, m):
     assert edge[n : n + 2] == [(False, True, False)] * 2
     assert edge[n + 2][1:] == (False, False)
     rng = random.Random(10 * n + m)
-    aggregators = [projection_aggregator(n, m, i) for i in range(n)]
+    aggregators = [ref.projection_aggregator(n, m, i) for i in range(n)]
     aggregators += [
-        aggregator_from_candidate_index(rng.randrange(candidates_total(n, m)), n, m)
+        ref.aggregator_from_candidate_index(rng.randrange(candidates_total(n, m)), n, m)
         for _ in range(20)
     ]
     for agg in aggregators:
         assert assemble_rule(agg, n, m) == ref.assemble_rule(agg, n, m)
+
+
+@pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (3, 2)])
+def test_assembly_below_three_candidates_equals_reference(n, m):
+    """No pair at m = 1, one at m = 2: the code still takes one byte."""
+    pairs = m * (m - 1) // 2
+    for free in range(1 << ((1 << n) - 2) * pairs):
+        agg = ref.aggregator_from_candidate_index(free, n, m)
+        assert assemble_rule(agg, n, m) == ref.assemble_rule(agg, n, m)
+
+
+def test_assembly_at_five_candidates_equals_reference(monkeypatch):
+    """Ten pairs at m = 5: a tournament code takes more than one byte."""
+    monkeypatch.setenv("ARROWLAB_SCALE_OVERRIDE", "1")
+    n, m = 2, 5
+    rng = random.Random(25)
+    aggregators = [ref.projection_aggregator(n, m, i) for i in range(n)]
+    aggregators += [
+        ref.aggregator_from_candidate_index(rng.randrange(candidates_total(n, m)), n, m)
+        for _ in range(10)
+    ]
+    assembled = [assemble_rule(agg, n, m) for agg in aggregators]
+    assert assembled == [ref.assemble_rule(agg, n, m) for agg in aggregators]
+    assert assembled[:n] == [dictator(n, m, i) for i in range(n)]
 
 
 @pytest.mark.parametrize("n,m", SCALES)

@@ -265,6 +265,15 @@ def test_rule_file_round_trip(tmp_path):
     assert '"format_version": 1' in text
 
 
+@pytest.mark.parametrize("n, m", [(1, 3), (3, 4), (4, 4)])
+def test_saved_rule_file_is_the_canonical_json(tmp_path, n, m):
+    rule = random_pareto_rule(n, m, 0)
+    path = tmp_path / "rule.json"
+    save_rule(rule, path)
+    record = {"format_version": 1, "n": n, "m": m, "table": list(rule.table)}
+    assert path.read_text() == json.dumps(record, sort_keys=True, indent=2) + "\n"
+
+
 def test_load_rule_rejects_boolean_entries(tmp_path):
     """``bytes`` would read ``true`` as 1, so the loader checks entry types."""
     path = tmp_path / "rule.json"
