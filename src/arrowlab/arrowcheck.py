@@ -16,31 +16,10 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, factorial
 
-from .dynamics import force, force_profile, force_transfer
-from .measures import (
-    has_full_support,
-    is_permutation_invariant,
-    lift_distribution,
-    star_distribution,
-)
-from .orders import (
-    LinearOrder,
-    candidate_pairs,
-    check_scale,
-    pair_signatures,
-    tournament_orders,
-)
-from .rules import (
-    VotingRule,
-    cylinder_extend,
-    is_dictatorship,
-    is_pareto,
-    table_digest,
-    _pair_truth_tables,
-)
+from .orders import candidate_pairs, check_scale, pair_signatures, tournament_orders
+from .rules import VotingRule, is_dictatorship, _pair_truth_tables
 
 # A voter's comparisons on a triple a < b < c, as (a over b, a over c, b over c):
 # all but the two cycles, where the first and last agree and the middle differs.
@@ -210,72 +189,3 @@ def verify_arrow(n: int, m: int) -> ArrowReport:
     found.sort(key=operator.itemgetter(0))
     dictators = tuple(is_dictatorship(rule) for _, rule in found)
     return ArrowReport(n, m, candidates_total(n, m), tuple(found), dictators, nodes)
-
-
-@dataclass(frozen=True)
-class ReplayReport:
-    """End-to-end record of extending a rule by a powerless trailing voter and
-    watching the transfer map fix it under the lifted near-unanimous
-    distribution.
-
-    ``last_force_bound_ok`` tests the spec's ceiling ``2/(n*m!)`` on the
-    ignored voter's force.  That ceiling is false for n >= 3 (the lift of the
-    uniform base already gives that voter 1/m!); at (3, 3) with epsilon 1/2
-    the flag is False for every Pareto base rule, whose ignored voter keeps
-    at least 1/6.
-    ``kept_force_bounds_ok`` tests the sound bound that each kept voter
-    retains at least 1/n of their base force.
-    """
-
-    n: int
-    m: int
-    epsilon: Fraction
-    base_rule_digest: str
-    extended_rule_digest: str
-    full_support: bool
-    permutation_invariant: bool
-    forces: tuple[Fraction, ...]
-    base_forces: tuple[Fraction, ...]
-    last_voter_unique_least: bool
-    transfer_fixed: bool
-    dictator_voter: int | None
-    last_force_bound_ok: bool
-    kept_force_bounds_ok: bool
-
-
-def replay_contradiction(g: VotingRule, epsilon: Fraction, y: LinearOrder) -> ReplayReport:
-    """Extend ``g`` by one ignored trailing voter, lift the near-unanimous
-    distribution over the original electorate to the extended one, and report
-    the force structure, the exact fixedness of the extended rule under the
-    transfer map, and its dictatorship status.
-
-    For a non-dictatorial unanimity-respecting ``g`` this exhibits a
-    non-dictatorial rule that the transfer map fixes exactly.
-    """
-    if not is_pareto(g):
-        raise ValueError("the base rule must respect unanimous comparisons")
-    nu = star_distribution(g.n, g.m, epsilon, y)
-    mu = lift_distribution(nu, g.n)
-    f = cylinder_extend(g)
-    n = f.n
-    fp = force_profile(mu, f)
-    base_forces = tuple(force(nu, g, i) for i in range(g.n))
-    bound = Fraction(2, n * factorial(f.m))
-    return ReplayReport(
-        n=n,
-        m=f.m,
-        epsilon=Fraction(epsilon),
-        base_rule_digest=table_digest(g),
-        extended_rule_digest=table_digest(f),
-        full_support=has_full_support(mu),
-        permutation_invariant=is_permutation_invariant(mu),
-        forces=fp.forces,
-        base_forces=base_forces,
-        last_voter_unique_least=fp.least_forceful == (n - 1,),
-        transfer_fixed=force_transfer(mu, f) == f,
-        dictator_voter=is_dictatorship(f),
-        last_force_bound_ok=fp.forces[n - 1] <= bound,
-        kept_force_bounds_ok=all(
-            fp.forces[i] >= base_forces[i] / n for i in range(g.n)
-        ),
-    )

@@ -11,47 +11,22 @@ locations never appear in them, and timing goes to stderr only.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from .arrowcheck import replay_contradiction, verify_arrow
-from .dynamics import (
-    check_collapse_conjecture,
-    force,
-    force_profile,
-    force_transfer_class,
-    iterate_force_transfer,
-    orbit_class,
-    write_trace,
-)
-from .measures import (
-    Distribution,
-    format_rational,
-    has_full_support,
-    is_permutation_invariant,
-    lift_distribution,
-    parse_rational,
-    star_distribution,
-    uniform_distribution,
-)
-from .orders import LinearOrder, all_voter_permutations, check_scale, enumerate_orders
-from .quotient import check_metric_axioms, rule_distance, space_from_rules
-from .rules import (
-    VotingRule,
-    compose_voter_permutation,
-    cylinder_extend,
-    load_rule,
-    pairwise_majority_rule,
-    random_pareto_rule,
-    save_rule,
-    table_digest,
-)
+# Each command imports the arrowlab modules it runs, and ``json`` and
+# ``fractions``, when it runs, so that start-up, ``--help`` and usage errors
+# load none of them.
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .measures import Distribution
+    from .orders import LinearOrder
+    from .rules import VotingRule
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -73,11 +48,15 @@ DEFAULT_SAMPLES = {
 
 
 def _canonical_json(payload: dict) -> str:
+    import json
+
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _favored_ranking(m: int, y_index: int) -> LinearOrder:
     """The ranking the star distribution favors: number ``--y-index`` of m's."""
+    from .orders import enumerate_orders
+
     orders = enumerate_orders(m)
     if not 0 <= y_index < len(orders):
         raise ValueError(f"--y-index {y_index} out of range for m={m}")
@@ -87,6 +66,8 @@ def _favored_ranking(m: int, y_index: int) -> LinearOrder:
 def _resolve_distribution(
     name: str, n: int, m: int, epsilon: Fraction, y_index: int
 ) -> Distribution:
+    from .measures import lift_distribution, star_distribution, uniform_distribution
+
     y = _favored_ranking(m, y_index)
     if name == "uniform":
         return uniform_distribution(n, m)
@@ -108,6 +89,9 @@ def _write_output(payload: dict, out_dir: Path | None, filename: str) -> None:
 
 
 def _cmd_verify_arrow(args: argparse.Namespace) -> int:
+    from .arrowcheck import verify_arrow
+    from .rules import save_rule, table_digest
+
     started = time.monotonic()
     report = verify_arrow(args.voters, args.candidates)
     elapsed = time.monotonic() - started
@@ -146,6 +130,11 @@ def _cmd_verify_arrow(args: argparse.Namespace) -> int:
 
 
 def _cmd_iterate(args: argparse.Namespace) -> int:
+    from .dynamics import iterate_force_transfer, write_trace
+    from .measures import format_rational
+    from .rules import load_rule, table_digest
+
+    started = time.monotonic()
     rule = load_rule(args.rule)
     mu = _resolve_distribution(args.dist, rule.n, rule.m, args.epsilon, args.y_index)
     trace = iterate_force_transfer(mu, rule, args.max_steps)
@@ -168,6 +157,7 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
         "fixpoint_is_dictatorship": trace.fixpoint_is_dictatorship,
     }
     sys.stdout.write(_canonical_json({"format_version": REPORT_FORMAT_VERSION, "config": config, **summary}))
+    print(f"iterate: {len(trace.steps)} steps in {time.monotonic() - started:.3f}s", file=sys.stderr)
     return EXIT_OK if trace.terminated_by == "fixpoint" else EXIT_STEP_LIMIT
 
 
@@ -176,10 +166,12 @@ def _sample_count(args: argparse.Namespace, suite: str) -> int:
 
 
 # ``random_pareto_rule`` behind a per-run cache: each seeded rule is drawn once.
-_Draw = Callable[[int, int, int], VotingRule]
+_Draw = Callable[[int, int, int], "VotingRule"]
 
 
 def _suite_metric(args: argparse.Namespace, mu: Distribution, draw: _Draw) -> dict:
+    from .quotient import check_metric_axioms, space_from_rules
+
     count = _sample_count(args, "metric")
     rules = [draw(args.voters, args.candidates, args.seed + i) for i in range(count)]
     report = check_metric_axioms(space_from_rules(mu, rules))
@@ -192,6 +184,10 @@ def _suite_metric(args: argparse.Namespace, mu: Distribution, draw: _Draw) -> di
 
 
 def _suite_isometry(args: argparse.Namespace, mu: Distribution, draw: _Draw) -> dict:
+    from .orders import all_voter_permutations
+    from .quotient import rule_distance
+    from .rules import compose_voter_permutation
+
     count = _sample_count(args, "isometry")
     rules = [draw(args.voters, args.candidates, args.seed + i) for i in range(count)]
     perms = all_voter_permutations(args.voters)
@@ -209,6 +205,10 @@ def _suite_isometry(args: argparse.Namespace, mu: Distribution, draw: _Draw) -> 
 
 
 def _suite_relabel(args: argparse.Namespace, mu: Distribution, draw: _Draw) -> dict:
+    from .dynamics import force
+    from .orders import all_voter_permutations
+    from .rules import compose_voter_permutation
+
     count = _sample_count(args, "relabel")
     rules = [draw(args.voters, args.candidates, args.seed + i) for i in range(count)]
     perms = all_voter_permutations(args.voters)
@@ -224,6 +224,9 @@ def _suite_relabel(args: argparse.Namespace, mu: Distribution, draw: _Draw) -> d
 
 
 def _suite_welldef(args: argparse.Namespace, mu: Distribution, draw: _Draw) -> dict:
+    from .dynamics import force_transfer_class, orbit_class
+    from .rules import table_digest
+
     count = _sample_count(args, "welldef")
     orbits_checked = 0
     for i in range(count):
@@ -243,6 +246,19 @@ def _suite_welldef(args: argparse.Namespace, mu: Distribution, draw: _Draw) -> d
 
 
 def _suite_cylinder(args: argparse.Namespace, _mu: Distribution, draw: _Draw) -> dict:
+    from .dynamics import force, force_profile
+    from fractions import Fraction
+
+    from .measures import (
+        format_rational,
+        has_full_support,
+        is_permutation_invariant,
+        lift_distribution,
+        star_distribution,
+        uniform_distribution,
+    )
+    from .rules import cylinder_extend, table_digest
+
     if args.voters < 2:
         raise ValueError("the cylinder suite needs at least two voters")
     count = _sample_count(args, "cylinder")
@@ -283,6 +299,10 @@ def _suite_cylinder(args: argparse.Namespace, _mu: Distribution, draw: _Draw) ->
 
 
 def _suite_collapse(args: argparse.Namespace, _mu: Distribution, draw: _Draw) -> dict:
+    from .dynamics import check_collapse_conjecture
+    from .measures import uniform_distribution
+    from .rules import cylinder_extend, pairwise_majority_rule
+
     n, m = args.voters, args.candidates
     count = _sample_count(args, "collapse")
     mu = uniform_distribution(n, m)
@@ -333,6 +353,10 @@ _SUITE_RUNNERS = {
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from .measures import format_rational
+    from .orders import check_scale
+    from .rules import random_pareto_rule
+
     started = time.monotonic()
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     # Before the m! rankings are listed: m = 12 alone would list 479001600.
@@ -369,6 +393,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
+    from .dynamics import replay_contradiction
+    from .measures import format_rational
+    from .rules import pairwise_majority_rule
+
     if args.voters < 2:
         raise ValueError(f"replay needs at least two voters, got --voters {args.voters}")
     base = pairwise_majority_rule(args.voters - 1, args.candidates)
@@ -407,10 +435,12 @@ def _positive_int(text: str) -> int:
 def _open_unit_rational(text: str) -> Fraction:
     """argparse type for ``--epsilon``: a rational strictly between 0 and 1.
     The star distribution narrows the upper end further, depending on m."""
+    from .measures import parse_rational
+
     try:
         value = parse_rational(text)
     except ValueError:
-        value = Fraction(0)
+        value = 0
     if not 0 < value < 1:
         raise argparse.ArgumentTypeError(
             f"expected a rational strictly between 0 and 1, got {text!r}"
@@ -441,7 +471,7 @@ def _add_common(
     parser.add_argument(
         "--epsilon",
         type=_open_unit_rational,
-        default=Fraction(1, 2),
+        default="1/2",  # a string default goes through ``type`` when used
         help="near-unanimous spread mass as p/q (star and lift-star)",
     )
     parser.add_argument(

@@ -5,7 +5,8 @@ voter's own ballot.  The transfer map rewrites every least-forceful voter's
 ballot with the ballot of the first most-forceful voter before applying the
 rule; iterating it drives rules toward dictatorships under many distributions,
 and the machinery here makes each step, its force vector, and its fixpoint
-status inspectable with exact arithmetic.
+status inspectable with exact arithmetic.  The replay of the final proof step
+exhibits a non-dictatorial rule that the map fixes exactly.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 from typing import Literal, Sequence
 
@@ -21,13 +23,17 @@ from .measures import (
     format_rational,
     has_full_support,
     is_permutation_invariant,
+    lift_distribution,
+    star_distribution,
 )
-from .orders import all_voter_permutations, profile_digit_columns, seat_gather
+from .orders import LinearOrder, all_voter_permutations, profile_digit_columns, seat_gather
 from .rules import (
     VotingRule,
     compose_collapse,
     compose_voter_permutation,
+    cylinder_extend,
     is_dictatorship,
+    is_pareto,
     table_digest,
 )
 
@@ -111,13 +117,15 @@ def force(mu: Distribution, rule: VotingRule, i: int) -> Fraction:
     if not 0 <= i < rule.n:
         raise ValueError(f"voter {i} out of range for n={rule.n}")
     column = profile_digit_columns(rule.n, rule.m)[i]
-    return Fraction(mu.agreement_mass(rule.table, column), mu.denominator)
+    table = int.from_bytes(rule.table, "little")
+    return Fraction(mu.agreement_mass(table, column), mu.denominator)
 
 
 def force_profile(mu: Distribution, rule: VotingRule) -> ForceProfile:
     """Forces of all voters in one sweep, with exact argmax/argmin sets."""
     _check_dims(mu, rule)
-    totals = [mu.agreement_mass(rule.table, c) for c in profile_digit_columns(rule.n, rule.m)]
+    table = int.from_bytes(rule.table, "little")
+    totals = [mu.agreement_mass(table, c) for c in profile_digit_columns(rule.n, rule.m)]
     top = max(totals)
     bottom = min(totals)
     most = tuple(i for i, v in enumerate(totals) if v == top)
@@ -293,3 +301,72 @@ def write_trace(trace: IterationTrace, path: str | Path, config: dict | None = N
         )
     )
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+@dataclass(frozen=True)
+class ReplayReport:
+    """End-to-end record of extending a rule by a powerless trailing voter and
+    watching the transfer map fix it under the lifted near-unanimous
+    distribution.
+
+    ``last_force_bound_ok`` tests the spec's ceiling ``2/(n*m!)`` on the
+    ignored voter's force.  That ceiling is false for n >= 3 (the lift of the
+    uniform base already gives that voter 1/m!); at (3, 3) with epsilon 1/2
+    the flag is False for every Pareto base rule, whose ignored voter keeps
+    at least 1/6.
+    ``kept_force_bounds_ok`` tests the sound bound that each kept voter
+    retains at least 1/n of their base force.
+    """
+
+    n: int
+    m: int
+    epsilon: Fraction
+    base_rule_digest: str
+    extended_rule_digest: str
+    full_support: bool
+    permutation_invariant: bool
+    forces: tuple[Fraction, ...]
+    base_forces: tuple[Fraction, ...]
+    last_voter_unique_least: bool
+    transfer_fixed: bool
+    dictator_voter: int | None
+    last_force_bound_ok: bool
+    kept_force_bounds_ok: bool
+
+
+def replay_contradiction(g: VotingRule, epsilon: Fraction, y: LinearOrder) -> ReplayReport:
+    """Extend ``g`` by one ignored trailing voter, lift the near-unanimous
+    distribution over the original electorate to the extended one, and report
+    the force structure, the exact fixedness of the extended rule under the
+    transfer map, and its dictatorship status.
+
+    For a non-dictatorial unanimity-respecting ``g`` this exhibits a
+    non-dictatorial rule that the transfer map fixes exactly.
+    """
+    if not is_pareto(g):
+        raise ValueError("the base rule must respect unanimous comparisons")
+    nu = star_distribution(g.n, g.m, epsilon, y)
+    mu = lift_distribution(nu, g.n)
+    f = cylinder_extend(g)
+    n = f.n
+    fp = force_profile(mu, f)
+    base_forces = tuple(force(nu, g, i) for i in range(g.n))
+    bound = Fraction(2, n * factorial(f.m))
+    return ReplayReport(
+        n=n,
+        m=f.m,
+        epsilon=Fraction(epsilon),
+        base_rule_digest=table_digest(g),
+        extended_rule_digest=table_digest(f),
+        full_support=has_full_support(mu),
+        permutation_invariant=is_permutation_invariant(mu),
+        forces=fp.forces,
+        base_forces=base_forces,
+        last_voter_unique_least=fp.least_forceful == (n - 1,),
+        transfer_fixed=force_transfer(mu, f) == f,
+        dictator_voter=is_dictatorship(f),
+        last_force_bound_ok=fp.forces[n - 1] <= bound,
+        kept_force_bounds_ok=all(
+            fp.forces[i] >= base_forces[i] / n for i in range(g.n)
+        ),
+    )

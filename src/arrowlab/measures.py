@@ -266,19 +266,20 @@ class Distribution:
         flag = [bytes(0x80 * (b == r) for b in range(256)) for r in range(len(self.levels))]
         return tuple(int.from_bytes(self.level_index.translate(t), "little") for t in flag)
 
-    def agreement_mass(self, f: bytes, g: bytes) -> int:
+    def agreement_mass(self, f: int, g: bytes) -> int:
         """``denominator`` times the weight of the profiles where the one-byte
-        tables ``f`` and ``g`` hold the same entry: a voter's force when ``g``
-        is the voter's ballot column, one minus the distance when both are
-        rule tables.
+        tables ``f``, given as its little-endian int, and ``g`` hold the same
+        entry: a voter's force when ``g`` is the voter's ballot column, one
+        minus the distance when both are rule tables.  A caller comparing one
+        table with many converts it once.
 
         Entries are below 128 (``orders.BYTE_MAX_CANDIDATES`` is 5 and
         5! = 120), so adding 0x7f to each byte of the tables' XOR as ints
         carries into no other byte and sets bit 7 exactly where they differ.
         A level's mask keeps those bits at its profiles, so each level costs
         one popcount; many-level weights sum their numerators instead."""
-        size = len(f)
-        diff = int.from_bytes(f, "little") ^ int.from_bytes(g, "little")
+        size = len(g)
+        diff = f ^ int.from_bytes(g, "little")
         flags = diff + _byte_fill(0x7F, size)
         if self.levels is None:
             differ = (flags & _byte_fill(0x80, size)).to_bytes(size, "little")

@@ -97,7 +97,8 @@ def rule_distance(mu: Distribution, f: VotingRule, g: VotingRule) -> Fraction:
     """Probability under ``mu`` that two rules elect different rankings."""
     if not (mu.n == f.n == g.n and mu.m == f.m == g.m):
         raise ValueError("distribution and rules disagree on (n, m)")
-    return Fraction(mu.denominator - mu.agreement_mass(f.table, g.table), mu.denominator)
+    agreed = mu.agreement_mass(int.from_bytes(f.table, "little"), g.table)
+    return Fraction(mu.denominator - agreed, mu.denominator)
 
 
 def space_from_rules(mu: Distribution, rules: Sequence[VotingRule]) -> FiniteMetricSpace:

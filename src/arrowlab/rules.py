@@ -280,16 +280,20 @@ def table_digest(rule: VotingRule) -> str:
 
 
 def save_rule(rule: VotingRule, path: str | Path) -> None:
-    record = {
-        "format_version": RULE_FORMAT_VERSION,
-        "n": rule.n,
-        "m": rule.m,
-        "table": list(rule.table),
-    }
-    # Streamed: ``json.dumps`` with an indent would join one string per entry.
+    """Write the bytes of ``json.dump(record, sort_keys=True, indent=2)`` and a
+    newline.  ``"table"`` sorts last, so the header is dumped without it; the
+    first entry follows it, and every later entry is one of 256 prefixed
+    strings, joined a block at a time rather than one encoder chunk each, so
+    that no whole-table string is held."""
+    header = json.dumps(
+        {"format_version": RULE_FORMAT_VERSION, "n": rule.n, "m": rule.m}, sort_keys=True, indent=2
+    )
+    entries = [f",\n    {b}" for b in range(256)]
     with open(path, "w") as fp:
-        json.dump(record, fp, sort_keys=True, indent=2)
-        fp.write("\n")
+        fp.write(f'{header[:-2]},\n  "table": [\n    {rule.table[0]}')
+        for start in range(1, len(rule.table), 1 << 14):
+            fp.write("".join(map(entries.__getitem__, rule.table[start : start + (1 << 14)])))
+        fp.write("\n  ]\n}\n")
 
 
 def load_rule(path: str | Path) -> VotingRule:

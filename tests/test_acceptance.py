@@ -17,13 +17,14 @@ from fractions import Fraction
 from math import factorial
 from pathlib import Path
 
-from arrowlab.arrowcheck import replay_contradiction, verify_arrow
+from arrowlab.arrowcheck import verify_arrow
 from arrowlab.dynamics import (
     check_collapse_conjecture,
     force,
     force_profile,
     force_transfer_class,
     orbit_class,
+    replay_contradiction,
 )
 from arrowlab.measures import (
     has_full_support,

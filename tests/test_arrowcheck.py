@@ -1,3 +1,5 @@
+import contextlib
+import signal
 from fractions import Fraction
 
 import pytest
@@ -8,9 +10,9 @@ from arrowlab.arrowcheck import (
     aggregator_from_rule,
     assemble_rule,
     candidates_total,
-    replay_contradiction,
     verify_arrow,
 )
+from arrowlab.dynamics import replay_contradiction
 from arrowlab.orders import enumerate_orders
 from arrowlab.rules import (
     borda_rule,
@@ -136,9 +138,34 @@ def _candidate_index(agg):
     return sum(d << free * (len(digits) - 1 - p) for p, d in enumerate(digits))
 
 
+SEARCH_DEADLINE_S = 5
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail, rather than hang the run, when the block outlives ``seconds``: a
+    search that lets too many aggregators through enumerates all of them."""
+
+    def expire(signum, frame):
+        raise TimeoutError
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    except TimeoutError:
+        # Raised afresh: the frame the signal interrupted may carry no line
+        # number, which pytest cannot format.
+        raise AssertionError(f"still running after {seconds} s") from None
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.mark.parametrize("n, m", [(4, 3), (3, 4), (4, 4)])
 def test_search_finds_exactly_the_dictators_beyond_the_scan(n, m):
-    report = verify_arrow(n, m)
+    with deadline(SEARCH_DEADLINE_S):
+        report = verify_arrow(n, m)
     assert report.candidates_scanned == candidates_total(n, m)
     assert report.dictators == tuple(range(n))
     indices = [_candidate_index(projection_aggregator(n, m, i)) for i in range(n)]

@@ -11,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from arrowlab.arrowcheck import ReplayReport, replay_contradiction
 from arrowlab.cli import main
+from arrowlab.dynamics import ReplayReport, replay_contradiction
 from arrowlab.orders import enumerate_orders
 from arrowlab.rules import (
     cylinder_extend,
@@ -58,10 +58,11 @@ def test_verify_arrow_rejects_two_candidates(capsys):
 def test_iterate_dictator_rule(tmp_path, capsys):
     rule_path = tmp_path / "rule.json"
     save_rule(dictator(2, 3, 0), rule_path)
-    code, out, _ = run_cli(
+    code, out, err = run_cli(
         ["iterate", "--rule", str(rule_path), "--out", str(tmp_path)], capsys
     )
     assert code == 0
+    assert re.fullmatch(r"iterate: 1 steps in \d+\.\d{3}s\n", err)
     payload = json.loads(out)
     assert payload["terminated_by"] == "fixpoint"
     assert payload["steps"] == 1
@@ -233,6 +234,7 @@ def test_cli_import_leaves_numpy_out():
             sys.executable,
             "-c",
             "import sys, arrowlab.cli; print('numpy' in sys.modules, 'multiprocessing' in sys.modules)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('arrowlab')))\n"
             "from arrowlab.orders import pair_signatures, profile_digit_columns, profile_digit_tuples\n"
             "print([f.cache_info().currsize for f in "
             "(pair_signatures, profile_digit_columns, profile_digit_tuples)])",
@@ -242,8 +244,62 @@ def test_cli_import_leaves_numpy_out():
         env=env,
     )
     assert proc.returncode == 0
-    # Importing builds no column: start-up stays free of profile-space work.
-    assert proc.stdout.splitlines() == ["False False", "[0, 0, 0]"]
+    # Importing the CLI loads no other arrowlab module and builds no column:
+    # start-up stays free of profile-space work.
+    assert proc.stdout.splitlines() == [
+        "False False",
+        "['arrowlab', 'arrowlab.cli']",
+        "[0, 0, 0]",
+    ]
+
+
+# Each command and the arrowlab submodules its process loads, past
+# ``arrowlab`` and ``arrowlab.cli``; RULE stands for a (2,3) rule file.
+COMMAND_MODULES = {
+    "help": (["--help"], []),
+    "usage-error": (["verify-arrow", "--voters", "2", "--candidates", "3", "--jobs", "0"], []),
+    "verify-arrow": (["verify-arrow", "--voters", "2", "--candidates", "3"], ["arrowcheck", "orders", "rules"]),
+    "iterate": (["iterate", "--rule", "RULE"], ["dynamics", "measures", "orders", "rules"]),
+    "replay": (["replay", "--voters", "2"], ["dynamics", "measures", "orders", "rules"]),
+    "metric": (["check", "--suite", "metric", "--samples", "3"], ["measures", "orders", "quotient", "rules"]),
+    "relabel": (["check", "--suite", "relabel", "--samples", "2"], ["dynamics", "measures", "orders", "rules"]),
+}
+
+
+@pytest.mark.parametrize("argv, modules", COMMAND_MODULES.values(), ids=list(COMMAND_MODULES))
+def test_each_command_loads_only_the_modules_it_runs(argv, modules, tmp_path):
+    rule = tmp_path / "rule.json"
+    save_rule(dictator(2, 3, 0), rule)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    script = (
+        "import sys, arrowlab.cli\n"
+        "try:\n    arrowlab.cli.main(sys.argv[1:])\nexcept SystemExit:\n    pass\n"
+        "print(sorted(m for m in sys.modules if m.startswith('arrowlab')))"
+    )
+    argv = [str(rule) if a == "RULE" else a for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.splitlines()[-1]
+    assert loaded == str(sorted(["arrowlab", "arrowlab.cli"] + [f"arrowlab.{m}" for m in modules]))
+
+
+def test_package_namespace_resolves_every_public_name():
+    import arrowlab
+
+    listed = dir(arrowlab)
+    for name in arrowlab.__all__:
+        assert name in listed
+        value = getattr(arrowlab, name)
+        if name in {"arrowcheck", "dynamics", "measures", "orders", "quotient", "rules"}:
+            assert value is importlib.import_module(f"arrowlab.{name}")
+        else:
+            assert value.__module__.startswith("arrowlab.")
+            assert value is getattr(sys.modules[value.__module__], name)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        arrowlab.no_such_name
 
 
 @pytest.mark.parametrize("command", ["check", "verify-arrow"])
