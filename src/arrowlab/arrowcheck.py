@@ -16,10 +16,10 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb
 
-from .orders import candidate_pairs, check_scale, pair_signatures, tournament_orders
-from .rules import VotingRule, is_dictatorship, _pair_truth_tables
+from .orders import candidate_pairs, check_scale, signature_columns
+from .rules import VotingRule, _pair_truth_tables, is_dictatorship, tournament_table
 
 # A voter's comparisons on a triple a < b < c, as (a over b, a over c, b over c):
 # all but the two cycles, where the first and last agree and the middle differs.
@@ -60,23 +60,11 @@ def candidates_total(n: int, m: int) -> int:
 
 def assemble_rule(agg: PairwiseAggregator, n: int, m: int) -> VotingRule | None:
     """Evaluate the aggregator on every profile; the rule exists iff every
-    profile's outcome tournament is acyclic.  Each pair's outcomes are one
-    ``translate`` of its signature column, ORed into a tournament code per
-    profile, eight pairs to a byte; one lookup turns codes into rankings."""
+    profile's outcome tournament is acyclic.  Pair p's outcome at signature s
+    is bit s of its truth table, read through ``rules.tournament_table``."""
     if agg.n != n or agg.m != m:
         raise ValueError(f"aggregator ({agg.n}, {agg.m}) does not match (n={n}, m={m})")
-    columns = pair_signatures(n, m)
-    size = factorial(m) ** n
-    lanes = [0] * (len(columns) // 8 + 1)  # one lane even with no pair, at m = 1
-    for p, (column, truth) in enumerate(zip(columns, agg.tables)):
-        outcome = bytes(((truth >> s) & 1) << p % 8 for s in range(256))
-        lanes[p // 8] |= int.from_bytes(column.translate(outcome), "little")
-    low, *high = (lane.to_bytes(size, "little") for lane in lanes)
-    ranks = bytes(255 if o is None else o for o in tournament_orders(m))
-    if high:  # ten pairs at m = 5: the code takes a second byte
-        table = bytes(map(ranks.__getitem__, map(operator.or_, low, map((256).__mul__, high[0]))))
-    else:
-        table = low.translate(ranks.ljust(256, b"\xff"))
+    table = tournament_table(n, m, lambda p, s: agg.tables[p] >> s & 1)
     return None if 255 in table else VotingRule(n, m, table)
 
 
@@ -88,20 +76,6 @@ def aggregator_from_rule(rule: VotingRule) -> PairwiseAggregator | None:
         return None if tables is None else PairwiseAggregator(rule.n, rule.m, tables)
     except ValueError:  # a pinned all-agree row is violated
         return None
-
-
-def _pattern_rows(n: int) -> tuple[bytes, bytes, bytes]:
-    """For each of the 6^n ways the voters can order a triple a < b < c, the
-    signatures of its pairs (a, b), (a, c) and (b, c), as three byte columns.
-    Each voter lays out six copies of the columns so far, one per pattern."""
-    columns = (b"\0",) * 3
-    for i in range(n):
-        voted = bytes(s | 1 << i for s in range(256))
-        columns = tuple(
-            b"".join(column.translate(voted) if bits[k] else column for bits in _TRANSITIVE)
-            for k, column in enumerate(columns)
-        )
-    return columns
 
 
 def _search(n: int, m: int) -> tuple[list[list[list[int]]], int]:
@@ -117,7 +91,7 @@ def _search(n: int, m: int) -> tuple[list[list[list[int]]], int]:
     triples = [
         (slot[a, b], slot[a, c], slot[b, c]) for a, b, c in itertools.combinations(range(m), 3)
     ]
-    columns = _pattern_rows(n)
+    columns = signature_columns(n, zip(*_TRANSITIVE))
     solutions, nodes, stack = [], 0, [[[0] + [None] * ((1 << n) - 2) + [1] for _ in slot]]
     while stack:
         outputs, changed, consistent = stack.pop(), True, True

@@ -26,7 +26,6 @@ import itertools
 import json
 import operator
 import struct
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -34,8 +33,11 @@ from math import factorial, gcd, lcm
 from pathlib import Path
 
 from .orders import (
+    _LANE_CODES,
+    _ORDER,
     LinearOrder,
     Profile,
+    _lane_width,
     check_scale,
     encode_digits,
     order_index,
@@ -53,22 +55,8 @@ DISTRIBUTION_FORMAT_VERSION = 1
 # take about as much memory as the tuple of numerators they replace.
 MAX_LEVELS = 10
 
-# Lanes: a table of unsigned entries packed into records of ``width`` bytes in
-# the machine's byte order, which ``struct`` and ``memoryview.cast`` share.  One
-# ``int.from_bytes`` turns a whole table into one integer, so one big-int add
-# sums two tables entry by entry as long as no lane carries into the next.
-# Lanes wider than 8 bytes are several 8-byte words.
-_ORDER = sys.byteorder
-_LANE_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
-
-def _lane_width(bound: int) -> int:
-    """Bytes per lane for entries up to ``bound``: 1, 2, 4 or 8 where that
-    suffices, else the fewest 8-byte words that hold it."""
-    width = max(1, -(-bound.bit_length() // 8))
-    return next((w for w in (1, 2, 4) if w >= width), -(-width // 8) * 8)
-
-
+# Lanes and their helpers live in ``orders``, beside the signature codes.
 def _pack(entries: tuple[int, ...], width: int) -> bytes:
     if width <= 8:
         return struct.pack(f"{len(entries)}{_LANE_CODES[width]}", *entries)

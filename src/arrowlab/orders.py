@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import itertools
 import json
-import operator
 import os
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
@@ -28,6 +28,20 @@ SCALE_OVERRIDE_ENV = "ARROWLAB_SCALE_OVERRIDE"
 # A pair signature doubled plus one output bit must fit too: 2 * (2**7 - 1) + 1.
 BYTE_MAX_CANDIDATES = 5
 BYTE_MAX_VOTERS = 7
+
+# Lanes: unsigned entries packed into ``width``-byte records in the machine's
+# byte order, which ``struct`` and ``memoryview.cast`` share.  A whole table is
+# one ``int.from_bytes`` integer, so one big-int add sums two tables entry by
+# entry while no lane carries.  Lanes wider than 8 bytes are 8-byte words.
+_ORDER = sys.byteorder
+_LANE_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _lane_width(bound: int) -> int:
+    """Bytes per lane for entries up to ``bound``: 1, 2, 4 or 8 where that
+    suffices, else the fewest 8-byte words that hold it."""
+    width = max(1, -(-bound.bit_length() // 8))
+    return next((w for w in (1, 2, 4) if w >= width), -(-width // 8) * 8)
 
 
 def check_scale(n: int, m: int) -> None:
@@ -227,32 +241,47 @@ def profile_digit_columns(n: int, m: int) -> tuple[bytes, ...]:
     return tuple(columns)
 
 
-@lru_cache(maxsize=None)
-def pair_signatures(n: int, m: int) -> tuple[bytes, ...]:
-    """sig[p][k]: bit i set when voter i of profile k ranks pair p's first
-    candidate above its second, one byte per profile.  Each column grows from
-    the last seat outward: seat i lays out m! copies of the column so far,
-    with bit i set in the copies whose ballot ranks that candidate higher."""
-    check_scale(n, m)
+def signature_columns(n: int, above) -> tuple[bytes, ...]:
+    """Per row of ``above`` (a 0/1 per ballot), bit i of entry k set when voter
+    i's ballot in combination k of n ballots, voter 0 most significant, has a
+    1.  Seat by seat from the last, each ballot lays out one copy of the
+    column so far, with bit i set in the copies of 1-ballots."""
     columns = []
-    for above in pair_above(m):
+    for bits in above:
         column = b"\0"
         for i in reversed(range(n)):
             voted = column.translate(bytes(s | 1 << i for s in range(256)))
-            column = b"".join(voted if bit else column for bit in above)
+            column = b"".join(voted if bit else column for bit in bits)
         columns.append(column)
     return tuple(columns)
 
 
-def signature_codes(n: int, m: int, share: Callable[[int, int], int]) -> list[int]:
-    """Per profile k, the sum over pairs p of ``share(p, sig[p][k])``: pair p's
-    part of a code when its signature is s, called once per pair and signature."""
+@lru_cache(maxsize=None)
+def pair_signatures(n: int, m: int) -> tuple[bytes, ...]:
+    """sig[p][k]: bit i set when voter i of profile k ranks pair p's first
+    candidate above its second, one byte per profile."""
+    check_scale(n, m)
+    return signature_columns(n, pair_above(m))
+
+
+def signature_codes(n: int, m: int, share: Callable[[int, int], int]) -> bytes | memoryview:
+    """Per profile k, the sum over pairs p of ``share(p, sig[p][k])``, a share
+    being non-negative and called once per pair and signature.  Each pair adds
+    one whole table: a ``translate`` of its column per lane byte, laid into
+    lanes wide enough for the largest sum, so none carries.  The result is
+    ``bytes`` for one-byte lanes, else a native-order ``memoryview``."""
     columns = pair_signatures(n, m)  # checks the scale before any allocation
-    codes = [0] * factorial(m) ** n
-    for p, column in enumerate(columns):
-        lookup = [share(p, s) for s in range(1 << n)]
-        codes = list(map(operator.add, codes, map(lookup.__getitem__, column)))
-    return codes
+    parts = [[share(p, s) for s in range(1 << n)] for p in range(len(columns))]
+    width = _lane_width(sum(map(max, parts)))
+    size = factorial(m) ** n
+    lanes, total = bytearray(size * width), 0
+    for column, part in zip(columns, parts):
+        for b in range(width):  # lane byte b, least significant first
+            lookup = bytes(v >> 8 * b & 255 for v in part).ljust(256, b"\0")
+            lanes[b if _ORDER == "little" else width - 1 - b :: width] = column.translate(lookup)
+        total += int.from_bytes(lanes, _ORDER)
+    codes = total.to_bytes(size * width, _ORDER)
+    return codes if width == 1 else memoryview(codes).cast(_LANE_CODES[width])
 
 
 def seat_gather(values, n: int, m: int, seats: tuple[int, ...], width: int = 1) -> bytes:

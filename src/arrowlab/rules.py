@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import factorial
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .orders import (
     LinearOrder,
@@ -109,11 +109,21 @@ def constant_rule(n: int, m: int, order: LinearOrder) -> VotingRule:
     return VotingRule(n, m, bytes((order_index(order),)) * factorial(m) ** n)
 
 
-def _unanimity_patterns(n: int, m: int) -> list[int]:
+def _unanimity_patterns(n: int, m: int) -> bytes | memoryview:
     """Per profile, two bits per pair p: bit 2p when every voter ranks the
     pair's first candidate higher, bit 2p+1 when every voter ranks it lower."""
     full = (1 << n) - 1
     return signature_codes(n, m, lambda p, s: (s == full) << (2 * p) | (s == 0) << (2 * p + 1))
+
+
+def tournament_table(n: int, m: int, wins: Callable[[int, int], int]) -> bytes:
+    """Per profile, the ranking with outcome ``wins(p, s)`` on each pair p at
+    signature s (1: the first candidate wins), or 255 where those cycle."""
+    codes = signature_codes(n, m, lambda p, s: wins(p, s) << p)
+    ranks = bytes(255 if o is None else o for o in tournament_orders(m))
+    if isinstance(codes, bytes):
+        return codes.translate(ranks.ljust(256, b"\xff"))
+    return bytes(map(ranks.__getitem__, codes))  # ten pairs at m = 5: two-byte codes
 
 
 @lru_cache(maxsize=None)
@@ -236,18 +246,16 @@ def pairwise_majority_rule(
     def first_wins(p: int, s: int) -> int:
         margin = 2 * s.bit_count() - n
         if margin:
-            return (margin > 0) << p
+            return margin > 0
         if tiebreak_voter is not None:
-            return ((s >> tiebreak_voter) & 1) << p
-        return tiebreak_order.prefers(*pairs[p]) << p
+            return (s >> tiebreak_voter) & 1
+        return tiebreak_order.prefers(*pairs[p])
 
-    codes = signature_codes(n, m, first_wins)
-    table = list(map(tournament_orders(m).__getitem__, codes))
-    if None in table:
-        for k, u in enumerate(_unanimity_patterns(n, m)):
-            if table[k] is None:
-                table[k] = _pareto_consistent_outputs(u, m)[0]
-    return VotingRule(n, m, bytes(table))
+    table = tournament_table(n, m, first_wins)
+    if 255 in table:
+        rows = zip(table, _unanimity_patterns(n, m))
+        table = bytes(t if t != 255 else _pareto_consistent_outputs(u, m)[0] for t, u in rows)
+    return VotingRule(n, m, table)
 
 
 def borda_rule(n: int, m: int, tiebreak_order: LinearOrder | None = None) -> VotingRule:

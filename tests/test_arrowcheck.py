@@ -162,15 +162,17 @@ def deadline(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-@pytest.mark.parametrize("n, m", [(4, 3), (3, 4), (4, 4)])
+@pytest.mark.parametrize("n, m", [(n, m) for m in (3, 4) for n in (1, 2, 3, 4)])
 def test_search_finds_exactly_the_dictators_beyond_the_scan(n, m):
+    """At every desk scale, exactly the n dictators in 2n - 1 search nodes: a
+    binary tree whose n leaves are the dictators, so no branch dead-ends."""
     with deadline(SEARCH_DEADLINE_S):
         report = verify_arrow(n, m)
     assert report.candidates_scanned == candidates_total(n, m)
     assert report.dictators == tuple(range(n))
     indices = [_candidate_index(projection_aggregator(n, m, i)) for i in range(n)]
     assert list(report.found) == [(c, dictator(n, m, i)) for i, c in enumerate(indices)]
-    assert 0 < report.search_nodes <= 2 * n
+    assert report.search_nodes == 2 * n - 1
 
 
 def test_verify_arrow_four_candidates_two_voters():

@@ -38,6 +38,7 @@ from arrowlab.orders import (
     pair_signatures,
     profile_digit_tuples,
     seat_gather,
+    signature_codes,
 )
 from arrowlab.quotient import rule_distance
 from arrowlab.rules import (
@@ -166,6 +167,50 @@ def test_pareto_output_cache_holds_one_entry_per_unanimity_pattern():
 @pytest.mark.parametrize("n,m", ((1, 3),) + SCALES)
 def test_pair_signatures_equal_pair_rows(n, m):
     assert tuple(map(tuple, pair_signatures(n, m))) == ref.pair_rows(n, m)
+
+
+def _fold_shares(n, m):
+    """Named share functions for ``signature_codes`` and the lane width each
+    needs: the three the rule builders fold, and shares whose largest sum is
+    exactly the top value of a lane, or one past it, so that a lane one byte
+    too narrow carries into its neighbour."""
+    pairs, full = m * (m - 1) // 2, (1 << n) - 1
+
+    def top(total):
+        parts = [total // pairs] * pairs
+        parts[0] += total - sum(parts)
+        return lambda p, s: parts[p] * s // full
+
+    def lanes(bits):
+        return next(w for w in (1, 2, 4) if bits <= 8 * w)
+
+    borda_bits = ((n + 1) ** pairs - 1).bit_length()  # every voter for every first candidate
+    shares = [
+        ("tournament", lambda p, s: (s & 1) << p, lanes(pairs)),
+        ("unanimity", lambda p, s: (s == full) << 2 * p | (s == 0) << 2 * p + 1, lanes(2 * pairs)),
+        ("borda", lambda p, s: s.bit_count() * (n + 1) ** p, lanes(borda_bits)),
+    ]
+    tops = ((255, 1), (256, 2), (65535, 2), (65536, 4), (2**32 - 1, 4))
+    return shares + [(f"top {t}", top(t), w) for t, w in tops]
+
+
+@pytest.mark.parametrize("n,m", [(3, 3), (3, 4), (2, 5)])
+def test_signature_codes_equal_per_profile_sums(n, m, monkeypatch):
+    """The whole-table fold equals the per-profile sum of the shares, in the
+    narrowest lanes (1, 2 or 4 bytes) that hold the largest possible sum."""
+    monkeypatch.setenv("ARROWLAB_SCALE_OVERRIDE", "1")
+    columns = pair_signatures(n, m)
+    widths = set()
+    for name, share, width in _fold_shares(n, m):
+        codes = signature_codes(n, m, share)
+        expected = [
+            sum(share(p, column[k]) for p, column in enumerate(columns))
+            for k in range(len(columns[0]))
+        ]
+        assert list(codes) == expected, name
+        assert (1 if isinstance(codes, bytes) else codes.itemsize) == width, name
+        widths.add(width)
+    assert widths == {1, 2, 4}
 
 
 def _majority_variants(n, m):

@@ -349,3 +349,61 @@ def test_digest_at_five_candidates_writes_three_digit_entries(monkeypatch):
     rule = dictator(2, 5, 1)
     assert max(rule.table) == 119
     assert table_digest(rule) == _independent_digest(rule)
+
+
+# Digests of the rule builders at the two scales whose codes are wider than a
+# byte somewhere: majority's tournament at m = 5 (ten pairs), the draw's
+# unanimity pattern at m = 4 and m = 5 (12 and 20 bits), Borda's radix code.
+BUILDER_DIGESTS = {
+    (4, 4): {
+        "majority": (
+            "0d0780d291238c06a47ae3d0966ff0293abfd1c7246788035be09ddc8af4d383",
+            "86eb682940a99d739909063f096c9a35ada53168733f1277f0b316e316cdbbee",
+            "99e7d3c6ee6b0fb60fffa1461f2cda9c47cb7eaf90d28bbd6a7b64e2f3c093da",
+            "4a0f961a3633073a10fe1ca4821cef0e0d93574b2f4ec95ad638fae6b7a7b4bb",
+            "d71acbe86e9f73de95146b866576385c68d15ae93eee99ef8ccd35ef9695393b",
+            "c4513b91f1e4e63a1734cc329ba936430a3e2736c95b28039783205caa6dbc6d",
+        ),
+        "borda": (
+            "2bbee71f03301da8d4a62c9fc7f344e81a682d31fe0cff5e6fd2c31b0b7233c7",
+            "37c4a6fc06e129307b48f0be1e281ecc8b2af443b26999bf7c23b4122be8eb91",
+        ),
+        "draw": (
+            "92b0634e59248febbf010942c74954d541c7d8ea97d472d08bd58aa845dda168",
+            "9e9518c993b0ec6bda6236a5bdb25c1d095efd9414e988c4ab73bc2913105847",
+            "186ed6eaf756d49c6bae896f4036bc431ac8c6c14eb76db2a980b6309679b3aa",
+        ),
+    },
+    (2, 5): {
+        "majority": (
+            "a12632e0baec00db9f10c0942d5b3ecca1aab556019480db028e49ac597f2731",
+            "98aec9eed21d366373b8364dbc9301c7130b64b427523ed8fe192cfb25a7e551",
+            "16f9844120844bc4200f17a4c916b95a88db70694168cd046049b029a4fcdaa7",
+            "fdd250e19eb225c4d74da490fc413ccc166b9bd55011f6d74e05041a6cfde3fc",
+        ),
+        "borda": (
+            "6142c29a0bdda67b84eed1e5d45e07980e158498c42a0cdb8b5801b95c86d442",
+            "8577e743347d7a8bb32ce32fc471607c796a0bcb1ec24023297d69103a412a6f",
+        ),
+        "draw": (
+            "6a05f88f866bad170d1c381f96fc4b18515386aa307c32cde870263bb60121c7",
+            "12c5c5e52fe5b98bb0515c14185f9310c9b03bc6446d9c7588efd4bcb9be4b08",
+            "94cfd7b436e81b0102e816e5a5db0f7b2754e8dea27ea6b7fdea1f11e9424d15",
+        ),
+    },
+}
+
+
+@pytest.mark.parametrize("n, m", sorted(BUILDER_DIGESTS))
+def test_rule_builders_keep_their_pinned_digests(n, m, monkeypatch):
+    """Majority under the first and the last ranking and every tie-break
+    voter, Borda under both rankings, and the draw for seeds 0-2."""
+    monkeypatch.setenv("ARROWLAB_SCALE_OVERRIDE", "1")
+    last = enumerate_orders(m)[-1]
+    variants = [{}, {"tiebreak_order": last}] + [{"tiebreak_voter": v} for v in range(n)]
+    digests = {
+        "majority": tuple(pairwise_majority_rule(n, m, **kw).digest for kw in variants),
+        "borda": tuple(borda_rule(n, m, order).digest for order in (None, last)),
+        "draw": tuple(random_pareto_rule(n, m, seed).digest for seed in range(3)),
+    }
+    assert digests == BUILDER_DIGESTS[n, m]
