@@ -12,16 +12,15 @@ modules it runs.
 import importlib
 
 _EXPORTS = {
-    "orders": """LinearOrder Profile VoterPermutation all_voter_permutations
-        apply_voter_permutation enumerate_orders order_index profile_from_index
-        profile_index unanimous_profile""",
+    "orders": """LinearOrder VoterPermutation all_voter_permutations
+        enumerate_orders order_index""",
     "rules": """VotingRule borda_rule compose_collapse compose_voter_permutation
-        constant_rule cylinder_extend dictator evaluate is_dictatorship is_iia
+        constant_rule cylinder_extend dictator is_dictatorship is_iia
         is_pareto load_rule pairwise_majority_rule random_pareto_rule save_rule
         table_digest""",
     "measures": """Distribution has_full_support is_permutation_invariant
         lift_distribution load_distribution save_distribution star_distribution
-        uniform_distribution weight_of""",
+        uniform_distribution""",
     "quotient": """EquivalencePartition FiniteMetricSpace check_metric_axioms
         load_fixture quotient_distance_chain quotient_distance_orbit
         random_orbit_fixture rule_distance save_fixture space_from_rules

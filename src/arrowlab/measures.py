@@ -4,7 +4,7 @@ A distribution holds one non-negative Python ``int`` numerator per profile
 over a single common ``int`` denominator, in lowest terms, so every kernel
 sums integers and divides once; Python ints cannot overflow and no float
 enters any computation.  ``fractions.Fraction`` appears only at the boundary:
-the public constructor, ``weights``, ``weight_of`` and the file format.
+the public constructor, ``weights`` and the file format.
 Besides the uniform (impartial-culture) distribution, the module provides the
 near-unanimous "star" family, which loads one unanimous profile and spreads
 the rest evenly, and the permutation-averaged lift that turns a distribution
@@ -36,12 +36,10 @@ from .orders import (
     _LANE_CODES,
     _ORDER,
     LinearOrder,
-    Profile,
     _lane_width,
     check_scale,
     encode_digits,
     order_index,
-    profile_index,
     read_record,
     seat_gather,
 )
@@ -238,7 +236,7 @@ class Distribution:
 
     @cached_property
     def numerators(self) -> tuple[int, ...]:
-        """Profile k's numerator over ``denominator``, for every profile; in
+        """Every profile's numerator over ``denominator``, in index order; in
         the level form built on first access, then kept on the instance."""
         return tuple(map(self.levels.__getitem__, self.level_index))
 
@@ -295,14 +293,6 @@ class Distribution:
             if seat_gather(lanes, self.n, self.m, tuple(swap), width) != lanes:
                 return False
         return True
-
-
-def weight_of(dist: Distribution, profile: Profile) -> Fraction:
-    if profile.n != dist.n or profile.m != dist.m:
-        raise ValueError(
-            f"profile ({profile.n}, {profile.m}) incompatible with distribution ({dist.n}, {dist.m})"
-        )
-    return Fraction(dist.numerators[profile_index(profile)], dist.denominator)
 
 
 def uniform_distribution(n: int, m: int) -> Distribution:

@@ -116,29 +116,6 @@ class LinearOrder:
 
 
 @dataclass(frozen=True)
-class Profile:
-    """One ballot per voter; the input point of a voting rule."""
-
-    ballots: tuple[LinearOrder, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "ballots", tuple(self.ballots))
-        if len(self.ballots) < 1:
-            raise ValueError("a profile needs at least one voter")
-        widths = {b.m for b in self.ballots}
-        if len(widths) != 1:
-            raise ValueError(f"ballots disagree on candidate count: {sorted(widths)}")
-
-    @property
-    def n(self) -> int:
-        return len(self.ballots)
-
-    @property
-    def m(self) -> int:
-        return self.ballots[0].m
-
-
-@dataclass(frozen=True)
 class VoterPermutation:
     """A relabeling of the n voters; ``mapping[i]`` is the voter whose ballot lands at seat i."""
 
@@ -155,8 +132,10 @@ class VoterPermutation:
         return len(self.mapping)
 
     def compose(self, other: "VoterPermutation") -> "VoterPermutation":
-        """Composition chosen so that applying ``self`` then ``other`` to a
-        profile equals applying ``self.compose(other)`` once (the group-action law)."""
+        """Composition chosen so that relabeling seats by ``self`` then by
+        ``other`` equals relabeling by ``self.compose(other)`` once (the
+        group-action law).  A rule composed with ``a``, then ``b``, is the
+        rule composed with ``b.compose(a)``."""
         if self.n != other.n:
             raise ValueError("permutation sizes disagree")
         return VoterPermutation(tuple(self.mapping[j] for j in other.mapping))
@@ -297,7 +276,7 @@ def seat_gather(values, n: int, m: int, seats: tuple[int, ...], width: int = 1) 
     another, and leaving an n-th seat unread extends a table by an ignored
     voter.
 
-    Profile k's ballot at seat j moves the source index by ``coeff[j]`` per
+    The ballot of profile k at seat j moves the source index by ``coeff[j]`` per
     ballot index, ``coeff[j]`` summing (m!)^(len(seats)-1-i) over the seats i
     with ``seats[i] == j``.  So each setting of the first n-1 seats reads one
     slice of stride ``coeff[n-1]``, or repeats one entry when nobody reads
@@ -327,39 +306,9 @@ def seat_gather(values, n: int, m: int, seats: tuple[int, ...], width: int = 1) 
 
 
 def encode_digits(digits: tuple[int, ...], m: int) -> int:
-    """Profile index of a tuple of ballot indices (voter 0 most significant)."""
+    """The profile index of a tuple of ballot indices (voter 0 most significant)."""
     mf = factorial(m)
     k = 0
     for d in digits:
         k = k * mf + d
     return k
-
-
-def profile_index(profile: Profile) -> int:
-    """Dense index of a profile: the base-m! number of its ballots' canonical indices."""
-    idx = _order_index_map(profile.m)
-    return encode_digits(tuple(idx[b.ranking] for b in profile.ballots), profile.m)
-
-
-def profile_from_index(index: int, n: int, m: int) -> Profile:
-    """Inverse of ``profile_index`` on 0..(m!)^n - 1."""
-    mf = factorial(m)
-    if not 0 <= index < mf**n:
-        raise ValueError(f"profile index {index} out of range for (n={n}, m={m})")
-    orders = enumerate_orders(m)
-    digits = []
-    for _ in range(n):
-        index, d = divmod(index, mf)
-        digits.append(d)
-    return Profile(tuple(orders[d] for d in reversed(digits)))
-
-
-def apply_voter_permutation(profile: Profile, perm: VoterPermutation) -> Profile:
-    """Relabel voters: seat i of the result holds the ballot of voter ``perm.mapping[i]``."""
-    if profile.n != perm.n:
-        raise ValueError(f"profile has {profile.n} voters but permutation has {perm.n}")
-    return Profile(tuple(profile.ballots[j] for j in perm.mapping))
-
-
-def unanimous_profile(order: LinearOrder, n: int) -> Profile:
-    return Profile((order,) * n)

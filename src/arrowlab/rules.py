@@ -20,7 +20,6 @@ from typing import Callable, Iterator
 
 from .orders import (
     LinearOrder,
-    Profile,
     VoterPermutation,
     candidate_pairs,
     check_scale,
@@ -29,7 +28,6 @@ from .orders import (
     pair_above,
     pair_signatures,
     profile_digit_columns,
-    profile_index,
     read_record,
     seat_gather,
     signature_codes,
@@ -88,15 +86,6 @@ class VotingRule:
         return digest.hexdigest()
 
 
-def evaluate(rule: VotingRule, profile: Profile) -> LinearOrder:
-    """The rule's output ranking on a profile."""
-    if profile.n != rule.n or profile.m != rule.m:
-        raise ValueError(
-            f"profile ({profile.n}, {profile.m}) incompatible with rule ({rule.n}, {rule.m})"
-        )
-    return enumerate_orders(rule.m)[rule.table[profile_index(profile)]]
-
-
 def dictator(n: int, m: int, i: int) -> VotingRule:
     """The rule that copies voter i's ballot verbatim."""
     if not 0 <= i < n:
@@ -127,15 +116,19 @@ def tournament_table(n: int, m: int, wins: Callable[[int, int], int]) -> bytes:
 
 
 @lru_cache(maxsize=None)
+def _pareto_break_masks(m: int) -> tuple[int, ...]:
+    """Per order o, the unanimity-pattern bits that o breaks: bit
+    2p + above[p][o] for every pair p."""
+    above = pair_above(m)
+    return tuple(sum(1 << (2 * p + bits[o]) for p, bits in enumerate(above)) for o in range(factorial(m)))
+
+
+@lru_cache(maxsize=None)
 def _pareto_consistent_outputs(pattern: int, m: int) -> tuple[int, ...]:
     """Order indices that keep every unanimous comparison of a unanimity
-    pattern, so the cache holds one entry per pattern.  Order o breaks pair
-    p's comparison when bit 2p + above[p][o] of the pattern is set."""
-    return tuple(
-        o
-        for o in range(factorial(m))
-        if not any((pattern >> (2 * p + bits[o])) & 1 for p, bits in enumerate(pair_above(m)))
-    )
+    pattern, so the cache holds one entry per pattern: those whose break
+    mask shares no bit with the pattern."""
+    return tuple(o for o, mask in enumerate(_pareto_break_masks(m)) if not pattern & mask)
 
 
 def _signature_outputs(rule: VotingRule) -> Iterator[set[int]]:

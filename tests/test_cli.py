@@ -1,6 +1,8 @@
+import contextlib
 import dataclasses
 import importlib
 import importlib.util
+import io
 import json
 import os
 import re
@@ -10,8 +12,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from arrowlab.cli import main
+from arrowlab.cli import SUITE_NAMES, main
 from arrowlab.dynamics import ReplayReport, replay_contradiction
 from arrowlab.orders import enumerate_orders
 from arrowlab.rules import (
@@ -286,9 +290,27 @@ def test_each_command_loads_only_the_modules_it_runs(argv, modules, tmp_path):
     assert loaded == str(sorted(["arrowlab", "arrowlab.cli"] + [f"arrowlab.{m}" for m in modules]))
 
 
+PUBLIC_NAMES = """
+    ArrowReport CollapseReport Distribution EquivalencePartition FiniteMetricSpace
+    ForceProfile IterationTrace LinearOrder OrbitClass PairwiseAggregator ReplayReport
+    VoterPermutation VotingRule aggregator_from_rule all_voter_permutations arrowcheck
+    assemble_rule borda_rule check_collapse_conjecture check_metric_axioms
+    compose_collapse compose_voter_permutation constant_rule cylinder_extend dictator
+    dynamics enumerate_orders force force_profile force_transfer force_transfer_class
+    has_full_support is_dictatorship is_iia is_pareto is_permutation_invariant
+    iterate_force_transfer lift_distribution load_distribution load_fixture load_rule
+    measures orbit_class order_index orders pairwise_majority_rule quotient
+    quotient_distance_chain quotient_distance_orbit random_orbit_fixture
+    random_pareto_rule replay_contradiction rule_distance rules save_distribution
+    save_fixture save_rule space_from_rules star_distribution table_digest
+    uniform_distribution verify_arrow verify_orbit_partition write_trace
+""".split()
+
+
 def test_package_namespace_resolves_every_public_name():
     import arrowlab
 
+    assert arrowlab.__all__ == PUBLIC_NAMES and len(PUBLIC_NAMES) == 64
     listed = dir(arrowlab)
     for name in arrowlab.__all__:
         assert name in listed
@@ -464,3 +486,68 @@ def test_passing_suites_carry_no_witness(capsys):
     suites = json.loads(out)["suites"]
     assert "witness" not in suites["welldef"]
     assert all("witness" not in base for base in suites["cylinder"]["base_distributions"].values())
+
+
+# Per flag, tokens that argparse accepts, some of which the command refuses,
+# and tokens that argparse refuses.  Scales stop at three voters and three
+# candidates, where every command finishes in milliseconds; --jobs never
+# reaches 2, which would start worker processes.
+_SCALE = {
+    "--voters": (("-1", "0", "1", "2", "3", "9"), ("x",)),
+    "--candidates": (("-1", "0", "1", "2", "3", "9"), ("x",)),
+}
+_SPREAD = {
+    "--epsilon": (("1/2", "1/3"), ("0", "3/2", "1/0", "x")),
+    "--y-index": (("-1", "0", "5", "6"), ("x",)),
+}
+_DIST = {"--dist": (("uniform", "star", "lift-star"), ("cubic",))}
+_JOBS = {"--jobs": (("1",), ("-1", "0", "x"))}
+_OUT = {"--out": (("dir", "file", "under-file"), ())}
+FUZZ_FLAGS = {
+    "verify-arrow": {**_SCALE, **_JOBS, **_OUT},
+    "iterate": {
+        "--rule": (("rule", "missing", "dir", "malformed"), ()),
+        "--max-steps": (("-1", "0", "1", "64"), ("x",)),
+        **_DIST, **_SPREAD, **_JOBS, **_OUT,
+    },
+    "check": {
+        "--suite": ((*SUITE_NAMES, "all"), ("none",)),
+        "--samples": (("1", "2"), ("-1", "0", "x")),
+        "--seed": (("-1", "0", "7"), ("x",)),
+        **_SCALE, **_DIST, **_SPREAD, **_JOBS, **_OUT,
+    },
+    "replay": {**_SCALE, **_SPREAD, **_OUT},
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_cli_fuzz_exits_with_a_known_code_and_no_traceback(tmp_path_factory, data):
+    """Every command, under any subset of its flags with at most one token
+    that argparse refuses, exits 0, 2, 3 or 4 and writes no traceback."""
+    root = tmp_path_factory.getbasetemp() / "fuzz"
+    paths = {name: root / name for name in ("rule", "missing", "dir", "malformed", "file")}
+    paths["under-file"] = paths["file"] / "out"
+    if not root.exists():
+        paths["dir"].mkdir(parents=True)
+        save_rule(random_pareto_rule(2, 3, 0), paths["rule"])
+        paths["malformed"].write_text('{"format_version": 1, "n": 2, "m": 3, "table": [')
+        paths["file"].write_text("")
+    command = data.draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    flags = FUZZ_FLAGS[command]
+    refused = data.draw(st.sampled_from([None, *flags]), label="refused flag")
+    argv = [command]
+    for flag, (good, bad) in flags.items():
+        token = data.draw(st.none() | st.sampled_from(bad if flag == refused and bad else good))
+        if token is not None:
+            argv += [flag, str(paths.get(token, token))]
+    if command == "check" and "--samples" not in argv:
+        argv += ["--samples", "1"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -35,6 +35,7 @@ from arrowlab.orders import (
     all_voter_permutations,
     encode_digits,
     enumerate_orders,
+    pair_above,
     pair_signatures,
     profile_digit_tuples,
     seat_gather,
@@ -163,6 +164,21 @@ def test_pareto_output_cache_holds_one_entry_per_unanimity_pattern():
     }
     assert _pareto_consistent_outputs.cache_info().currsize == len(forced_pair_sets)
 
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_pareto_outputs_equal_the_per_pair_scan(m):
+    """One break mask per ranking keeps exactly the rankings that the scan
+    over pairs keeps, on every unanimity pattern: order o breaks pair p when
+    bit 2p + above[p][o] of the pattern is set."""
+    above = pair_above(m)
+    for pattern in range(1 << 2 * len(above)):
+        scan = tuple(
+            o
+            for o in range(factorial(m))
+            if not any(pattern >> (2 * p + bits[o]) & 1 for p, bits in enumerate(above))
+        )
+        assert _pareto_consistent_outputs(pattern, m) == scan
 
 @pytest.mark.parametrize("n,m", ((1, 3),) + SCALES)
 def test_pair_signatures_equal_pair_rows(n, m):

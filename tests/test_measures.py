@@ -18,9 +18,8 @@ from arrowlab.measures import (
     save_distribution,
     star_distribution,
     uniform_distribution,
-    weight_of,
 )
-from arrowlab.orders import enumerate_orders, profile_index, unanimous_profile
+from arrowlab.orders import encode_digits, enumerate_orders
 
 ORDERS3 = enumerate_orders(3)
 
@@ -51,7 +50,7 @@ def test_distribution_validation():
 
 def test_star_weights():
     mu = star_distribution(2, 3, Fraction(1, 2), ORDERS3[0])
-    assert weight_of(mu, unanimous_profile(ORDERS3[0], 2)) == Fraction(1, 2)
+    assert mu.weights[encode_digits((0, 0), 3)] == Fraction(1, 2)
     others = [w for k, w in enumerate(mu.weights) if k != 0]
     assert others == [Fraction(1, 70)] * 35
     assert has_full_support(mu)
@@ -80,8 +79,8 @@ def test_star_is_permutation_invariant():
 def test_star_unanimous_weight_dominates():
     for eps in (Fraction(1, 10), Fraction(1, 2), Fraction(13, 20)):
         mu = star_distribution(2, 3, eps, ORDERS3[1])
-        top = weight_of(mu, unanimous_profile(ORDERS3[1], 2))
-        assert all(top > w for k, w in enumerate(mu.weights) if k != profile_index(unanimous_profile(ORDERS3[1], 2)))
+        top = encode_digits((1, 1), 3)
+        assert all(mu.weights[top] > w for k, w in enumerate(mu.weights) if k != top)
 
 
 def test_lift_of_uniform_single_voter_is_uniform():

@@ -1,22 +1,20 @@
 import itertools
+from math import factorial
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from arrowlab.orders import (
     LinearOrder,
-    Profile,
     VoterPermutation,
     all_voter_permutations,
-    apply_voter_permutation,
     check_scale,
+    encode_digits,
     enumerate_orders,
     order_index,
-    profile_from_index,
-    profile_index,
+    profile_digit_tuples,
     tournament_orders,
 )
+from arrowlab.rules import compose_voter_permutation, dictator, random_pareto_rule
 
 
 def test_enumerate_orders_single_candidate():
@@ -66,60 +64,36 @@ def test_linear_order_rejects_non_permutations():
 
 
 def test_profile_index_examples():
-    orders = enumerate_orders(3)
-    assert profile_index(Profile((orders[0], orders[0]))) == 0
-    assert profile_index(Profile((orders[0], orders[1]))) == 1
-    assert profile_index(Profile((orders[5], orders[5]))) == 35
+    assert encode_digits((0, 0), 3) == 0
+    assert encode_digits((0, 1), 3) == 1
+    assert encode_digits((5, 5), 3) == 35
 
 
-@settings(max_examples=60)
-@given(st.integers(1, 3), st.integers(1, 3), st.data())
-def test_profile_index_round_trip(n, m, data):
-    import math
-
-    index = data.draw(st.integers(0, math.factorial(m) ** n - 1))
-    profile = profile_from_index(index, n, m)
-    assert profile_index(profile) == index
-    assert profile_from_index(profile_index(profile), n, m) == profile
-
-
-def _profiles(n, m):
-    orders = enumerate_orders(m)
-    ballots = st.sampled_from(orders)
-    return st.tuples(*[ballots] * n).map(Profile)
+def test_profile_index_round_trip():
+    """``encode_digits`` of the k-th digit tuple is k: voter 0's ballot is the
+    most significant digit, the convention of every table and file format."""
+    for n in (1, 2, 3):
+        for m in (1, 2, 3):
+            digits = profile_digit_tuples(n, m)
+            assert len(digits) == factorial(m) ** n
+            assert all(encode_digits(d, m) == k for k, d in enumerate(digits))
 
 
-def _perms(n):
-    return st.sampled_from(all_voter_permutations(n))
+def test_group_action_law():
+    """Composing a rule with pi, then sigma, is composing it with
+    sigma.compose(pi) once; the seeded rule is asymmetric enough that the
+    other order fails."""
+    rule = random_pareto_rule(3, 3, 5)
+    perms = all_voter_permutations(3)
+    for pi in perms:
+        for sigma in perms:
+            stepwise = compose_voter_permutation(compose_voter_permutation(rule, pi), sigma)
+            assert stepwise == compose_voter_permutation(rule, sigma.compose(pi))
 
 
-def test_apply_identity_and_swap():
-    orders = enumerate_orders(3)
-    p = Profile((orders[0], orders[3]))
-    assert apply_voter_permutation(p, VoterPermutation.identity(2)) == p
-    swapped = apply_voter_permutation(p, VoterPermutation((1, 0)))
-    assert swapped.ballots == (orders[3], orders[0])
-
-
-def test_cycle_twice_equals_squared_permutation():
-    orders = enumerate_orders(3)
-    p = Profile((orders[0], orders[1], orders[2]))
-    cycle = VoterPermutation((1, 2, 0))
-    twice = apply_voter_permutation(apply_voter_permutation(p, cycle), cycle)
-    assert twice == apply_voter_permutation(p, cycle.compose(cycle))
-
-
-@settings(max_examples=60)
-@given(_profiles(3, 3), _perms(3), _perms(3))
-def test_group_action_law(p, pi, sigma):
-    stepwise = apply_voter_permutation(apply_voter_permutation(p, pi), sigma)
-    assert stepwise == apply_voter_permutation(p, pi.compose(sigma))
-
-
-def test_apply_rejects_length_mismatch():
-    orders = enumerate_orders(3)
-    with pytest.raises(ValueError):
-        apply_voter_permutation(Profile((orders[0],)), VoterPermutation((0, 1)))
+def test_compose_voter_permutation_rejects_a_wrong_size():
+    with pytest.raises(ValueError, match="permutation on 2 voters, rule has 3"):
+        compose_voter_permutation(dictator(3, 3, 0), VoterPermutation((1, 0)))
 
 
 def test_order_index_is_lexicographic_rank():

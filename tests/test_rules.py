@@ -9,12 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrowlab.orders import (
-    Profile,
     VoterPermutation,
     all_voter_permutations,
+    encode_digits,
     enumerate_orders,
-    profile_from_index,
-    unanimous_profile,
+    profile_digit_tuples,
 )
 from arrowlab.rules import (
     VotingRule,
@@ -24,7 +23,6 @@ from arrowlab.rules import (
     constant_rule,
     cylinder_extend,
     dictator,
-    evaluate,
     is_dictatorship,
     is_iia,
     is_pareto,
@@ -39,37 +37,29 @@ ORDERS3 = enumerate_orders(3)
 
 
 def brute_force_is_pareto(rule):
-    """Independent unanimity check built on Profile objects and prefers()."""
-    import math
-
-    for k in range(math.factorial(rule.m) ** rule.n):
-        p = profile_from_index(k, rule.n, rule.m)
-        out = evaluate(rule, p)
+    """Independent unanimity check over each profile's ballot indices and prefers()."""
+    orders = enumerate_orders(rule.m)
+    for k, digits in enumerate(profile_digit_tuples(rule.n, rule.m)):
+        out = orders[rule.table[k]]
         for a in range(rule.m):
             for b in range(rule.m):
                 if a == b:
                     continue
-                if all(ballot.prefers(a, b) for ballot in p.ballots) and not out.prefers(a, b):
+                if all(orders[d].prefers(a, b) for d in digits) and not out.prefers(a, b):
                     return False
     return True
 
 
 def test_dictator_table_entries():
-    p = Profile((ORDERS3[0], ORDERS3[5]))
-    assert evaluate(dictator(2, 3, 0), p) == ORDERS3[0]
-    assert evaluate(dictator(2, 3, 1), p) == ORDERS3[5]
-    assert dictator(2, 3, 0).table[5] == 0
-    assert dictator(2, 3, 1).table[5] == 5
+    k = encode_digits((0, 5), 3)
+    assert k == 5
+    assert dictator(2, 3, 0).table[k] == 0
+    assert dictator(2, 3, 1).table[k] == 5
 
 
 def test_dictator_rejects_bad_voter():
     with pytest.raises(ValueError):
         dictator(2, 3, 2)
-
-
-def test_evaluate_rejects_dimension_mismatch():
-    with pytest.raises(ValueError):
-        evaluate(dictator(2, 3, 0), Profile((ORDERS3[0],)))
 
 
 def test_voting_rule_validation():
@@ -106,8 +96,8 @@ def test_table_is_bytes_whatever_it_was_built_from():
 def test_pareto_rules_reproduce_unanimity():
     for seed in range(5):
         rule = random_pareto_rule(2, 3, seed)
-        for order in ORDERS3:
-            assert evaluate(rule, unanimous_profile(order, 2)) == order
+        for o in range(len(ORDERS3)):
+            assert rule.table[encode_digits((o, o), 3)] == o
 
 
 def test_is_pareto_examples():
@@ -138,18 +128,17 @@ def test_borda_iia_witness_found_by_exhaustive_scan():
     """Two profiles agreeing on one pair's per-voter comparisons but with
     differing output comparisons, found over all 36x36 profile pairs."""
     rule = borda_rule(2, 3)
+    profiles = profile_digit_tuples(2, 3)
     witness = None
-    for ka in range(36):
-        pa = profile_from_index(ka, 2, 3)
-        out_a = evaluate(rule, pa)
-        for kb in range(36):
-            pb = profile_from_index(kb, 2, 3)
-            out_b = evaluate(rule, pb)
+    for ka, pa in enumerate(profiles):
+        out_a = ORDERS3[rule.table[ka]]
+        for kb, pb in enumerate(profiles):
+            out_b = ORDERS3[rule.table[kb]]
             for a in range(3):
                 for b in range(a + 1, 3):
                     if all(
-                        pa.ballots[i].prefers(a, b) == pb.ballots[i].prefers(a, b)
-                        for i in range(2)
+                        ORDERS3[da].prefers(a, b) == ORDERS3[db].prefers(a, b)
+                        for da, db in zip(pa, pb)
                     ) and out_a.prefers(a, b) != out_b.prefers(a, b):
                         witness = (ka, kb, a, b)
         if witness:
