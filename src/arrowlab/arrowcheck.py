@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
-from .orders import candidate_pairs, check_scale, signature_columns
+from .orders import Frozen, candidate_pairs, check_scale, signature_columns
 from .rules import VotingRule, _pair_truth_tables, is_dictatorship, tournament_table
 
 # A voter's comparisons on a triple a < b < c, as (a over b, a over c, b over c):
@@ -26,31 +26,27 @@ from .rules import VotingRule, _pair_truth_tables, is_dictatorship, tournament_t
 _TRANSITIVE = tuple(bits for bits in itertools.product((0, 1), repeat=3) if bits[1] in bits[::2])
 
 
-@dataclass(frozen=True)
-class PairwiseAggregator:
+class PairwiseAggregator(Frozen):
     """One Boolean function per candidate pair, from the n voters' pairwise
     comparisons (bit i = voter i prefers the pair's first candidate) to the
     societal comparison.  The all-true and all-false input rows are pinned to
     true and false respectively."""
 
-    n: int
-    m: int
-    tables: tuple[int, ...]
+    _fields = ("n", "m", "tables")
 
-    def __post_init__(self):
-        object.__setattr__(self, "tables", tuple(self.tables))
-        if len(self.tables) != comb(self.m, 2):
-            raise ValueError(
-                f"{len(self.tables)} pair tables, expected {comb(self.m, 2)} for m={self.m}"
-            )
-        rows = 1 << self.n
-        for t in self.tables:
+    def __init__(self, n: int, m: int, tables: tuple[int, ...]):
+        tables = tuple(tables)
+        if len(tables) != comb(m, 2):
+            raise ValueError(f"{len(tables)} pair tables, expected {comb(m, 2)} for m={m}")
+        rows = 1 << n
+        for t in tables:
             if not 0 <= t < (1 << rows):
-                raise ValueError(f"truth table {t} out of range for n={self.n}")
+                raise ValueError(f"truth table {t} out of range for n={n}")
             if t & 1:
                 raise ValueError("all-false input row must output false")
             if not (t >> (rows - 1)) & 1:
                 raise ValueError("all-true input row must output true")
+        self._set(n=n, m=m, tables=tables)
 
 
 def candidates_total(n: int, m: int) -> int:
@@ -125,8 +121,7 @@ def _search(n: int, m: int) -> tuple[list[list[list[int]]], int]:
     return solutions, nodes
 
 
-@dataclass(frozen=True)
-class ArrowReport:
+class ArrowReport(NamedTuple):
     """Outcome of the exhaustive search: every total rule found, with its
     candidate index among the ``candidates_scanned`` pinned aggregators and
     its dictatorship status, and the number of search nodes visited."""

@@ -205,7 +205,7 @@ def _suite_isometry(args: argparse.Namespace, mu: Distribution, draw: _Draw) -> 
 
 
 def _suite_relabel(args: argparse.Namespace, mu: Distribution, draw: _Draw) -> dict:
-    from .dynamics import force
+    from .dynamics import force_profile
     from .orders import all_voter_permutations
     from .rules import compose_voter_permutation
 
@@ -214,11 +214,11 @@ def _suite_relabel(args: argparse.Namespace, mu: Distribution, draw: _Draw) -> d
     perms = all_voter_permutations(args.voters)
     checked = 0
     for g in rules:
+        forces = force_profile(mu, g).forces
         for perm in perms:
-            f = compose_voter_permutation(g, perm)
-            for i in range(args.voters):
-                if force(mu, g, i) != force(mu, f, perm.mapping[i]):
-                    return {"passed": False, "relabelings_checked": checked}
+            relabeled = force_profile(mu, compose_voter_permutation(g, perm)).forces
+            if any(forces[i] != relabeled[j] for i, j in enumerate(perm.mapping)):
+                return {"passed": False, "relabelings_checked": checked}
             checked += 1
     return {"passed": True, "relabelings_checked": checked}
 
@@ -418,7 +418,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     payload = {
         "format_version": REPORT_FORMAT_VERSION,
         "config": config,
-        **vars(report),
+        **report._asdict(),
         **rationals,
     }
     _write_output(payload, args.out, "replay_report.json")
@@ -528,9 +528,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(out: Path) -> None:
+    """Before any work runs, refuse an ``--out`` that cannot become a
+    directory: the nearest of it and its parents that exists must be one."""
+    for path in (out, *out.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ValueError(f"--out {out}: {path} exists and is not a directory")
+            return
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.out is not None:
+            _check_out(args.out)
         return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,11 +12,10 @@ exhibits a non-dictatorial rule that the map fixes exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
-from typing import Literal, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 from .measures import (
     Distribution,
@@ -26,7 +25,7 @@ from .measures import (
     lift_distribution,
     star_distribution,
 )
-from .orders import LinearOrder, all_voter_permutations, profile_digit_columns, seat_gather
+from .orders import Frozen, LinearOrder, all_voter_permutations, profile_digit_columns, seat_gather
 from .rules import (
     VotingRule,
     compose_collapse,
@@ -40,8 +39,7 @@ from .rules import (
 TRACE_FORMAT_VERSION = 1
 
 
-@dataclass(frozen=True)
-class ForceProfile:
+class ForceProfile(NamedTuple):
     """All voters' forces plus the exact argmax and argmin voter sets."""
 
     forces: tuple[Fraction, ...]
@@ -49,25 +47,23 @@ class ForceProfile:
     least_forceful: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class OrbitClass:
+class OrbitClass(Frozen):
     """An equivalence class of rules: a singleton, or the full relabeling
     orbit of a rule with a unique most-forceful voter."""
 
-    members: tuple[VotingRule, ...]
+    _fields = ("members",)
 
-    def __post_init__(self):
-        members = tuple(sorted(set(self.members), key=lambda r: r.table))
-        object.__setattr__(self, "members", members)
+    def __init__(self, members: tuple[VotingRule, ...]):
+        members = tuple(sorted(set(members), key=lambda r: r.table))
         if not members:
             raise ValueError("an orbit class cannot be empty")
+        self._set(members=members)
 
     def __contains__(self, rule: VotingRule) -> bool:
         return rule in self.members
 
 
-@dataclass(frozen=True)
-class IterationTrace:
+class IterationTrace(NamedTuple):
     """The successive distinct iterates of the transfer map, with their force data."""
 
     steps: tuple[tuple[VotingRule, ForceProfile], ...]
@@ -75,8 +71,7 @@ class IterationTrace:
     fixpoint_is_dictatorship: bool
 
 
-@dataclass(frozen=True)
-class CollapseEntry:
+class CollapseEntry(NamedTuple):
     rule_digest: str
     passed: bool
     collapse_voter: int | None
@@ -85,8 +80,7 @@ class CollapseEntry:
     iterate_equals_rule: bool
 
 
-@dataclass(frozen=True)
-class CollapseReport:
+class CollapseReport(NamedTuple):
     """Per-rule outcomes of the n-step collapse check.  Informational only:
     the check records findings and never asserts."""
 
@@ -303,8 +297,7 @@ def write_trace(trace: IterationTrace, path: str | Path, config: dict | None = N
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-@dataclass(frozen=True)
-class ReplayReport:
+class ReplayReport(NamedTuple):
     """End-to-end record of extending a rule by a powerless trailing voter and
     watching the transfer map fix it under the lifted near-unanimous
     distribution.

@@ -26,7 +26,6 @@ import itertools
 import json
 import operator
 import struct
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, gcd, lcm
@@ -35,6 +34,7 @@ from pathlib import Path
 from .orders import (
     _LANE_CODES,
     _ORDER,
+    Frozen,
     LinearOrder,
     _lane_width,
     check_scale,
@@ -90,8 +90,7 @@ def _as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True, init=False, eq=False)
-class Distribution:
+class Distribution(Frozen):
     """Exact weights over all (m!)^n profiles: profile k has weight
     ``numerators[k] / denominator``.
 
@@ -108,12 +107,7 @@ class Distribution:
     numerators, so equal weights have equal forms.
     """
 
-    n: int
-    m: int
-    denominator: int
-    levels: tuple[int, ...] | None = field(repr=False)
-    level_index: bytes | None = field(repr=False)
-    full_support: bool = field(repr=False)
+    _fields = ("n", "m", "denominator")  # the repr; equality reads ``_key``
 
     def __init__(self, n: int, m: int, weights):
         fractions = [_as_fraction(w) for w in weights]
@@ -211,28 +205,14 @@ class Distribution:
             denominator //= common
             if numerators is not None:
                 numerators = tuple(map(operator.floordiv, numerators, itertools.repeat(common)))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "denominator", denominator)
-        object.__setattr__(self, "full_support", levels[0] > 0)
+        self._set(n=n, m=m, denominator=denominator, full_support=levels[0] > 0)
         if numerators is None:
-            object.__setattr__(self, "levels", levels)
-            object.__setattr__(self, "level_index", index)
+            self._set(levels=levels, level_index=index)
         else:
-            object.__setattr__(self, "levels", None)
-            object.__setattr__(self, "level_index", None)
-            object.__setattr__(self, "numerators", numerators)
+            self._set(levels=None, level_index=None, numerators=numerators)
 
     def _key(self) -> tuple:
         return (self.n, self.m, self.denominator, self.levels, self.level_index or self.numerators)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Distribution):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     @cached_property
     def numerators(self) -> tuple[int, ...]:
@@ -404,7 +384,7 @@ def save_distribution(dist: Distribution, path: str | Path) -> None:
 
 
 def load_distribution(path: str | Path) -> Distribution:
-    record = read_record(path, "distribution", DISTRIBUTION_FORMAT_VERSION)
+    record = read_record(Path(path).read_text(), "distribution", DISTRIBUTION_FORMAT_VERSION)
     n, m, weights = (record.get(key) for key in ("n", "m", "weights"))
     for key, value in (("n", n), ("m", m)):
         if type(value) is not int:

