@@ -160,16 +160,18 @@ def orbit_class(mu: Distribution, rule: VotingRule) -> OrbitClass:
     return OrbitClass(tuple(members))
 
 
-def force_transfer_class(
-    mu: Distribution, cls: OrbitClass, verify_representatives: bool = False
-) -> OrbitClass:
-    """The transfer map on equivalence classes, computed from the canonical
-    representative.
+def force_transfer_class(mu: Distribution, cls: OrbitClass) -> OrbitClass:
+    """The transfer map on equivalence classes: the class of the canonical
+    representative's image, checked against the image of every member.
 
-    Requires a permutation-invariant full-support distribution; that is what
-    makes the class of the image independent of the representative.  The
-    optional diagnostic recomputes the image from every member and insists the
-    classes agree.
+    Requires a permutation-invariant full-support distribution.  A member's
+    image ``T(member)`` agrees when it lies in the first image's class and its
+    top voter is unique exactly when the first image's is.  That is the same
+    test as ``orbit_class(mu, T(member)) == image`` without rebuilding an
+    orbit: a class with a unique top voter is an orbit, and the orbit of any
+    member of an orbit is that orbit; a class with tied top voters is the
+    singleton of its rule.  Raises ``RuntimeError`` at the first member whose
+    image disagrees.
     """
     if not has_full_support(mu):
         raise ValueError("the transfer map requires a full-support distribution")
@@ -177,15 +179,16 @@ def force_transfer_class(
         raise ValueError(
             "the class-level transfer map requires a permutation-invariant distribution"
         )
-    image = orbit_class(mu, force_transfer(mu, cls.members[0]))
-    if verify_representatives:
-        for member in cls.members[1:]:
-            other = orbit_class(mu, force_transfer(mu, member))
-            if other != image:
-                raise RuntimeError(
-                    "transfer map image depends on the representative; "
-                    f"{table_digest(cls.members[0])} vs {table_digest(member)}"
-                )
+    first = force_transfer(mu, cls.members[0])
+    image = orbit_class(mu, first)
+    unique = len(force_profile(mu, first).most_forceful) == 1
+    for member in cls.members[1:]:
+        other = force_transfer(mu, member)
+        if other not in image or (len(force_profile(mu, other).most_forceful) == 1) != unique:
+            raise RuntimeError(
+                "transfer map image depends on the representative; "
+                f"{table_digest(cls.members[0])} vs {table_digest(member)}"
+            )
     return image
 
 
@@ -343,7 +346,7 @@ def replay_contradiction(g: VotingRule, epsilon: Fraction, y: LinearOrder) -> Re
     f = cylinder_extend(g)
     n = f.n
     fp = force_profile(mu, f)
-    base_forces = tuple(force(nu, g, i) for i in range(g.n))
+    base_forces = force_profile(nu, g).forces
     bound = Fraction(2, n * factorial(f.m))
     return ReplayReport(
         n=n,

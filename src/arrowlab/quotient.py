@@ -266,23 +266,17 @@ def random_orbit_fixture(
             p = perm[p]
         next_class += 1
 
-    matrix = [[Fraction(0)] * n_points for _ in range(n_points)]
-    assigned: set[tuple[int, int]] = set()
+    pair_value: dict[tuple[int, int], Fraction] = {}
     for i in range(n_points):
         for j in range(i + 1, n_points):
-            if (i, j) in assigned:
+            if (i, j) in pair_value:
                 continue
             value = Fraction(16 + rng.randrange(17), 16)
             a, b = i, j
-            while True:
-                lo, hi = min(a, b), max(a, b)
-                if (lo, hi) in assigned:
-                    break
-                matrix[lo][hi] = value
-                matrix[hi][lo] = value
-                assigned.add((lo, hi))
+            while (min(a, b), max(a, b)) not in pair_value:
+                pair_value[min(a, b), max(a, b)] = value
                 a, b = perm[a], perm[b]
-    space = FiniteMetricSpace(tuple(range(n_points)), tuple(tuple(row) for row in matrix))
+    space = FiniteMetricSpace.from_function(range(n_points), lambda i, j: pair_value[i, j])
     return space, EquivalencePartition(tuple(class_of))
 
 
@@ -317,12 +311,6 @@ def load_fixture(path: str | Path) -> tuple[FiniteMetricSpace, EquivalencePartit
     values = [parse_rational(v) for v in dist]
     if len(values) != n * (n - 1) // 2:
         raise ValueError("upper-triangular distance array has the wrong length")
-    matrix = [[Fraction(0)] * n for _ in range(n)]
-    pos = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            matrix[i][j] = values[pos]
-            matrix[j][i] = values[pos]
-            pos += 1
-    space = FiniteMetricSpace(tuple(range(n)), tuple(tuple(row) for row in matrix))
+    upper = iter(values)  # ``from_function`` asks for the pairs in this i < j order
+    space = FiniteMetricSpace.from_function(range(n), lambda i, j: next(upper))
     return space, EquivalencePartition(tuple(classes))

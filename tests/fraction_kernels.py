@@ -12,7 +12,11 @@ aggregator round trip) compare each digit tuple's ballots through a 3-D
 preference matrix, as ``arrowlab`` did before it read pair signature columns.
 The Arrow scan walks every pinned aggregator combination in candidate-index
 order and tests each candidate triple on every profile at once, as
-``arrowlab`` did before its search over per-voter triple patterns.
+``arrowlab`` did before its search over per-voter triple patterns.  The
+``welldef`` verdict rebuilds the orbit class of every member and of every
+member's image, as ``arrowlab`` did before its membership test; it is a
+reference for that orbit logic, so it runs on ``arrowlab``'s own transfer and
+relabel kernels, which the tests above pin.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ from functools import lru_cache
 from math import comb, factorial
 
 from arrowlab.arrowcheck import PairwiseAggregator
+from arrowlab.dynamics import force_transfer as package_force_transfer
+from arrowlab.dynamics import orbit_class
 from arrowlab.measures import Distribution
 from arrowlab.orders import (
     LinearOrder,
@@ -368,3 +374,16 @@ def survivors(n: int, m: int) -> list[int]:
         else:
             found.append(index)
     return found
+
+
+def class_transfer_holds(mu: Distribution, rule: VotingRule) -> bool:
+    """The ``welldef`` verdict on the class of ``rule``: the class of every
+    member's image equals the class of the first member's image, and the class
+    of every member is the class itself.  Each class is rebuilt from all n!
+    relabelings."""
+    cls = orbit_class(mu, rule)
+    image = orbit_class(mu, package_force_transfer(mu, cls.members[0]))
+    for member in cls.members[1:]:
+        if orbit_class(mu, package_force_transfer(mu, member)) != image:
+            return False
+    return all(orbit_class(mu, member) == cls for member in cls.members)

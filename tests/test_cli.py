@@ -470,21 +470,29 @@ def test_bench_tracer_follows_existing_names():
     assert tracer.FOLLOWED and missing == []
 
 
-def test_welldef_failure_names_its_witness(capsys):
+# The first rule from seed 0 whose class the transfer map breaks, per n at m = 3.
+WELLDEF_WITNESSES = {
+    3: (6, "c7211eb9a1d942ffc2b28a42e4062ba901a2c7f749226f5d198ad2ecb9db3920"),
+    4: (33, "48b71b246ec96cf9c664bfa314d52b12f0cb7e20114c898d977256606060a1e5"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(WELLDEF_WITNESSES))
+def test_welldef_failure_names_its_witness(capsys, n):
+    seed, digest = WELLDEF_WITNESSES[n]
     code, out, _ = run_cli(
-        ["check", "--suite", "welldef", "--voters", "3", "--candidates", "3", "--seed", "0"],
+        ["check", "--suite", "welldef", "--voters", str(n), "--candidates", "3", "--seed", "0"],
         capsys,
     )
     assert code == 4
     report = json.loads(out)["suites"]["welldef"]
-    digest = "c7211eb9a1d942ffc2b28a42e4062ba901a2c7f749226f5d198ad2ecb9db3920"
     assert report == {
         "passed": False,
         "asserted": True,
-        "orbits_checked": 6,
-        "witness": {"seed": 6, "rule_table_digest": digest},
+        "orbits_checked": seed,
+        "witness": {"seed": seed, "rule_table_digest": digest},
     }
-    assert table_digest(random_pareto_rule(3, 3, 6)) == digest
+    assert table_digest(random_pareto_rule(n, 3, seed)) == digest
 
 
 def test_cylinder_failure_names_its_witness(capsys):

@@ -226,7 +226,7 @@ def test_class_transfer_sends_near_dictator_class_to_dictators():
 def test_class_transfer_representative_independent():
     for seed in range(25):
         cls = orbit_class(UNIFORM23, random_pareto_rule(2, 3, seed))
-        force_transfer_class(UNIFORM23, cls, verify_representatives=True)
+        force_transfer_class(UNIFORM23, cls)
 
 
 def test_class_transfer_requires_invariant_distribution():
@@ -249,7 +249,7 @@ def test_class_transfer_is_not_well_defined_at_three_voters():
     assert len(force_profile(mu, image).most_forceful) > 1
     assert orbit_class(mu, image).members == (image,)
     with pytest.raises(RuntimeError, match="depends on the representative"):
-        force_transfer_class(mu, cls, verify_representatives=True)
+        force_transfer_class(mu, cls)
 
 
 @pytest.mark.parametrize("n, seeds", [(3, range(200)), (4, range(10))])

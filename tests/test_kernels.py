@@ -21,6 +21,7 @@ import pytest
 
 import fraction_kernels as ref
 from arrowlab.arrowcheck import aggregator_from_rule, assemble_rule, candidates_total
+from arrowlab.cli import _class_transfer_holds
 from arrowlab.dynamics import force, force_profile, force_transfer, iterate_force_transfer
 from arrowlab.measures import (
     MAX_LEVELS,
@@ -511,3 +512,30 @@ def test_lift_star_at_four_by_four_matches_closed_form():
         weight = expected[unanimous_drops]
         assert mu.numerators[k] * weight.denominator == weight.numerator * mu.denominator
     assert mu.full_support
+
+
+@pytest.mark.parametrize(
+    "n, m, dist, seeds, failures",
+    [
+        (3, 3, "uniform", range(100), 10),
+        (3, 3, "star", range(100), 10),
+        (3, 3, "lift-star", range(100), 2),
+        (2, 4, "uniform", range(100), 0),
+        (4, 3, "uniform", range(10), 0),
+        (4, 3, "lift-star", range(10), 0),
+        # Seeds 0-9 all pass at (4, 3); seed 33 is the first that fails.
+        (4, 3, "uniform", range(30, 40), 1),
+    ],
+)
+def test_class_transfer_verdict_equals_orbit_rebuild(n, m, dist, seeds, failures):
+    y = enumerate_orders(m)[0]
+    if dist == "uniform":
+        mu = uniform_distribution(n, m)
+    elif dist == "star":
+        mu = star_distribution(n, m, Fraction(1, 2), y)
+    else:
+        mu = lift_distribution(star_distribution(n - 1, m, Fraction(1, 2), y), n - 1)
+    rules = [random_pareto_rule(n, m, seed) for seed in seeds]
+    verdicts = [_class_transfer_holds(mu, rule) for rule in rules]
+    assert verdicts == [ref.class_transfer_holds(mu, rule) for rule in rules]
+    assert verdicts.count(False) == failures

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -228,6 +229,19 @@ def test_fixture_file_round_trip(tmp_path):
     loaded_space, loaded_part = load_fixture(path)
     assert loaded_space.dist == space.dist
     assert loaded_part == part
+
+
+@pytest.mark.parametrize(
+    "n_points, seed, prefix", [(7, 42, "014f52c8f6302dfd"), (12, 3, "742129558e5950f7")]
+)
+def test_fixture_bytes_are_pinned(tmp_path, n_points, seed, prefix):
+    # The SHA-256 prefixes pin the seeded draw order and the saved bytes; a
+    # loaded fixture saves back to the same bytes.
+    path, again = tmp_path / "fixture.json", tmp_path / "again.json"
+    save_fixture(*random_orbit_fixture(n_points, seed), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == prefix
+    save_fixture(*load_fixture(path), again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 _FIXTURE = {"format_version": 1, "points": 3, "dist": ["1/2", "1/3", "1/4"], "classes": [0, 0, 2]}
