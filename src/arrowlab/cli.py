@@ -227,15 +227,14 @@ def _class_transfer_holds(mu: Distribution, rule: VotingRule) -> bool:
     """Whether the transfer map is well defined on the class of ``rule`` and
     that class is closed: the orbit of each member is the class, which holds
     when the class is a singleton or every member's top voter is unique."""
-    from .dynamics import force_profile, force_transfer_class, orbit_class
+    from .dynamics import _class_transfer, orbit_class
 
     cls = orbit_class(mu, rule)
     try:
-        force_transfer_class(mu, cls)
+        _, profiles = _class_transfer(mu, cls)
     except RuntimeError:
         return False
-    unique = (len(force_profile(mu, member).most_forceful) == 1 for member in cls.members)
-    return len(cls.members) == 1 or all(unique)
+    return len(cls.members) == 1 or all(len(fp.most_forceful) == 1 for fp in profiles)
 
 
 def _suite_welldef(args: argparse.Namespace, mu: Distribution, draw: _Draw) -> dict:

@@ -127,10 +127,10 @@ def force_profile(mu: Distribution, rule: VotingRule) -> ForceProfile:
     return ForceProfile(tuple(Fraction(v, mu.denominator) for v in totals), most, least)
 
 
-def _transfer_table(rule: VotingRule, fp: ForceProfile) -> bytes:
+def _transfer(rule: VotingRule, fp: ForceProfile) -> VotingRule:
     source = fp.most_forceful[0]
     seats = tuple(source if i in fp.least_forceful else i for i in range(rule.n))
-    return seat_gather(rule.table, rule.n, rule.m, seats)
+    return VotingRule(rule.n, rule.m, seat_gather(rule.table, rule.n, rule.m, seats))
 
 
 def force_transfer(mu: Distribution, rule: VotingRule) -> VotingRule:
@@ -145,7 +145,14 @@ def force_transfer(mu: Distribution, rule: VotingRule) -> VotingRule:
     _check_dims(mu, rule)
     if not has_full_support(mu):
         raise ValueError("the transfer map requires a full-support distribution")
-    return VotingRule(rule.n, rule.m, _transfer_table(rule, force_profile(mu, rule)))
+    return _transfer(rule, force_profile(mu, rule))
+
+
+def _orbit(rule: VotingRule, fp: ForceProfile) -> OrbitClass:
+    if len(fp.most_forceful) != 1:
+        return OrbitClass((rule,))
+    members = {compose_voter_permutation(rule, perm) for perm in all_voter_permutations(rule.n)}
+    return OrbitClass(tuple(members))
 
 
 def orbit_class(mu: Distribution, rule: VotingRule) -> OrbitClass:
@@ -153,11 +160,7 @@ def orbit_class(mu: Distribution, rule: VotingRule) -> OrbitClass:
     most-forceful voter is unique, else the singleton."""
     if not has_full_support(mu):
         raise ValueError("orbit classes are defined relative to a full-support distribution")
-    fp = force_profile(mu, rule)
-    if len(fp.most_forceful) != 1:
-        return OrbitClass((rule,))
-    members = {compose_voter_permutation(rule, perm) for perm in all_voter_permutations(rule.n)}
-    return OrbitClass(tuple(members))
+    return _orbit(rule, force_profile(mu, rule))
 
 
 def force_transfer_class(mu: Distribution, cls: OrbitClass) -> OrbitClass:
@@ -173,23 +176,31 @@ def force_transfer_class(mu: Distribution, cls: OrbitClass) -> OrbitClass:
     singleton of its rule.  Raises ``RuntimeError`` at the first member whose
     image disagrees.
     """
+    return _class_transfer(mu, cls)[0]
+
+
+def _class_transfer(mu: Distribution, cls: OrbitClass) -> tuple[OrbitClass, tuple[ForceProfile, ...]]:
+    """``force_transfer_class`` and the force profile of every member, in
+    member order.  Each member's and each image's profile is read once."""
     if not has_full_support(mu):
         raise ValueError("the transfer map requires a full-support distribution")
     if not is_permutation_invariant(mu):
         raise ValueError(
             "the class-level transfer map requires a permutation-invariant distribution"
         )
-    first = force_transfer(mu, cls.members[0])
-    image = orbit_class(mu, first)
-    unique = len(force_profile(mu, first).most_forceful) == 1
-    for member in cls.members[1:]:
-        other = force_transfer(mu, member)
-        if other not in image or (len(force_profile(mu, other).most_forceful) == 1) != unique:
+    profiles, image, unique = [], None, None
+    for member in cls.members:
+        profiles.append(force_profile(mu, member))
+        other = _transfer(member, profiles[-1])
+        other_fp = force_profile(mu, other)
+        if image is None:
+            image, unique = _orbit(other, other_fp), len(other_fp.most_forceful) == 1
+        elif other not in image or (len(other_fp.most_forceful) == 1) != unique:
             raise RuntimeError(
                 "transfer map image depends on the representative; "
                 f"{table_digest(cls.members[0])} vs {table_digest(member)}"
             )
-    return image
+    return image, tuple(profiles)
 
 
 def iterate_force_transfer(mu: Distribution, rule: VotingRule, max_steps: int) -> IterationTrace:
@@ -208,7 +219,7 @@ def iterate_force_transfer(mu: Distribution, rule: VotingRule, max_steps: int) -
     terminated: Literal["fixpoint", "step-limit"] = "step-limit"
     current = rule
     for _ in range(max_steps):
-        nxt = VotingRule(current.n, current.m, _transfer_table(current, steps[-1][1]))
+        nxt = _transfer(current, steps[-1][1])
         if nxt == current:
             terminated = "fixpoint"
             break

@@ -38,6 +38,7 @@ from .orders import (
     LinearOrder,
     _lane_width,
     check_scale,
+    distinct_bytes,
     encode_digits,
     order_index,
     read_record,
@@ -162,13 +163,14 @@ class Distribution(Frozen):
             entries = lambda: zip(*columns)  # noqa: E731
             join = lambda words: sum(w << 64 * i for i, w in enumerate(words))  # noqa: E731
             value = join if decode is None else lambda words: decode(join(words))
-        keys = set(entries())
+        one_byte = isinstance(columns[0], bytes)  # one-byte lanes: passes in C
+        keys = distinct_bytes(columns[0]) if one_byte else set(entries())
         numerator_of = {k: value(k) for k in keys} if value else dict(zip(keys, keys))
         levels = sorted(set(numerator_of.values()))
         if len(levels) <= MAX_LEVELS:
             position = dict(zip(levels, range(len(levels))))
             rank = {k: position[v] for k, v in numerator_of.items()}
-            if isinstance(columns[0], bytes):  # one-byte lanes translate in C
+            if one_byte:
                 index = columns[0].translate(bytes(map(rank.get, range(256), bytes(256))))
             else:
                 index = bytes(map(rank.__getitem__, entries()))
@@ -245,8 +247,7 @@ class Distribution(Frozen):
         A level's mask keeps those bits at its profiles, so each level costs
         one popcount; many-level weights sum their numerators instead."""
         size = len(g)
-        diff = f ^ int.from_bytes(g, "little")
-        flags = diff + _byte_fill(0x7F, size)
+        flags = (f ^ int.from_bytes(g, "little")) + _byte_fill(0x7F, size)
         if self.levels is None:
             differ = (flags & _byte_fill(0x80, size)).to_bytes(size, "little")
             return self.denominator - sum(itertools.compress(self.numerators, differ))

@@ -10,6 +10,7 @@ this package.
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import os
@@ -34,6 +35,10 @@ BYTE_MAX_VOTERS = 7
 # entry while no lane carries.  Lanes wider than 8 bytes are 8-byte words.
 _ORDER = sys.byteorder
 _LANE_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+_ALL_BYTES = bytes(range(256))
+# Bytes of result that a gather joins into one copy, so that the pieces and
+# the joined copy stay small next to a table.
+_RUN_BYTES = 1 << 14
 
 
 def _lane_width(bound: int) -> int:
@@ -253,6 +258,13 @@ def profile_digit_columns(n: int, m: int) -> tuple[bytes, ...]:
     return tuple(columns)
 
 
+def distinct_bytes(table: bytes) -> bytes:
+    """The distinct entries of a one-byte table, ascending: the byte values
+    left out of what deleting the table's entries from all 256 leaves, so
+    one C pass over the table."""
+    return _ALL_BYTES.translate(None, _ALL_BYTES.translate(None, table))
+
+
 def signature_columns(n: int, above) -> tuple[bytes, ...]:
     """Per row of ``above`` (a 0/1 per ballot), bit i of entry k set when voter
     i's ballot in combination k of n ballots, voter 0 most significant, has a
@@ -307,35 +319,91 @@ def seat_gather(values, n: int, m: int, seats: tuple[int, ...], width: int = 1) 
     ``bytes`` of the same record width.  ``seats`` need not be a bijection: a
     voter relabeling is one, copying one voter's ballot onto other seats is
     another, and leaving an n-th seat unread extends a table by an ignored
-    voter.
+    voter.  Wider records are gathered one byte plane at a time.
 
-    The ballot of profile k at seat j moves the source index by ``coeff[j]`` per
-    ballot index, ``coeff[j]`` summing (m!)^(len(seats)-1-i) over the seats i
-    with ``seats[i] == j``.  So each setting of the first n-1 seats reads one
-    slice of stride ``coeff[n-1]``, or repeats one entry when nobody reads
-    the last seat: (m!)^(n-1) slices joined in profile-index order, fewer
-    when the trailing seats are read in place and so form one run.
+    The ballot of profile k at seat j moves the source index by ``coeff[j]``
+    per ballot index, ``coeff[j]`` summing (m!)^(len(seats)-1-i) over the
+    seats i with ``seats[i] == j``; an unread seat has ``coeff[j] == 0``.
+    One-byte entries land in one buffer, which becomes the result without a
+    copy: when the last seat is read, by ``_gather_run``; else the entries
+    gathered over the seats up to the last read one each repeat once per
+    setting of the unread seats after it.
     """
     check_scale(n, m)
     mf = factorial(m)
+    if width > 1:
+        out = bytearray(mf**n * width)
+        for plane in range(width):
+            out[plane::width] = seat_gather(values[plane::width], n, m, seats)
+        return bytes(out)
     coeff = [0] * n
     for i, j in enumerate(seats):
         coeff[j] += mf ** (len(seats) - 1 - i)
-    step, count, lead = coeff[-1], mf, n - 1
-    if step == 1:  # trailing seats read in place make one contiguous run
-        while lead and coeff[lead - 1] == count:
-            count, lead = count * mf, lead - 1
-    starts = [0]
-    for c in coeff[:lead]:
-        starts = [s + d * c for s in starts for d in range(mf)]
-    # One-byte records slice the bytes themselves: a view per slice, copied
-    # out by ``tobytes``, would take about twice as long on a rule table.
-    rows = values if width == 1 else memoryview(values).cast("B", (len(values) // width, width))
-    stop, stride = (count * step, step) if step else (1, 1)
-    parts = (rows[s : s + stop : stride] for s in starts)
-    if width > 1:
-        parts = map(memoryview.tobytes, parts)
-    return b"".join(parts if step else (part * mf for part in parts))
+    hi = max((j + 1 for j in range(n) if coeff[j]), default=0)
+    buffer = io.BytesIO(bytes(mf**n))
+    with buffer.getbuffer() as out:
+        if hi == n:
+            _gather_run(out, values, mf, coeff)
+        else:
+            read = seat_gather(values, hi, m, seats) if hi else values[:1]
+            times = mf ** (n - hi)
+            per = max(1, _RUN_BYTES // times)  # entries per copy
+            for k in range(0, len(read), per):
+                block = read[k : k + per]
+                runs = {e: bytes((e,)) * times for e in distinct_bytes(block)}
+                out[k * times : (k + per) * times] = b"".join(map(runs.__getitem__, block))
+    return buffer.getvalue()  # no copy once the view is released
+
+
+def _gather_run(out, values: bytes, mf: int, coeff: list[int]) -> None:
+    """Fill ``out`` with the one-byte gather of ``values`` by strides
+    ``coeff``, the last one nonzero.
+
+    Read seats j, j+1 whose strides chain, ``coeff[j] == m! * coeff[j+1]``,
+    read one arithmetic progression of the source into a contiguous run of
+    the result.  The chain that ends at the last seat is the run, one slice
+    per setting of the other read seats.  When there are other read seats,
+    the unread seats just before the run repeat its slice into a tile, and
+    the tiles of the read seats just before it, as many as fit in
+    ``_RUN_BYTES``, are joined into one copy.  The other unread seats are
+    filled by doubling a block in place.
+    """
+    n = len(coeff)
+    lo = n - 1  # the run is seats lo..n-1
+    while lo and coeff[lo - 1] == coeff[lo] * mf:
+        lo -= 1
+    loops = [(coeff[j], mf ** (n - 1 - j)) for j in range(lo) if coeff[j]]
+    first = lo
+    while loops and first and not coeff[first - 1]:
+        first -= 1
+    step, repeat, block = coeff[-1], mf ** (lo - first), mf ** (n - first)
+    span = mf ** (n - lo) * step
+    starts = [0]  # of the joined slices, relative to their copy's
+    while loops and loops[-1][1] == block and block * mf <= _RUN_BYTES:
+        c = loops.pop()[0]
+        starts = [d * c + s for d in range(mf) for s in starts]
+        block *= mf
+    src, dst = [0], [0]
+    for c, p in loops:
+        src = [s + d * c for s in src for d in range(mf)]
+        dst = [o + d * p for o in dst for d in range(mf)]
+    for s0, o0 in zip(src, dst):
+        parts = [values[s0 + s : s0 + s + span : step] for s in starts]
+        if repeat > 1:
+            parts = [part * repeat for part in parts]
+        out[o0 : o0 + block] = b"".join(parts)
+    for j in range(first):
+        if not coeff[j] and (j == 0 or coeff[j - 1]):  # unread seats j..e-1
+            e = j + 1
+            while not coeff[e]:
+                e += 1
+            block = mf ** (n - j)
+            for base in range(0, mf**n, block):
+                done = mf ** (n - e)
+                while done < block:
+                    more = min(done, block - done)
+                    out[base + done : base + done + more] = out[base : base + more]
+                    done += more
 
 
 def encode_digits(digits: tuple[int, ...], m: int) -> int:

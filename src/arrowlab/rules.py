@@ -22,6 +22,7 @@ from .orders import (
     VoterPermutation,
     candidate_pairs,
     check_scale,
+    distinct_bytes,
     enumerate_orders,
     order_index,
     pair_above,
@@ -34,6 +35,9 @@ from .orders import (
 )
 
 RULE_FORMAT_VERSION = 1
+# Entries per block of rule text, written by ``save_rule`` and hashed by
+# ``VotingRule.digest``.
+_TEXT_BLOCK = 1 << 14
 
 
 class VotingRule(Frozen):
@@ -65,22 +69,28 @@ class VotingRule(Frozen):
         """SHA-256 over the ASCII bytes of ``"{n}:{m}:" + comma-joined table
         entries``, computed on first use and kept on the instance.
 
-        Each entry takes ``width`` digit slots and a comma; one ``translate``
+        The first entry is hashed with the header, and every later entry is
+        a comma and its digits, hashed ``_TEXT_BLOCK`` entries at a time as
+        ``save_rule`` writes, so no whole-table text is held.  In a block,
+        each entry takes a comma and ``width`` digit slots; one ``translate``
         per digit place fills its slots, blank (zero) where the entry has no
-        digit there, and the blanks are deleted at the end."""
-        table = self.table
-        width = len(str(factorial(self.m) - 1))
-        payload = bytearray((width + 1) * len(table))
-        for place in range(width):
-            unit = 10 ** (width - 1 - place)
-            glyphs = bytes(48 + e // unit % 10 if e >= unit or unit == 1 else 0 for e in range(256))
-            payload[place :: width + 1] = table.translate(glyphs)
-        payload[width :: width + 1] = b"," * len(table)
-        del payload[-1]
+        digit there, and the blanks are deleted before hashing."""
         import hashlib  # here, so that commands which never hash skip loading OpenSSL
 
-        digest = hashlib.sha256(f"{self.n}:{self.m}:".encode("ascii"))
-        digest.update(payload.translate(None, b"\0"))
+        table = self.table
+        width = len(str(factorial(self.m) - 1))
+        glyphs = [
+            bytes(48 + e // unit % 10 if e >= unit or unit == 1 else 0 for e in range(256))
+            for unit in (10**place for place in reversed(range(width)))
+        ]
+        digest = hashlib.sha256(f"{self.n}:{self.m}:{table[0]}".encode("ascii"))
+        for start in range(1, len(table), _TEXT_BLOCK):
+            block = table[start : start + _TEXT_BLOCK]
+            text = bytearray((width + 1) * len(block))
+            text[:: width + 1] = b"," * len(block)
+            for place, glyph in enumerate(glyphs, 1):
+                text[place :: width + 1] = block.translate(glyph)
+            digest.update(text.translate(None, b"\0"))
         return digest.hexdigest()
 
 
@@ -129,17 +139,18 @@ def _pareto_consistent_outputs(pattern: int, m: int) -> tuple[int, ...]:
     return tuple(o for o, mask in enumerate(_pareto_break_masks(m)) if not pattern & mask)
 
 
-def _signature_outputs(rule: VotingRule) -> Iterator[set[int]]:
-    """Per pair, the set of ``2 * s + b`` over all profiles, where s is the
-    profile's signature and b is 1 when the output ranks the pair's first
-    candidate higher.  Signatures are below 2**7, so doubling the signature
-    column as one integer shifts each byte without a carry into the next."""
+def _signature_outputs(rule: VotingRule) -> Iterator[bytes]:
+    """Per pair, the distinct values of ``2 * s + b`` over all profiles, in
+    ascending ``bytes``, where s is the profile's signature and b is 1 when
+    the output ranks the pair's first candidate higher.  Signatures are below
+    2**7, so doubling the signature column as one integer shifts each byte
+    without a carry into the next."""
     table = rule.table
     size = len(table)
     for column, above in zip(pair_signatures(rule.n, rule.m), pair_above(rule.m)):
         bits = table.translate(bytes(above).ljust(256, b"\0"))
         packed = int.from_bytes(column, "little") << 1 | int.from_bytes(bits, "little")
-        yield set(packed.to_bytes(size, "little"))
+        yield distinct_bytes(packed.to_bytes(size, "little"))
 
 
 def is_pareto(rule: VotingRule) -> bool:
@@ -298,8 +309,8 @@ def save_rule(rule: VotingRule, path: str | Path) -> None:
     entries = [f",\n    {b}" for b in range(256)]
     with open(path, "w") as fp:
         fp.write(f'{header[:-2]},\n  "table": [\n    {rule.table[0]}')
-        for start in range(1, len(rule.table), 1 << 14):
-            fp.write("".join(map(entries.__getitem__, rule.table[start : start + (1 << 14)])))
+        for start in range(1, len(rule.table), _TEXT_BLOCK):
+            fp.write("".join(map(entries.__getitem__, rule.table[start : start + _TEXT_BLOCK])))
         fp.write("\n  ]\n}\n")
 
 

@@ -16,7 +16,10 @@ order and tests each candidate triple on every profile at once, as
 ``welldef`` verdict rebuilds the orbit class of every member and of every
 member's image, as ``arrowlab`` did before its membership test; it is a
 reference for that orbit logic, so it runs on ``arrowlab``'s own transfer and
-relabel kernels, which the tests above pin.
+relabel kernels, which the tests above pin.  The seat gather is the one
+``arrowlab`` used before it copied whole progressions into one buffer: a
+slice per setting of the first n-1 seats, joined, and a ``memoryview`` piece
+per slice for records wider than a byte.
 """
 
 from __future__ import annotations
@@ -108,6 +111,48 @@ def is_permutation_invariant(dist: Distribution) -> bool:
             if weights[permuted] != weights[k]:
                 return False
     return True
+
+
+def seat_gather(values, n: int, m: int, seats: tuple[int, ...], width: int = 1) -> bytes:
+    """Rewrite ballots across a whole table: entry k of the result is the
+    entry of ``values`` at the profile whose seat i holds the ballot that
+    n-voter profile k has at seat ``seats[i]``.
+
+    ``values`` is a ``bytes`` table over the ``len(seats)``-voter profiles
+    whose entries are records of ``width`` bytes each: one byte for a rule
+    table, a packed integer lane for distribution weights.  The result is
+    ``bytes`` of the same record width.  ``seats`` need not be a bijection: a
+    voter relabeling is one, copying one voter's ballot onto other seats is
+    another, and leaving an n-th seat unread extends a table by an ignored
+    voter.
+
+    The ballot of profile k at seat j moves the source index by ``coeff[j]`` per
+    ballot index, ``coeff[j]`` summing (m!)^(len(seats)-1-i) over the seats i
+    with ``seats[i] == j``.  So each setting of the first n-1 seats reads one
+    slice of stride ``coeff[n-1]``, or repeats one entry when nobody reads
+    the last seat: (m!)^(n-1) slices joined in profile-index order, fewer
+    when the trailing seats are read in place and so form one run.
+    """
+    check_scale(n, m)
+    mf = factorial(m)
+    coeff = [0] * n
+    for i, j in enumerate(seats):
+        coeff[j] += mf ** (len(seats) - 1 - i)
+    step, count, lead = coeff[-1], mf, n - 1
+    if step == 1:  # trailing seats read in place make one contiguous run
+        while lead and coeff[lead - 1] == count:
+            count, lead = count * mf, lead - 1
+    starts = [0]
+    for c in coeff[:lead]:
+        starts = [s + d * c for s in starts for d in range(mf)]
+    # One-byte records slice the bytes themselves: a view per slice, copied
+    # out by ``tobytes``, would take about twice as long on a rule table.
+    rows = values if width == 1 else memoryview(values).cast("B", (len(values) // width, width))
+    stop, stride = (count * step, step) if step else (1, 1)
+    parts = (rows[s : s + stop : stride] for s in starts)
+    if width > 1:
+        parts = map(memoryview.tobytes, parts)
+    return b"".join(parts if step else (part * mf for part in parts))
 
 
 def rewrite(rule: VotingRule, seats: tuple[int, ...]) -> VotingRule:

@@ -6,13 +6,16 @@ voter relabeling preserves.  The distributions cover both storage forms:
 levels (uniform, star, lift-star and the six-weight draw) and many-level
 weights (a draw with more distinct weights than ``MAX_LEVELS``).  The seat
 gather behind every ballot rewrite is checked against re-encoded digit
-tuples, and the pair signature columns behind every rule builder and
-predicate against the per-profile walkers.
+tuples and against the slice-per-piece gather it replaced, and the pair
+signature columns behind every rule builder and predicate against the
+per-profile walkers.
 """
 
+import hashlib
 import itertools
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd
@@ -20,6 +23,7 @@ from math import factorial, gcd
 import pytest
 
 import fraction_kernels as ref
+from arrowlab import rules as rules_module
 from arrowlab.arrowcheck import aggregator_from_rule, assemble_rule, candidates_total
 from arrowlab.cli import _class_transfer_holds
 from arrowlab.dynamics import force, force_profile, force_transfer, iterate_force_transfer
@@ -34,6 +38,7 @@ from arrowlab.measures import (
 )
 from arrowlab.orders import (
     all_voter_permutations,
+    distinct_bytes,
     encode_digits,
     enumerate_orders,
     pair_above,
@@ -141,6 +146,99 @@ def test_gather_onto_more_seats_leaves_the_unread_seats_free(n, m):
         expected = _seat_map_oracle(n, m, seats, digit_tuples)
         for width in (3, 8):
             assert _gather_indices(n, m, seats, width) == expected
+
+
+GATHER_WIDTHS = (1, 2, 3, 4, 8, 9)
+
+
+def _records(n: int, m: int, width: int, seed: int) -> bytes:
+    return random.Random(seed).randbytes(factorial(m) ** n * width)
+
+
+@pytest.mark.parametrize("n,m", SCALES)
+def test_seat_gather_equals_reference_for_every_seat_tuple(n, m):
+    """The progression gather equals the slice-per-piece gather it replaced
+    on every seat tuple of length n and n-1, at every record width."""
+    for width in GATHER_WIDTHS:
+        tables = {k: _records(k, m, width, 10 * n + k) for k in (n - 1, n)}
+        for k, values in tables.items():
+            for seats in itertools.product(range(n), repeat=k):
+                out = seat_gather(values, n, m, seats, width)
+                assert type(out) is bytes
+                assert out == ref.seat_gather(values, n, m, seats, width), (seats, width)
+
+
+def _kernel_seat_tuples(n: int) -> list[tuple[int, ...]]:
+    """Every seat tuple a kernel gathers through at n voters: the
+    relabelings, the transfers (a source seat copied onto any set of seats),
+    the collapses and the dropped seats of the lift."""
+    tuples = set(itertools.permutations(range(n)))
+    for source in range(n):
+        for k in range(1, n + 1):
+            for rewritten in itertools.combinations(range(n), k):
+                tuples.add(tuple(source if i in rewritten else i for i in range(n)))
+    tuples.update(tuple(s + (s >= j) for s in range(n - 1)) for j in range(n))
+    return sorted(tuples)
+
+
+@pytest.mark.parametrize("width", GATHER_WIDTHS)
+def test_seat_gather_equals_reference_at_four_by_four(width):
+    tables = {k: _records(k, 4, width, k) for k in (3, 4)}
+    for seats in _kernel_seat_tuples(4):
+        values = tables[len(seats)]
+        assert seat_gather(values, 4, 4, seats, width) == ref.seat_gather(values, 4, 4, seats, width)
+
+
+def _traced_peak(call) -> int:
+    """Bytes allocated at the peak of ``call()`` above what was held before,
+    the result included."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak
+
+
+def test_transfer_gather_and_digest_hold_no_second_table():
+    """A (4,4) transfer gather peaks below two tables, its result included:
+    one buffer, no pieces and no copy of it.  A (4,4) digest holds no
+    whole-table text."""
+    table = _records(4, 4, 1, 7)
+    size = len(table)
+    transfers = [(0, 1, 2, 0), (0, 1, 0, 3), (0, 0, 2, 3), (1, 1, 2, 1), (3, 3, 3, 3), (0, 0, 0, 0)]
+    for seats in transfers:
+        assert _traced_peak(lambda: seat_gather(table, 4, 4, seats)) < 2 * size, seats
+    rule = VotingRule(4, 4, bytes(e % 24 for e in table))
+    assert _traced_peak(lambda: rule.digest) < 0.25 * 2**20
+
+
+def _text_digest(rule: VotingRule) -> str:
+    text = f"{rule.n}:{rule.m}:" + ",".join(map(str, rule.table))
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+@pytest.mark.parametrize("n,m", ((2, 3), (2, 4), (4, 4)))
+def test_digest_equals_hash_of_the_whole_text_at_block_boundaries(n, m, monkeypatch):
+    """Entries after the first are hashed a block at a time: they fill one
+    entry less than a block, exactly one block, and one block and one
+    entry, and at (4,4) many blocks of the default size."""
+    rules = [random_pareto_rule(n, m, 0), constant_rule(n, m, enumerate_orders(m)[-1])]
+    expected = [_text_digest(rule) for rule in rules]
+    hashed = len(rules[0].table) - 1
+    blocks = (hashed + 1, hashed, hashed - 1) if n < 4 else (rules_module._TEXT_BLOCK,)
+    for block in blocks:
+        monkeypatch.setattr(rules_module, "_TEXT_BLOCK", block)
+        assert [VotingRule(n, m, rule.table).digest for rule in rules] == expected
+
+
+def test_distinct_bytes_lists_each_entry_value_once_ascending():
+    rng = random.Random(5)
+    for table in (b"", bytes(range(256)), bytes(1000), rng.randbytes(3000), bytes([7, 3, 7, 200])):
+        assert distinct_bytes(table) == bytes(sorted(set(table)))
 
 
 @pytest.mark.parametrize("n,m", SCALES)
@@ -539,3 +637,22 @@ def test_class_transfer_verdict_equals_orbit_rebuild(n, m, dist, seeds, failures
     verdicts = [_class_transfer_holds(mu, rule) for rule in rules]
     assert verdicts == [ref.class_transfer_holds(mu, rule) for rule in rules]
     assert verdicts.count(False) == failures
+
+
+def test_class_transfer_reads_forces_once_per_member_and_image(monkeypatch):
+    """``welldef`` reads the forces of the rule to find its class, then of
+    each member and of each member's image once: the transfer and the closure
+    test share a member's forces."""
+    import arrowlab.dynamics as dynamics
+
+    mu = uniform_distribution(3, 3)
+    rules = [random_pareto_rule(3, 3, seed) for seed in range(6)]
+    sizes = [len(dynamics.orbit_class(mu, rule).members) for rule in rules]
+    assert 1 in sizes and 6 in sizes
+    read = dynamics.force_profile
+    calls = []
+    monkeypatch.setattr(dynamics, "force_profile", lambda mu, rule: calls.append(rule) or read(mu, rule))
+    for rule, size in zip(rules, sizes):
+        calls.clear()
+        assert _class_transfer_holds(mu, rule) is True
+        assert len(calls) == 1 + 2 * size
