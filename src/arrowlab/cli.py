@@ -14,7 +14,6 @@ import argparse
 import sys
 import time
 from functools import lru_cache
-from math import factorial
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
@@ -227,14 +226,14 @@ def _class_transfer_holds(mu: Distribution, rule: VotingRule) -> bool:
     """Whether the transfer map is well defined on the class of ``rule`` and
     that class is closed: the orbit of each member is the class, which holds
     when the class is a singleton or every member's top voter is unique."""
-    from .dynamics import _class_transfer, orbit_class
+    from .dynamics import _class_transfer, _orbit, force_profile
 
-    cls = orbit_class(mu, rule)
+    fp = force_profile(mu, rule)  # finds the class, then serves as the rule's member profile
     try:
-        _, profiles = _class_transfer(mu, cls)
+        _, profiles = _class_transfer(mu, _orbit(rule, fp), (rule, fp))
     except RuntimeError:
         return False
-    return len(cls.members) == 1 or all(len(fp.most_forceful) == 1 for fp in profiles)
+    return len(profiles) == 1 or all(len(p.most_forceful) == 1 for p in profiles)
 
 
 def _suite_welldef(args: argparse.Namespace, mu: Distribution, draw: _Draw) -> dict:
@@ -253,9 +252,7 @@ def _suite_welldef(args: argparse.Namespace, mu: Distribution, draw: _Draw) -> d
 
 
 def _suite_cylinder(args: argparse.Namespace, _mu: Distribution, draw: _Draw) -> dict:
-    from fractions import Fraction
-
-    from .dynamics import force_profile
+    from .dynamics import cylinder_ceiling, cylinder_forces
     from .measures import (
         format_rational,
         has_full_support,
@@ -264,7 +261,7 @@ def _suite_cylinder(args: argparse.Namespace, _mu: Distribution, draw: _Draw) ->
         star_distribution,
         uniform_distribution,
     )
-    from .rules import cylinder_extend, table_digest
+    from .rules import table_digest
 
     if args.voters < 2:
         raise ValueError("the cylinder suite needs at least two voters")
@@ -272,8 +269,8 @@ def _suite_cylinder(args: argparse.Namespace, _mu: Distribution, draw: _Draw) ->
     n, m = args.voters, args.candidates
     k = n - 1
     y = _favored_ranking(m, args.y_index)
-    bound = Fraction(2, n * factorial(m))
-    details: dict = {"passed": True, "bound": format_rational(bound), "base_distributions": {}}
+    bound = format_rational(cylinder_ceiling(n, m))
+    details: dict = {"passed": True, "bound": bound, "base_distributions": {}}
     for label, nu in (
         ("uniform", uniform_distribution(k, m)),
         ("star", star_distribution(k, m, args.epsilon, y)),
@@ -286,11 +283,8 @@ def _suite_cylinder(args: argparse.Namespace, _mu: Distribution, draw: _Draw) ->
         }
         ok = part["full_support"] and part["permutation_invariant"]
         for i in range(count):
-            g = draw(k, m, args.seed + i)
-            f = cylinder_extend(g)
-            fp = force_profile(lifted, f)
-            kept = all(a >= b / n for a, b in zip(fp.forces, force_profile(nu, g).forces))
-            if fp.forces[n - 1] > bound or not kept:
+            f, fp, _, below, kept = cylinder_forces(nu, lifted, draw(k, m, args.seed + i))
+            if not (below and kept):
                 ok = False
                 part["witness"] = {
                     "seed": args.seed + i,

@@ -179,9 +179,10 @@ def force_transfer_class(mu: Distribution, cls: OrbitClass) -> OrbitClass:
     return _class_transfer(mu, cls)[0]
 
 
-def _class_transfer(mu: Distribution, cls: OrbitClass) -> tuple[OrbitClass, tuple[ForceProfile, ...]]:
+def _class_transfer(mu: Distribution, cls: OrbitClass, known=None) -> tuple[OrbitClass, tuple]:
     """``force_transfer_class`` and the force profile of every member, in
-    member order.  Each member's and each image's profile is read once."""
+    member order.  Each member's and each image's profile is read once, and
+    not at all for the member of a ``known`` pair of a rule and its profile."""
     if not has_full_support(mu):
         raise ValueError("the transfer map requires a full-support distribution")
     if not is_permutation_invariant(mu):
@@ -190,7 +191,7 @@ def _class_transfer(mu: Distribution, cls: OrbitClass) -> tuple[OrbitClass, tupl
         )
     profiles, image, unique = [], None, None
     for member in cls.members:
-        profiles.append(force_profile(mu, member))
+        profiles.append(known[1] if known and member == known[0] else force_profile(mu, member))
         other = _transfer(member, profiles[-1])
         other_fp = force_profile(mu, other)
         if image is None:
@@ -354,13 +355,9 @@ def replay_contradiction(g: VotingRule, epsilon: Fraction, y: LinearOrder) -> Re
         raise ValueError("the base rule must respect unanimous comparisons")
     nu = star_distribution(g.n, g.m, epsilon, y)
     mu = lift_distribution(nu, g.n)
-    f = cylinder_extend(g)
-    n = f.n
-    fp = force_profile(mu, f)
-    base_forces = force_profile(nu, g).forces
-    bound = Fraction(2, n * factorial(f.m))
+    f, fp, base_forces, below, kept = cylinder_forces(nu, mu, g)
     return ReplayReport(
-        n=n,
+        n=f.n,
         m=f.m,
         epsilon=Fraction(epsilon),
         base_rule_digest=table_digest(g),
@@ -369,11 +366,26 @@ def replay_contradiction(g: VotingRule, epsilon: Fraction, y: LinearOrder) -> Re
         permutation_invariant=is_permutation_invariant(mu),
         forces=fp.forces,
         base_forces=base_forces,
-        last_voter_unique_least=fp.least_forceful == (n - 1,),
+        last_voter_unique_least=fp.least_forceful == (f.n - 1,),
         transfer_fixed=force_transfer(mu, f) == f,
         dictator_voter=is_dictatorship(f),
-        last_force_bound_ok=fp.forces[n - 1] <= bound,
-        kept_force_bounds_ok=all(
-            fp.forces[i] >= base_forces[i] / n for i in range(g.n)
-        ),
+        last_force_bound_ok=below,
+        kept_force_bounds_ok=kept,
     )
+
+
+def cylinder_ceiling(n: int, m: int) -> Fraction:
+    """The spec's ceiling on a cylinder rule's ignored voter's force; false for n >= 3."""
+    return Fraction(2, n * factorial(m))
+
+
+def cylinder_forces(nu: Distribution, mu: Distribution, g: VotingRule) -> tuple:
+    """The extension f of ``g`` by an ignored trailing voter, f's force
+    profile under ``mu``, the lift of ``nu``, and ``g``'s forces under
+    ``nu``; then whether f's ignored voter is within ``cylinder_ceiling``,
+    and whether each kept voter keeps at least 1/n of their base force."""
+    f = cylinder_extend(g)
+    fp = force_profile(mu, f)
+    base = force_profile(nu, g).forces
+    kept = all(a >= b / f.n for a, b in zip(fp.forces, base))
+    return f, fp, base, fp.forces[-1] <= cylinder_ceiling(f.n, f.m), kept

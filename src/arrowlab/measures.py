@@ -11,20 +11,19 @@ the rest evenly, and the permutation-averaged lift that turns a distribution
 for n-1 voters into an n-voter distribution that is invariant under every
 relabeling of the voters.
 
-Weights with few distinct numerators, every distribution the CLI builds
-among them, are stored as levels: the distinct numerators, and one byte per
-profile naming its level.  Uniform and star write their levels in closed
-form, and the lift reads them off its packed integer lanes (one fixed-width
-record per profile); none of them builds a tuple of ints per profile.  Force
-and rule distance then take one popcount per level, and the invariance test
-gathers the one-byte level index.
+Every distribution is stored as levels: the distinct numerators, and a level
+index naming each profile's level, one byte per profile up to 256 levels.
+Uniform and star write their levels in closed form, and the lift reads them
+off its packed integer lanes (one fixed-width record per profile); none of
+them builds a tuple of ints per profile.  Up to ``MAX_LEVELS`` levels, force
+and rule distance take one popcount per level.  The invariance test gathers
+the level index.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import operator
 import struct
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -47,11 +46,11 @@ from .orders import (
 
 DISTRIBUTION_FORMAT_VERSION = 1
 
-# A distribution with at most this many distinct numerators keeps them as
-# levels.  Force and distance then cost one popcount per level, about 0.3 ms
-# at (4,4), against about 7 ms for one Python-level sum over every profile;
-# but each level's mask holds a byte per profile, so at ten levels the masks
-# take about as much memory as the tuple of numerators they replace.
+# Up to this many levels, force and distance cost one popcount per level,
+# about 0.3 ms at (4,4), against about 7 ms for one Python-level sum over
+# every profile; but each level's mask holds a byte per profile, so at ten
+# levels the masks take about as much memory as the tuple of numerators that
+# the sum reads.  Up to this many levels the lift also sums level codes.
 MAX_LEVELS = 10
 
 
@@ -60,6 +59,28 @@ def _pack(entries: tuple[int, ...], width: int) -> bytes:
     if width <= 8:
         return struct.pack(f"{len(entries)}{_LANE_CODES[width]}", *entries)
     return b"".join(map(int.to_bytes, entries, itertools.repeat(width), itertools.repeat(_ORDER)))
+
+
+def _level_form(entries, decode=None) -> tuple[tuple[int, ...], bytes]:
+    """The ascending distinct numerators of one entry per profile, each a
+    numerator or, when given, what ``decode`` maps to one, and the level
+    index of the entries.  A ``bytes`` table of entries is read and indexed
+    in C passes."""
+    one_byte = isinstance(entries, bytes)
+    keys = distinct_bytes(entries) if one_byte else set(entries)
+    numerator_of = {k: decode(k) for k in keys} if decode else dict(zip(keys, keys))
+    levels = sorted(set(numerator_of.values()))
+    position = dict(zip(levels, range(len(levels))))
+    rank = {k: position[v] for k, v in numerator_of.items()}
+    if one_byte:
+        return tuple(levels), entries.translate(bytes(map(rank.get, range(256), bytes(256))))
+    return tuple(levels), _pack(tuple(map(rank.__getitem__, entries)), _lane_width(len(levels) - 1))
+
+
+def _ranks(levels: tuple[int, ...], index: bytes):
+    """The level index as ints: its bytes, or its lanes cast to ints."""
+    width = _lane_width(len(levels) - 1)
+    return index if width == 1 else memoryview(index).cast(_LANE_CODES[width])
 
 
 @lru_cache(maxsize=None)
@@ -99,13 +120,11 @@ class Distribution(Frozen):
     ``int`` or ``'p/q'`` strings, never floats); ``from_numerators`` takes the
     integer form.  Both reduce to lowest terms, so equality is value equality.
 
-    Weights with at most ``MAX_LEVELS`` distinct numerators are kept as
-    levels: ``levels`` lists the distinct numerators in ascending order, and
-    byte k of ``level_index`` is the position of profile k's numerator in it.
-    Then ``numerators`` is built from the levels on first access.  Other
-    weights keep ``numerators`` itself, and ``levels`` and ``level_index``
-    are ``None``.  Every constructor picks the form by the count of distinct
-    numerators, so equal weights have equal forms.
+    The weights are kept as levels: ``levels`` lists the distinct numerators
+    in ascending order, and record k of ``level_index`` is the position of
+    profile k's numerator in it, one byte up to 256 levels, else the
+    narrowest lane that holds every position.  ``numerators`` is built from
+    them on first access, then kept on the instance.
     """
 
     _fields = ("n", "m", "denominator")  # the repr; equality reads ``_key``
@@ -114,7 +133,7 @@ class Distribution(Frozen):
         fractions = [_as_fraction(w) for w in weights]
         denominator = lcm(*(w.denominator for w in fractions))
         numerators = tuple(w.numerator * (denominator // w.denominator) for w in fractions)
-        self._store_columns(n, m, (numerators,), denominator)
+        self._store(n, m, denominator, *_level_form(numerators))
 
     @classmethod
     def from_numerators(cls, n: int, m: int, numerators, denominator: int) -> "Distribution":
@@ -122,81 +141,33 @@ class Distribution(Frozen):
         numerators = tuple(numerators)
         if not {type(denominator), *map(type, numerators)} <= {int}:
             raise TypeError("numerators and denominator must be ints")
-        dist = cls.__new__(cls)
-        dist._store_columns(n, m, (numerators,), denominator)
-        return dist
+        return cls._from_levels(n, m, denominator, *_level_form(numerators))
 
     @classmethod
     def _from_levels(cls, n: int, m: int, denominator: int, levels, index: bytes):
-        """The distribution whose profile k has numerator
-        ``levels[index[k]]``, the ``levels`` ascending."""
+        """The distribution whose profile k has numerator ``levels[r]``, r
+        the k-th record of ``index``, the ``levels`` ascending."""
         dist = cls.__new__(cls)
-        dist._store(n, m, denominator, levels, index=index)
+        dist._store(n, m, denominator, levels, index)
         return dist
 
-    @classmethod
-    def _from_lanes(cls, n: int, m: int, total: int, width: int, denominator: int, decode=None):
-        """The distribution whose numerators are the ``width``-byte lanes of
-        ``total`` over ``denominator``, or ``decode`` of each lane when given.
-        Lanes are unsigned ints by construction, so they skip the type pass
-        of ``from_numerators``.  Lanes wider than 8 bytes are read as columns
-        of 8-byte words, so few distinct lanes become levels without a big
-        int per profile."""
-        size = factorial(m) ** n
-        view = total.to_bytes(size * width, _ORDER)
-        if width > 1:
-            view = memoryview(view).cast(_LANE_CODES[min(width, 8)])
-        words = width // 8
-        slots = range(words) if _ORDER == "little" else range(words - 1, -1, -1)
-        columns = (view,) if words < 2 else tuple(view[s::words] for s in slots)
-        dist = cls.__new__(cls)
-        dist._store_columns(n, m, columns, denominator, decode)
-        return dist
-
-    def _store_columns(self, n: int, m: int, columns, denominator: int, decode=None) -> None:
-        """Store the entries held in ``columns``: one sequence of ints per
-        64-bit word, the least significant first, or the entries themselves
-        as the one column.  Each entry is a numerator, or ``decode`` of one
-        when given.  Few distinct numerators become levels."""
-        entries, value = (lambda: columns[0]), decode
-        if len(columns) > 1:
-            entries = lambda: zip(*columns)  # noqa: E731
-            join = lambda words: sum(w << 64 * i for i, w in enumerate(words))  # noqa: E731
-            value = join if decode is None else lambda words: decode(join(words))
-        one_byte = isinstance(columns[0], bytes)  # one-byte lanes: passes in C
-        keys = distinct_bytes(columns[0]) if one_byte else set(entries())
-        numerator_of = {k: value(k) for k in keys} if value else dict(zip(keys, keys))
-        levels = sorted(set(numerator_of.values()))
-        if len(levels) <= MAX_LEVELS:
-            position = dict(zip(levels, range(len(levels))))
-            rank = {k: position[v] for k, v in numerator_of.items()}
-            if one_byte:
-                index = columns[0].translate(bytes(map(rank.get, range(256), bytes(256))))
-            else:
-                index = bytes(map(rank.__getitem__, entries()))
-            self._store(n, m, denominator, tuple(levels), index=index)
-        else:
-            numerators = tuple(map(value, entries())) if value else tuple(entries())
-            self._store(n, m, denominator, tuple(levels), numerators=numerators)
-
-    def _store(self, n, m, denominator, levels, index=None, numerators=None) -> None:
+    def _store(self, n, m, denominator, levels, index) -> None:
         """Check the weights over ``denominator``, given their ascending
-        distinct numerators ``levels``, and keep them in lowest terms: as
-        ``levels`` and the level ``index`` of every profile, or as the
-        ``numerators`` tuple."""
+        distinct numerators ``levels`` and the level ``index`` of every
+        profile, and keep them in lowest terms."""
         check_scale(n, m)
         size = factorial(m) ** n
-        held = len(index if numerators is None else numerators)
-        if held != size:
-            raise ValueError(f"{held} weights, expected {size}")
+        width = _lane_width(len(levels) - 1)
+        if len(index) != size * width:
+            raise ValueError(f"{len(index) // width} weights, expected {size}")
         if denominator < 1:
             raise ValueError(f"denominator must be positive, got {denominator}")
         if levels[0] < 0:
             raise ValueError("weights must be nonnegative")
-        if numerators is None:
+        if width == 1:  # one C count per level, no numerator per profile
             total = sum(v * index.count(r) for r, v in enumerate(levels))
         else:
-            total = sum(numerators)
+            total = sum(map(levels.__getitem__, _ranks(levels, index)))
         if total != denominator:
             raise ValueError(
                 f"weights sum to {Fraction(total, denominator)}, expected exactly 1"
@@ -205,22 +176,17 @@ class Distribution(Frozen):
         if common > 1:
             levels = tuple(v // common for v in levels)
             denominator //= common
-            if numerators is not None:
-                numerators = tuple(map(operator.floordiv, numerators, itertools.repeat(common)))
         self._set(n=n, m=m, denominator=denominator, full_support=levels[0] > 0)
-        if numerators is None:
-            self._set(levels=levels, level_index=index)
-        else:
-            self._set(levels=None, level_index=None, numerators=numerators)
+        self._set(levels=levels, level_index=index)
 
     def _key(self) -> tuple:
-        return (self.n, self.m, self.denominator, self.levels, self.level_index or self.numerators)
+        return (self.n, self.m, self.denominator, self.levels, self.level_index)
 
     @cached_property
     def numerators(self) -> tuple[int, ...]:
-        """Every profile's numerator over ``denominator``, in index order; in
-        the level form built on first access, then kept on the instance."""
-        return tuple(map(self.levels.__getitem__, self.level_index))
+        """Every profile's numerator over ``denominator``, in index order,
+        built on first access, then kept on the instance."""
+        return tuple(map(self.levels.__getitem__, _ranks(self.levels, self.level_index)))
 
     @property
     def weights(self) -> tuple[Fraction, ...]:
@@ -244,11 +210,12 @@ class Distribution(Frozen):
         Entries are below 128 (``orders.BYTE_MAX_CANDIDATES`` is 5 and
         5! = 120), so adding 0x7f to each byte of the tables' XOR as ints
         carries into no other byte and sets bit 7 exactly where they differ.
-        A level's mask keeps those bits at its profiles, so each level costs
-        one popcount; many-level weights sum their numerators instead."""
+        Up to ``MAX_LEVELS`` levels, a level's mask keeps those bits at its
+        profiles, so each level costs one popcount; past that the differing
+        profiles' numerators are summed."""
         size = len(g)
         flags = (f ^ int.from_bytes(g, "little")) + _byte_fill(0x7F, size)
-        if self.levels is None:
+        if len(self.levels) > MAX_LEVELS:
             differ = (flags & _byte_fill(0x80, size)).to_bytes(size, "little")
             return self.denominator - sum(itertools.compress(self.numerators, differ))
         masks = self._level_masks
@@ -259,19 +226,14 @@ class Distribution(Frozen):
         """True iff every voter relabeling leaves all weights unchanged.
 
         Adjacent seat swaps generate every relabeling, so checking those n-1
-        suffices: on the one-byte level index, or on the ranks of many-level
-        weights among their distinct values.  Computed on first use, then
-        kept on the instance.
+        on the level index suffices.  Computed on first use, then kept on the
+        instance.
         """
-        lanes, width = self.level_index, 1
-        if self.levels is None:
-            rank = {w: r for r, w in enumerate(set(self.numerators))}
-            width = _lane_width(len(rank) - 1)
-            lanes = _pack(tuple(map(rank.__getitem__, self.numerators)), width)
+        index, width = self.level_index, _lane_width(len(self.levels) - 1)
         for s in range(self.n - 1):
             swap = list(range(self.n))
             swap[s], swap[s + 1] = s + 1, s
-            if seat_gather(lanes, self.n, self.m, tuple(swap), width) != lanes:
+            if seat_gather(index, self.n, self.m, tuple(swap), width) != index:
                 return False
         return True
 
@@ -331,19 +293,19 @@ def lift_distribution(dist: Distribution, i: int) -> Distribution:
         raise ValueError(f"seat {i} out of range for n={n}")
     check_scale(n, m)
     # A lifted entry sums n! input entries (n gathers of ``sym``, whose
-    # entries each sum (n-1)! of them).  Few levels lift as codes: level 0
-    # enters as 0 and level r > 0 as (n! + 1)**(r - 1), so a lifted code,
-    # read in base n! + 1, counts the input entries at each level above 0,
-    # and the other entries of the n! are at level 0.
-    if dist.levels is None:
-        entries, decode = dist.numerators, None
+    # entries each sum (n-1)! of them).  Up to ``MAX_LEVELS`` levels lift as
+    # codes: level 0 enters as 0 and level r > 0 as (n! + 1)**(r - 1), so a
+    # lifted code, read in base n! + 1, counts the input entries at each
+    # level above 0, and the other entries of the n! are at level 0.
+    if len(dist.levels) > MAX_LEVELS:
+        codes, decode = dist.levels, None
     else:
         radix, (low, *high) = factorial(n) + 1, dist.levels
         codes = (0,) + tuple(radix**r for r in range(len(high)))
-        entries = tuple(map(codes.__getitem__, dist.level_index))
         decode = lambda code: factorial(n) * low + sum(  # noqa: E731
             code // c % radix * (v - low) for c, v in zip(codes[1:], high)
         )
+    entries = tuple(map(codes.__getitem__, _ranks(dist.levels, dist.level_index)))
     # Lanes that hold n! * max(entries) never carry, and every sum below is
     # one big-int add per table.
     width = _lane_width(factorial(n) * max(entries))
@@ -361,8 +323,14 @@ def lift_distribution(dist: Distribution, i: int) -> Distribution:
         )
         for j in range(n)
     )
+    lanes = total.to_bytes(len(small) * factorial(m), _ORDER)
+    if width > 8:  # only lifts of numerators of 2**64 or more: decoded lane by lane
+        starts = range(0, len(lanes), width)
+        lanes = tuple(int.from_bytes(lanes[k : k + width], _ORDER) for k in starts)
+    elif width > 1:
+        lanes = memoryview(lanes).cast(_LANE_CODES[width])
     denominator = dist.denominator * factorial(n) * factorial(m)
-    return Distribution._from_lanes(n, m, total, width, denominator, decode)
+    return Distribution._from_levels(n, m, denominator, *_level_form(lanes, decode))
 
 
 def is_permutation_invariant(dist: Distribution) -> bool:

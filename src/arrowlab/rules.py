@@ -35,8 +35,8 @@ from .orders import (
 )
 
 RULE_FORMAT_VERSION = 1
-# Entries per block of rule text, written by ``save_rule`` and hashed by
-# ``VotingRule.digest``.
+# Entries per block of rule text (``_table_text``), written by ``save_rule``
+# and hashed by ``VotingRule.digest``; read at each call.
 _TEXT_BLOCK = 1 << 14
 
 
@@ -67,31 +67,34 @@ class VotingRule(Frozen):
     @cached_property
     def digest(self) -> str:
         """SHA-256 over the ASCII bytes of ``"{n}:{m}:" + comma-joined table
-        entries``, computed on first use and kept on the instance.
-
-        The first entry is hashed with the header, and every later entry is
-        a comma and its digits, hashed ``_TEXT_BLOCK`` entries at a time as
-        ``save_rule`` writes, so no whole-table text is held.  In a block,
-        each entry takes a comma and ``width`` digit slots; one ``translate``
-        per digit place fills its slots, blank (zero) where the entry has no
-        digit there, and the blanks are deleted before hashing."""
+        entries``, hashed a block at a time (``_table_text``), so no
+        whole-table text is held; computed on first use and kept."""
         import hashlib  # here, so that commands which never hash skip loading OpenSSL
 
-        table = self.table
-        width = len(str(factorial(self.m) - 1))
-        glyphs = [
-            bytes(48 + e // unit % 10 if e >= unit or unit == 1 else 0 for e in range(256))
-            for unit in (10**place for place in reversed(range(width)))
-        ]
-        digest = hashlib.sha256(f"{self.n}:{self.m}:{table[0]}".encode("ascii"))
-        for start in range(1, len(table), _TEXT_BLOCK):
-            block = table[start : start + _TEXT_BLOCK]
-            text = bytearray((width + 1) * len(block))
-            text[:: width + 1] = b"," * len(block)
-            for place, glyph in enumerate(glyphs, 1):
-                text[place :: width + 1] = block.translate(glyph)
-            digest.update(text.translate(None, b"\0"))
+        digest = hashlib.sha256(f"{self.n}:{self.m}:".encode("ascii"))
+        for block in _table_text(self.table, self.m, b","):
+            digest.update(block)
         return digest.hexdigest()
+
+
+def _table_text(table: bytes, m: int, separator: bytes) -> Iterator[bytes]:
+    """The ASCII text of ``table``'s entries joined by ``separator``: the
+    first entry, then blocks of ``_TEXT_BLOCK`` entries, each entry the
+    separator and ``len(units)`` digit slots.  One ``translate`` per digit
+    place fills its slots, blank (zero) where the entry has no digit there,
+    and the blanks are deleted."""
+    units = [10**place for place in reversed(range(len(str(factorial(m) - 1))))]
+    glyphs = [bytes(48 + e // u % 10 if e >= u or u == 1 else 0 for e in range(256)) for u in units]
+    step = len(separator) + len(units)
+    yield str(table[0]).encode("ascii")
+    for start in range(1, len(table), _TEXT_BLOCK):
+        block = table[start : start + _TEXT_BLOCK]
+        text = bytearray(step * len(block))
+        for place, byte in enumerate(separator):
+            text[place::step] = bytes((byte,)) * len(block)
+        for place, glyph in enumerate(glyphs, len(separator)):
+            text[place::step] = block.translate(glyph)
+        yield text.translate(None, b"\0")
 
 
 def dictator(n: int, m: int, i: int) -> VotingRule:
@@ -299,19 +302,15 @@ def table_digest(rule: VotingRule) -> str:
 
 def save_rule(rule: VotingRule, path: str | Path) -> None:
     """Write the bytes of ``json.dump(record, sort_keys=True, indent=2)`` and a
-    newline.  ``"table"`` sorts last, so the header is dumped without it; the
-    first entry follows it, and every later entry is one of 256 prefixed
-    strings, joined a block at a time rather than one encoder chunk each, so
-    that no whole-table string is held."""
+    newline.  ``"table"`` sorts last, so the header is dumped without it and
+    the entries follow it a block at a time (``_table_text``)."""
     header = json.dumps(
         {"format_version": RULE_FORMAT_VERSION, "n": rule.n, "m": rule.m}, sort_keys=True, indent=2
     )
-    entries = [f",\n    {b}" for b in range(256)]
-    with open(path, "w") as fp:
-        fp.write(f'{header[:-2]},\n  "table": [\n    {rule.table[0]}')
-        for start in range(1, len(rule.table), _TEXT_BLOCK):
-            fp.write("".join(map(entries.__getitem__, rule.table[start : start + _TEXT_BLOCK])))
-        fp.write("\n  ]\n}\n")
+    with open(path, "wb") as fp:
+        fp.write(f'{header[:-2]},\n  "table": [\n    '.encode("ascii"))
+        fp.writelines(_table_text(rule.table, rule.m, b",\n    "))
+        fp.write(b"\n  ]\n}\n")
 
 
 def load_rule(path: str | Path) -> VotingRule:

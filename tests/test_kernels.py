@@ -2,9 +2,11 @@
 
 Populations are seeded: Pareto rules from ``random_pareto_rule`` and
 distributions with small random integer weights, some of them zero, that no
-voter relabeling preserves.  The distributions cover both storage forms:
-levels (uniform, star, lift-star and the six-weight draw) and many-level
-weights (a draw with more distinct weights than ``MAX_LEVELS``).  The seat
+voter relabeling preserves.  Every distribution is stored as levels and a
+level index; the populations cover both force kernels, a popcount per level
+(uniform, star, lift-star and the six-weight draw) and a numerator sum (a
+draw with more distinct weights than ``MAX_LEVELS``), and a level index of
+one byte and of two (more than 256 distinct weights).  The seat
 gather behind every ballot rewrite is checked against re-encoded digit
 tuples and against the slice-per-piece gather it replaced, and the pair
 signature columns behind every rule builder and predicate against the
@@ -88,8 +90,8 @@ def _distributions(n: int, m: int) -> list[Distribution]:
         star_distribution(n, m, Fraction(2, 7), y),
         star_distribution(n, m, Fraction(5, 8), y),
     ]
-    assert [len(mu.levels or ()) for mu in dists[3:]] == [3, 2, 2]
-    assert dists[1].levels is not None and dists[2].levels is None
+    assert [len(mu.levels) for mu in dists[3:]] == [3, 2, 2]
+    assert len(dists[1].levels) <= MAX_LEVELS < len(dists[2].levels)
     if m == 3:
         assert dists[-1].denominator * 5 == 8 * (factorial(m) ** n - 1)
     return dists
@@ -451,12 +453,63 @@ def test_rule_distance_equals_reference(n, m):
 
 
 def test_level_form_is_chosen_by_the_count_of_distinct_weights():
-    for count in (1, MAX_LEVELS, MAX_LEVELS + 1):
-        raw = [1 + k % count for k in range(36)]
-        mu = Distribution.from_numerators(2, 3, raw, sum(raw))
-        assert (mu.levels is not None) is (count <= MAX_LEVELS)
+    """The level index takes one byte per profile up to 256 levels and two
+    past that; both constructors give the same value, hash and form."""
+    for count in (1, MAX_LEVELS, MAX_LEVELS + 1, 257):
+        raw = [1 + k % count for k in range(576)]
+        mu = Distribution.from_numerators(2, 4, raw, sum(raw))
+        by_fractions = Distribution(2, 4, [Fraction(v, sum(raw)) for v in raw])
+        assert by_fractions == mu and hash(by_fractions) == hash(mu)
+        assert mu.levels == tuple(range(1, count + 1))
+        assert len(mu.level_index) == len(raw) * (1 if count <= 256 else 2)
         assert mu.numerators == tuple(raw)
         assert mu.weights == tuple(Fraction(v, sum(raw)) for v in raw)
+
+
+def _wide(n: int, m: int, seed: int) -> Distribution:
+    """Seeded weights in 1..1000, more than 256 distinct ones on the tables
+    of 576 profiles and more used here: a two-byte level index."""
+    rng = random.Random(seed)
+    raw = [1 + rng.randrange(1000) for _ in range(factorial(m) ** n)]
+    mu = Distribution.from_numerators(n, m, raw, sum(raw))
+    assert len(mu.levels) > 256 and len(mu.level_index) == 2 * len(raw)
+    return mu
+
+
+@pytest.mark.parametrize("n,m", ((4, 3), (3, 4)))
+def test_wide_level_index_equals_reference(n, m):
+    """Forces, rule distance, the invariance test, equality, hashing and a
+    pickle round trip of a distribution with a two-byte level index."""
+    mu = _wide(n, m, 23 * n + m)
+    rules = _force_rules(n, m)
+    for rule in rules:
+        forces, most, least = ref.force_profile(mu, rule)
+        fp = force_profile(mu, rule)
+        assert (fp.forces, fp.most_forceful, fp.least_forceful) == (forces, most, least)
+    for f, g in itertools.combinations(rules, 2):
+        assert rule_distance(mu, f, g) == ref.rule_distance(mu, f, g)
+    # Symmetric under swapping voters 0 and 1 only: the gather of the wide
+    # index passes the first adjacent swap and fails a later one.
+    raw = mu.numerators
+    swapped = [raw[encode_digits((t[1], t[0]) + t[2:], m)] for t in profile_digit_tuples(n, m)]
+    pair = Distribution.from_numerators(n, m, map(sum, zip(raw, swapped)), 2 * mu.denominator)
+    assert len(pair.levels) > 256
+    for nu in (mu, pair):
+        assert is_permutation_invariant(nu) is ref.is_permutation_invariant(nu) is False
+    fresh = _wide(n, m, 23 * n + m)
+    assert fresh == mu and hash(fresh) == hash(mu) and fresh != pair
+    copy = pickle.loads(pickle.dumps(fresh))
+    assert "numerators" not in vars(fresh) and "numerators" not in vars(copy)
+    assert copy == mu and hash(copy) == hash(mu) and copy.numerators == raw
+
+
+def test_lift_of_a_wide_level_index_equals_reference():
+    """A (2,4) base with a two-byte level index, lifted from every seat to
+    (3,4), where the invariant lift keeps more than 256 levels."""
+    nu = _wide(2, 4, 29)
+    lifted = _lift_equals_reference(nu)
+    assert len(lifted.levels) > 256 and len(lifted.level_index) == 2 * factorial(4) ** 3
+    assert is_permutation_invariant(lifted) and not is_permutation_invariant(nu)
 
 
 @pytest.mark.parametrize("n,m", ((2, 3), (3, 4)))
@@ -465,7 +518,7 @@ def test_level_distributions_pickle_without_their_numerators(n, m):
     for mu in _distributions(n, m):
         copy = pickle.loads(pickle.dumps(mu))
         assert copy == mu and hash(copy) == hash(mu)
-        assert ("numerators" in vars(copy)) is (mu.levels is None)
+        assert "numerators" not in vars(copy)
         assert copy.numerators == mu.numerators
 
 
@@ -521,7 +574,7 @@ def test_lift_in_wide_lanes_equals_reference(n, m):
     raw = [(k + 1) * v for k, v in enumerate(_base(n - 1, m, 13 * n + m).numerators)]
     raw[7] += 2**70
     nu = Distribution.from_numerators(n - 1, m, raw, sum(raw))
-    assert max(nu.numerators) >= 2**64 and nu.levels is None
+    assert max(nu.numerators) >= 2**64 and len(nu.levels) > MAX_LEVELS
     lifted = _lift_equals_reference(nu)
     assert max(lifted.numerators) >= 2**64
     assert is_permutation_invariant(lifted) and ref.is_permutation_invariant(lifted)
@@ -531,10 +584,10 @@ def test_lift_in_wide_lanes_equals_reference(n, m):
 def test_wide_lanes_of_a_many_level_base_can_lift_to_levels():
     """Weights 2**70 + a - b on ballots (a, b) take eleven values, but each
     pair of seat orders sums to 2**71, so the lift is uniform; its two-word
-    lanes become one level without a big int per profile."""
+    lanes, decoded one at a time, become one level."""
     raw = [2**70 + a - b for a, b in profile_digit_tuples(2, 3)]
     nu = Distribution.from_numerators(2, 3, raw, sum(raw))
-    assert nu.levels is None
+    assert len(nu.levels) > MAX_LEVELS
     lifted = _lift_equals_reference(nu)
     assert lifted == uniform_distribution(3, 3) and lifted.levels == (1,)
 
@@ -640,9 +693,9 @@ def test_class_transfer_verdict_equals_orbit_rebuild(n, m, dist, seeds, failures
 
 
 def test_class_transfer_reads_forces_once_per_member_and_image(monkeypatch):
-    """``welldef`` reads the forces of the rule to find its class, then of
-    each member and of each member's image once: the transfer and the closure
-    test share a member's forces."""
+    """``welldef`` reads the forces of each member and of each member's image
+    once: the rule's own forces find its class and serve as its member's,
+    and the transfer and the closure test share a member's forces."""
     import arrowlab.dynamics as dynamics
 
     mu = uniform_distribution(3, 3)
@@ -655,4 +708,4 @@ def test_class_transfer_reads_forces_once_per_member_and_image(monkeypatch):
     for rule, size in zip(rules, sizes):
         calls.clear()
         assert _class_transfer_holds(mu, rule) is True
-        assert len(calls) == 1 + 2 * size
+        assert len(calls) == 2 * size
