@@ -367,7 +367,7 @@ def replay_contradiction(g: VotingRule, epsilon: Fraction, y: LinearOrder) -> Re
         forces=fp.forces,
         base_forces=base_forces,
         last_voter_unique_least=fp.least_forceful == (f.n - 1,),
-        transfer_fixed=force_transfer(mu, f) == f,
+        transfer_fixed=_transfer(f, fp) == f,
         dictator_voter=is_dictatorship(f),
         last_force_bound_ok=below,
         kept_force_bounds_ok=kept,

@@ -1,10 +1,11 @@
 """Finite metric spaces, quotient distances, and exact metric-axiom certification.
 
 Two routes to the quotient distance live side by side: the chain route
-(shortest path through free moves inside equivalence classes) and the orbit
-route (minimum distance over class representatives).  The orbit route is only
-valid when the classes are orbits of a group of distance-preserving
-permutations; a brute-force diagnostic verifies that hypothesis on demand.
+(Dijkstra over the points, with free moves inside equivalence classes and
+ties settled lowest index first) and the orbit route (minimum distance over
+class representatives).  The orbit route is only valid when the classes are
+orbits of a group of distance-preserving permutations; a brute-force
+diagnostic verifies that hypothesis on demand.
 """
 
 from __future__ import annotations
@@ -48,16 +49,14 @@ class FiniteMetricSpace(Frozen):
 
     @staticmethod
     def from_function(points: Sequence, fn: Callable) -> "FiniteMetricSpace":
-        """Build the matrix by calling ``fn(p, q)`` once per unordered pair."""
+        """Build the matrix by calling ``fn(p, q)`` once per unordered pair,
+        i < j in row-major order; the matrix is symmetric with a zero diagonal."""
         pts = tuple(points)
-        size = len(pts)
-        matrix = [[Fraction(0)] * size for _ in range(size)]
-        for i in range(size):
-            for j in range(i + 1, size):
-                d = Fraction(fn(pts[i], pts[j]))
-                matrix[i][j] = d
-                matrix[j][i] = d
-        return FiniteMetricSpace(pts, tuple(tuple(row) for row in matrix))
+        matrix = [[0] * len(pts) for _ in pts]
+        for i in range(len(pts)):
+            for j in range(i + 1, len(pts)):
+                matrix[i][j] = matrix[j][i] = fn(pts[i], pts[j])
+        return FiniteMetricSpace(pts, matrix)
 
 
 class EquivalencePartition(Frozen):
@@ -136,37 +135,25 @@ def quotient_distance_chain(
     """Minimum total length over chains from x to y, where moving inside an
     equivalence class is free and hopping between points costs their distance.
 
-    Computed as a shortest path; on a finite space the minimum is attained,
-    so the result is an exact value rather than an infimum.
+    Dijkstra with in-class moves at cost 0: the unsettled point of least
+    tentative length, lowest index first among ties, is settled next, up to
+    y.  The minimum is attained, so the result is exact, not an infimum.
     """
-    n = space.size
-    dist: list[Fraction | None] = [None] * n
-    dist[x] = Fraction(0)
-    visited = [False] * n
-    for _ in range(n):
-        u = None
-        best = None
-        for v in range(n):
-            if not visited[v] and dist[v] is not None and (best is None or dist[v] < best):
-                u = v
-                best = dist[v]
-        if u is None:
-            break
-        visited[u] = True
+    if x == y:
+        return Fraction(0)
+    cls, row = part.class_of, space.dist[x]
+    tentative = {v: row[v] if cls[v] != cls[x] else Fraction(0) for v in range(space.size)}
+    del tentative[x]  # x is settled first; the graph is complete, so all else is reached
+    while True:
+        u = min(tentative, key=lambda v: (tentative[v], v))
+        length = tentative.pop(u)
         if u == y:
-            break
-        du = dist[u]
-        assert du is not None
-        for v in range(n):
-            if visited[v]:
-                continue
-            step = Fraction(0) if part.same_class(u, v) else space.dist[u][v]
-            nd = du + step
-            if dist[v] is None or nd < dist[v]:
-                dist[v] = nd
-    result = dist[y]
-    assert result is not None
-    return result
+            return length
+        row = space.dist[u]
+        for v, best in tentative.items():
+            through = length if cls[v] == cls[u] else length + row[v]
+            if through < best:
+                tentative[v] = through
 
 
 def quotient_distance_orbit(
@@ -189,38 +176,25 @@ def _find_class_preserving_isometry(
     space: FiniteMetricSpace, part: EquivalencePartition, src: int, dst: int
 ) -> bool:
     """Backtracking search for a distance-preserving permutation that maps
-    every class into itself and sends ``src`` to ``dst``."""
-    n = space.size
-    if part.class_of[src] != part.class_of[dst]:
-        return False
-    image: list[int | None] = [None] * n
-    used = [False] * n
-    image[src] = dst
-    used[dst] = True
-    order = [p for p in range(n) if p != src]
+    every class into itself and sends ``src`` to ``dst``.  ``image`` maps a
+    prefix of ``order``; each next point tries its class's unused points in
+    index order, keeping one whose distances to the mapped points match."""
+    d, cls = space.dist, part.class_of
+    order = [src, *(p for p in range(space.size) if p != src)]
 
-    def extend(pos: int) -> bool:
-        if pos == len(order):
+    def extend(image: tuple[int, ...]) -> bool:
+        if len(image) == len(order):
             return True
-        p = order[pos]
-        for q in range(n):
-            if used[q] or part.class_of[q] != part.class_of[p]:
-                continue
-            ok = True
-            for r in range(n):
-                if image[r] is not None and space.dist[p][r] != space.dist[q][image[r]]:
-                    ok = False
-                    break
-            if ok:
-                image[p] = q
-                used[q] = True
-                if extend(pos + 1):
-                    return True
-                image[p] = None
-                used[q] = False
-        return False
+        p = order[len(image)]
+        return any(
+            q not in image
+            and cls[q] == cls[p]
+            and all(d[p][r] == d[q][s] for r, s in zip(order, image))
+            and extend((*image, q))
+            for q in range(space.size)
+        )
 
-    return extend(0)
+    return cls[src] == cls[dst] and extend((dst,))
 
 
 def verify_orbit_partition(space: FiniteMetricSpace, part: EquivalencePartition) -> bool:
@@ -256,15 +230,11 @@ def random_orbit_fixture(
     rng.shuffle(perm)
 
     class_of = [-1] * n_points
-    next_class = 0
     for start in range(n_points):
-        if class_of[start] != -1:
-            continue
-        p = start
+        label, p = max(class_of) + 1, start
         while class_of[p] == -1:
-            class_of[p] = next_class
+            class_of[p] = label
             p = perm[p]
-        next_class += 1
 
     pair_value: dict[tuple[int, int], Fraction] = {}
     for i in range(n_points):

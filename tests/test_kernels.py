@@ -709,3 +709,22 @@ def test_class_transfer_reads_forces_once_per_member_and_image(monkeypatch):
         calls.clear()
         assert _class_transfer_holds(mu, rule) is True
         assert len(calls) == 2 * size
+
+
+def test_replay_reads_forces_once_per_rule(monkeypatch):
+    """``replay`` reads the extended rule's forces once, for the report and
+    the fixedness test, and the base rule's once; the fixedness verdict is
+    the transfer map's."""
+    import arrowlab.dynamics as dynamics
+
+    read = dynamics.force_profile
+    calls = []
+    monkeypatch.setattr(dynamics, "force_profile", lambda mu, rule: calls.append(rule) or read(mu, rule))
+    y = enumerate_orders(3)[0]
+    for base in (pairwise_majority_rule(2, 3), dictator(2, 3, 1), random_pareto_rule(2, 3, 4)):
+        calls.clear()
+        report = dynamics.replay_contradiction(base, Fraction(1, 2), y)
+        assert len(calls) == 2
+        f = rules_module.cylinder_extend(base)
+        mu = lift_distribution(star_distribution(2, 3, Fraction(1, 2), y), 2)
+        assert report.transfer_fixed is (force_transfer(mu, f) == f)

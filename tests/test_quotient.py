@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ from arrowlab.measures import Distribution, uniform_distribution
 from arrowlab.quotient import (
     EquivalencePartition,
     FiniteMetricSpace,
+    _find_class_preserving_isometry,
     check_metric_axioms,
     load_fixture,
     quotient_distance_chain,
@@ -179,6 +181,55 @@ def test_verify_orbit_partition_rejects_non_orbit_classes():
     space = FiniteMetricSpace((0, 1, 2), matrix)
     part = EquivalencePartition((0, 0, 1))
     assert not verify_orbit_partition(space, part)
+
+
+def _has_class_preserving_isometry(space, part, src, dst):
+    """Enumerate every permutation: one that keeps each point in its class,
+    preserves every distance and sends ``src`` to ``dst``."""
+    n, d, cls = space.size, space.dist, part.class_of
+    return any(
+        sigma[src] == dst
+        and all(cls[sigma[p]] == cls[p] for p in range(n))
+        and all(d[p][q] == d[sigma[p]][sigma[q]] for p in range(n) for q in range(n))
+        for sigma in itertools.permutations(range(n))
+    )
+
+
+def test_orbit_verdicts_match_permutation_enumeration():
+    """Symmetric spaces of 1-6 points with distances in {1, 2} and random
+    labels in 3 classes: the search's verdict for every ordered pair of one
+    class, and the partition's, equal those of enumerating permutations."""
+    verdicts = []
+    for seed in range(400):
+        rng = random.Random(seed)
+        n = rng.randrange(1, 7)
+        space = FiniteMetricSpace.from_function(range(n), lambda i, j: rng.randrange(1, 3))
+        part = EquivalencePartition(tuple(rng.randrange(3) for _ in range(n)))
+        pairs = [(p, q) for p, q in itertools.product(range(n), repeat=2) if part.same_class(p, q)]
+        truth = [_has_class_preserving_isometry(space, part, p, q) for p, q in pairs]
+        assert [_find_class_preserving_isometry(space, part, p, q) for p, q in pairs] == truth, seed
+        assert verify_orbit_partition(space, part) is all(truth), seed
+        verdicts.append(all(truth))
+    assert (verdicts.count(True), verdicts.count(False)) == (196, 204)
+
+
+def test_from_function_calls_once_per_pair_in_row_major_order():
+    calls = []
+
+    def fn(p, q):
+        calls.append((p, q))
+        return len(calls)
+
+    space = FiniteMetricSpace.from_function("abcd", fn)
+    assert calls == [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")]
+    assert space.points == tuple("abcd")
+    assert space.dist == (
+        (Fraction(0), Fraction(1), Fraction(2), Fraction(3)),
+        (Fraction(1), Fraction(0), Fraction(4), Fraction(5)),
+        (Fraction(2), Fraction(4), Fraction(0), Fraction(6)),
+        (Fraction(3), Fraction(5), Fraction(6), Fraction(0)),
+    )
+    assert all(type(v) is Fraction for row in space.dist for v in row)
 
 
 def test_metric_axioms_pass_for_full_support_rule_space():
