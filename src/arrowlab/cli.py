@@ -302,7 +302,7 @@ def _suite_cylinder(args: argparse.Namespace, _mu: Distribution, draw: _Draw) ->
 def _suite_collapse(args: argparse.Namespace, _mu: Distribution, draw: _Draw) -> dict:
     from .dynamics import check_collapse_conjecture
     from .measures import uniform_distribution
-    from .rules import cylinder_extend, pairwise_majority_rule
+    from .rules import cylinder_extend, pairwise_majority_rule, table_digest
 
     n, m = args.voters, args.candidates
     count = _sample_count(args, "collapse")
@@ -319,11 +319,11 @@ def _suite_collapse(args: argparse.Namespace, _mu: Distribution, draw: _Draw) ->
     witness_report = check_collapse_conjecture(lifted, witness_rules, jobs=args.jobs)
     witnesses = [
         {
-            "rule_table_digest": e.rule_digest,
+            "rule_table_digest": table_digest(rule),
             "iterate_equals_rule": e.iterate_equals_rule,
             "iterate_is_dictatorship": e.iterate_is_dictatorship,
         }
-        for e in witness_report.entries
+        for rule, e in zip(witness_rules, witness_report.entries)
         if not e.passed
     ]
     return {

@@ -72,10 +72,8 @@ class IterationTrace(NamedTuple):
 
 
 class CollapseEntry(NamedTuple):
-    rule_digest: str
     passed: bool
     collapse_voter: int | None
-    iterate_digest: str
     iterate_is_dictatorship: bool
     iterate_equals_rule: bool
 
@@ -266,10 +264,8 @@ def _collapse_entry(mu: Distribution, rule: VotingRule) -> CollapseEntry:
             collapse_voter = i
             break
     return CollapseEntry(
-        rule_digest=table_digest(rule),
         passed=collapse_voter is not None,
         collapse_voter=collapse_voter,
-        iterate_digest=table_digest(iterate),
         iterate_is_dictatorship=is_dictatorship(iterate) is not None,
         iterate_equals_rule=iterate == rule,
     )

@@ -298,11 +298,14 @@ def signature_codes(n: int, m: int, share: Callable[[int, int], int]) -> bytes |
     parts = [[share(p, s) for s in range(1 << n)] for p in range(len(columns))]
     width = _lane_width(sum(map(max, parts)))
     size = factorial(m) ** n
-    lanes, total = bytearray(size * width), 0
+    lanes, total = bytearray(size * width if width > 1 else 0), 0
     for column, part in zip(columns, parts):
         for b in range(width):  # lane byte b, least significant first
             lookup = bytes(v >> 8 * b & 255 for v in part).ljust(256, b"\0")
-            lanes[b if _ORDER == "little" else width - 1 - b :: width] = column.translate(lookup)
+            if width == 1:  # one ``bytes`` lane, which ``int.from_bytes`` reads without a copy
+                lanes = column.translate(lookup)
+            else:
+                lanes[b if _ORDER == "little" else width - 1 - b :: width] = column.translate(lookup)
         total += int.from_bytes(lanes, _ORDER)
     codes = total.to_bytes(size * width, _ORDER)
     return codes if width == 1 else memoryview(codes).cast(_LANE_CODES[width])

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from functools import cached_property, lru_cache
 from math import factorial
 from pathlib import Path
@@ -33,6 +34,14 @@ from .orders import (
     signature_codes,
     tournament_orders,
 )
+
+try:  # CPython's own SHA-256, which ``hashlib`` falls back to and which loads no OpenSSL
+    from _sha2 import sha256 as _sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # 3.10-3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 RULE_FORMAT_VERSION = 1
 # Entries per block of rule text (``_table_text``), written by ``save_rule``
@@ -68,10 +77,10 @@ class VotingRule(Frozen):
     def digest(self) -> str:
         """SHA-256 over the ASCII bytes of ``"{n}:{m}:" + comma-joined table
         entries``, hashed a block at a time (``_table_text``), so no
-        whole-table text is held; computed on first use and kept."""
-        import hashlib  # here, so that commands which never hash skip loading OpenSSL
-
-        digest = hashlib.sha256(f"{self.n}:{self.m}:".encode("ascii"))
+        whole-table text is held; computed on first use and kept.  The hash
+        is CPython's built-in one (``_sha2``, or ``_sha256`` before 3.12),
+        so no command loads OpenSSL; ``hashlib`` only where neither exists."""
+        digest = _sha256(f"{self.n}:{self.m}:".encode("ascii"))
         for block in _table_text(self.table, self.m, b","):
             digest.update(block)
         return digest.hexdigest()
@@ -314,17 +323,28 @@ def save_rule(rule: VotingRule, path: str | Path) -> None:
 
 
 def load_rule(path: str | Path) -> VotingRule:
-    text = Path(path).read_text()
-    record = read_record(text, "rule", RULE_FORMAT_VERSION)
-    n, m, table = (record.get(key) for key in ("n", "m", "table"))
+    """The rule in a rule file of any JSON layout.  The table is read from
+    the file's bytes a block at a time (``_read_rule_blocks``), so no
+    per-entry list of the whole table is held.  A file that read cannot vouch
+    for is parsed whole, as ``json.loads`` of its text, which gives the same
+    rule and every malformed file its one-line ``ValueError``."""
+    parsed = _read_rule_blocks(Path(path).read_bytes())
+    if parsed is not None:
+        record, table = parsed
+        checked = True
+    else:
+        text = Path(path).read_text()
+        record = read_record(text, "rule", RULE_FORMAT_VERSION)
+        table = record.get("table")
+        # ``bytes`` refuses every entry but an int in 0..255, save JSON ``true``
+        # and ``false``, which it reads as 1 and 0.  So in a file without either
+        # word one C pass checks the entry types; otherwise, or when ``bytes``
+        # refuses, the per-entry type scan gives the message.
+        checked = isinstance(table, list) and "true" not in text and "false" not in text
+    n, m = record.get("n"), record.get("m")
     for key, value in (("n", n), ("m", m)):
         if type(value) is not int:
             raise ValueError(f"rule field {key!r} is missing or not an integer")
-    # ``bytes`` refuses every entry but an int in 0..255, save JSON ``true``
-    # and ``false``, which it reads as 1 and 0.  So in a file without either
-    # word one C pass checks the entry types; otherwise, or when ``bytes``
-    # refuses, the per-entry type scan gives the message.
-    checked = isinstance(table, list) and "true" not in text and "false" not in text
     try:
         table = bytes(table) if checked else table
     except (TypeError, ValueError):
@@ -332,3 +352,49 @@ def load_rule(path: str | Path) -> VotingRule:
     if not checked and (not isinstance(table, list) or not {*map(type, table)} <= {int}):
         raise ValueError("rule field 'table' is missing or not a list of integers")
     return VotingRule(n, m, table)
+
+
+# The one ``"table": [`` of a file; a body of only JSON whitespace, digits and
+# commas up to the first ``]`` holds nothing but unsigned integers.
+_TABLE_OPEN = re.compile(rb'"table"[\t\n\r ]*:[\t\n\r ]*\[')
+_BODY_BYTES = b"\t\n\r ,0123456789"
+# Bytes of table text per ``json.loads``; a block runs on to the next comma.
+_BODY_BLOCK = 1 << 16
+
+
+def _read_rule_blocks(data: bytes) -> tuple[dict, bytearray] | None:
+    """The record of a rule file, its table emptied, and the table's entries;
+    or None where this read cannot show that ``json.loads`` of the whole text
+    gives the same.
+
+    Without a backslash, a ``"table"`` that occurs once is the top-level key
+    when the record, its table emptied, parses with ``"table": []``.  The
+    table's body, split at commas into blocks of about ``_BODY_BLOCK`` bytes,
+    then parses as the whole would when every block holds only digits, commas
+    and JSON whitespace and ``json.loads`` reads it as at least one entry (so
+    no element is empty), each an int that ``bytearray`` takes."""
+    match = _TABLE_OPEN.search(data)
+    if match is None or b"\\" in data or data.count(b'"table"') != 1:
+        return None
+    start, end = match.end(), data.find(b"]", match.end())
+    if end < 0:
+        return None
+    try:
+        rest = data[:start].decode("ascii") + data[end:].decode("ascii")
+        record = read_record(rest, "rule", RULE_FORMAT_VERSION)
+        if record.get("table") != []:
+            return None
+        table = bytearray()
+        while start <= end:
+            cut = data.find(b",", min(start + _BODY_BLOCK, end), end)
+            block = data[start : end if cut < 0 else cut]
+            if block.translate(None, _BODY_BYTES):
+                return None
+            entries = json.loads(b"[%b]" % block)
+            if not entries:
+                return None
+            table.extend(entries)
+            start += len(block) + 1
+    except ValueError:  # a malformed record, block or entry: the whole text names it
+        return None
+    return record, table

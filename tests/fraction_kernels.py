@@ -19,7 +19,9 @@ reference for that orbit logic, so it runs on ``arrowlab``'s own transfer and
 relabel kernels, which the tests above pin.  The seat gather is the one
 ``arrowlab`` used before it copied whole progressions into one buffer: a
 slice per setting of the first n-1 seats, joined, and a ``memoryview`` piece
-per slice for records wider than a byte.
+per slice for records wider than a byte.  The rule-file reader is the one
+``arrowlab`` used before it read the table a block at a time from the file's
+bytes: ``json.loads`` of the whole text, then the entry-type checks.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from pathlib import Path
 
 from arrowlab.arrowcheck import PairwiseAggregator
 from arrowlab.dynamics import force_transfer as package_force_transfer
@@ -41,8 +44,9 @@ from arrowlab.orders import (
     enumerate_orders,
     order_index,
     profile_digit_tuples,
+    read_record,
 )
-from arrowlab.rules import VotingRule
+from arrowlab.rules import RULE_FORMAT_VERSION, VotingRule
 
 
 def force(mu: Distribution, rule: VotingRule, i: int) -> Fraction:
@@ -432,3 +436,24 @@ def class_transfer_holds(mu: Distribution, rule: VotingRule) -> bool:
         if orbit_class(mu, package_force_transfer(mu, member)) != image:
             return False
     return all(orbit_class(mu, member) == cls for member in cls.members)
+
+
+def load_rule(path) -> VotingRule:
+    text = Path(path).read_text()
+    record = read_record(text, "rule", RULE_FORMAT_VERSION)
+    n, m, table = (record.get(key) for key in ("n", "m", "table"))
+    for key, value in (("n", n), ("m", m)):
+        if type(value) is not int:
+            raise ValueError(f"rule field {key!r} is missing or not an integer")
+    # ``bytes`` refuses every entry but an int in 0..255, save JSON ``true``
+    # and ``false``, which it reads as 1 and 0.  So in a file without either
+    # word one C pass checks the entry types; otherwise, or when ``bytes``
+    # refuses, the per-entry type scan gives the message.
+    checked = isinstance(table, list) and "true" not in text and "false" not in text
+    try:
+        table = bytes(table) if checked else table
+    except (TypeError, ValueError):
+        checked = False
+    if not checked and (not isinstance(table, list) or not {*map(type, table)} <= {int}):
+        raise ValueError("rule field 'table' is missing or not a list of integers")
+    return VotingRule(n, m, table)

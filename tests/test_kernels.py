@@ -15,6 +15,7 @@ per-profile walkers.
 
 import hashlib
 import itertools
+import json
 import pickle
 import random
 import tracemalloc
@@ -60,6 +61,7 @@ from arrowlab.rules import (
     dictator,
     is_iia,
     is_pareto,
+    load_rule,
     pairwise_majority_rule,
     random_pareto_rule,
 )
@@ -216,6 +218,20 @@ def test_transfer_gather_and_digest_hold_no_second_table():
         assert _traced_peak(lambda: seat_gather(table, 4, 4, seats)) < 2 * size, seats
     rule = VotingRule(4, 4, bytes(e % 24 for e in table))
     assert _traced_peak(lambda: rule.digest) < 0.25 * 2**20
+
+
+def test_rule_file_read_holds_no_entry_list(tmp_path):
+    """``load_rule`` of a (4,4) file of about 1.1 MB, in the benchmark's
+    layout, peaks below 2.5 MB, the rule included: the file's bytes, one
+    block's entries and the table, with no per-entry list of the whole
+    table (the whole-text reader peaks at about 4.6 MB)."""
+    rule = VotingRule(4, 4, bytes(e % 24 for e in _records(4, 4, 1, 7)))
+    path = tmp_path / "rule.json"
+    record = {"format_version": 1, "n": 4, "m": 4, "table": list(rule.table)}
+    path.write_text(json.dumps(record, sort_keys=True) + "\n")
+    assert 1.0 * 2**20 < path.stat().st_size < 1.2 * 2**20
+    assert _traced_peak(lambda: load_rule(path)) < 2.5 * 2**20
+    assert load_rule(path) == rule
 
 
 def _text_digest(rule: VotingRule) -> str:

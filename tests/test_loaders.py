@@ -3,6 +3,7 @@ reader: a malformed file of any shape raises ``ValueError`` and nothing
 else, so the command line can turn it into exit code 2 and one line."""
 
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -10,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraction_kernels as ref
+from arrowlab import rules as rules_module
 from arrowlab.measures import load_distribution
 from arrowlab.quotient import load_fixture
-from arrowlab.rules import load_rule
+from arrowlab.rules import load_rule, random_pareto_rule, save_rule
 
 # A well-formed record for each loader, keyed by the file kind in its messages.
 VALID = {
@@ -83,3 +86,130 @@ def test_arbitrary_fields_load_or_raise_value_error(kind, data):
             loader(path)
         except ValueError:
             pass
+
+
+# The rule reader reads the table a block at a time from the file's bytes
+# and parses the whole text only where it cannot show the result would be the
+# same; ``fraction_kernels.load_rule`` is the whole-text reader alone.
+RULE = random_pareto_rule(2, 3, 11)
+RECORD = {"format_version": 1, "n": 2, "m": 3, "table": list(RULE.table)}
+
+
+def _layout(name: str, path: Path) -> str:
+    if name == "save_rule":
+        save_rule(RULE, path)
+        return path.read_text()
+    if name == "bench":  # as the benchmark writes its input rules
+        return json.dumps(RECORD, sort_keys=True) + "\n"
+    if name == "compact":
+        return json.dumps(RECORD, separators=(",", ":"))
+    return json.dumps({"table": RECORD["table"], "m": 3, "n": 2, "format_version": 1}, indent="\t")
+
+
+LAYOUTS = ["save_rule", "bench", "compact", "table-first"]
+BLOCKS = [1, 2, 3, 5, 8, 64, rules_module._BODY_BLOCK]
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("block", BLOCKS)
+def test_rule_file_layouts_read_by_blocks(layout, block, tmp_path, monkeypatch):
+    """Every layout of a valid file is read by blocks, to the same rule."""
+    monkeypatch.setattr(rules_module, "_BODY_BLOCK", block)
+    path = tmp_path / "rule.json"
+    path.write_text(_layout(layout, path))
+    record, table = rules_module._read_rule_blocks(path.read_bytes())
+    assert bytes(table) == RULE.table and record == {**RECORD, "table": []}
+    assert load_rule(path) == RULE == ref.load_rule(path)
+
+
+# Texts put in place of one table entry: bad values, JSON that is no
+# integer, leading zeros, two entries without a comma, an empty element, and
+# whitespace JSON does and does not allow.
+ENTRY_TEXTS = [
+    "true", "false", "null", "-1", "-0", "1.5", "1e0", "256", "6", "01", "00", "1 2", "",
+    '"3"', "[1]", "{}", " 4 ", "\t5\n", "\r\n2", "\f1", "\v3", " 2", "7" * 5000,
+]
+SEPARATORS = [",", ", ", ",\n    ", " ,\t", "\r\n,\r\n"]
+
+
+def _mutate_body(data, body: str) -> str:
+    entries = body.split(",")
+    for _ in range(data.draw(st.integers(0, 2), label="entry changes")):
+        i = data.draw(st.integers(0, len(entries) - 1), label="entry")
+        entries[i] = data.draw(st.sampled_from(ENTRY_TEXTS), label="entry text")
+    separator = data.draw(st.sampled_from([None, *SEPARATORS]), label="separator")
+    body = ",".join(entries) if separator is None else separator.join(map(str.strip, entries))
+    ends = data.draw(st.sampled_from(["", "trailing", "leading", "empty"]), label="ends")
+    return {"": body, "trailing": body + ",", "leading": "," + body, "empty": " "}[ends]
+
+
+def _record_change(text: str, change: str) -> str:
+    opened = text.index("{") + 1
+    if change == "escaped key":
+        return text.replace('"table"', '"t\\u0061ble"')
+    if change == "renamed key":
+        return text.replace('"table"', '"tables"')
+    if change == "not a list":
+        return re.sub(r"\[[^\]]*\]", "5", text, count=1)
+    if change == "crlf":
+        return text.replace("\n", "\r\n")
+    if change == "n a string":
+        return re.sub(r'"n":\s*2', '"n": "2"', text)
+    if change == "m too large":
+        return re.sub(r'"m":\s*3', '"m": 4', text)
+    if change == "version":
+        return re.sub(r'"format_version":\s*1', '"format_version": 2', text)
+    if change == "truncated":
+        return text[: len(text) // 2]
+    if change == "bom":
+        return "\ufeff" + text
+    if change == "only nested":
+        return _record_change(_record_change(text, "renamed key"), "nested")
+    if change == "duplicate after":
+        return text[: text.rindex("}")] + ', "table": [0]}'
+    inserted = {
+        "duplicate before": '"table": [0, 1], ',
+        "nested": '"x": {"table": [1, 2]}, ',
+        "quoted": '"note": "\\"table", ',
+        "word": '"note": "table", ',
+        "true": '"note": true, ',
+        "non-ascii": '"note": "é", ',
+    }[change]
+    return text[:opened] + inserted + text[opened:]
+
+
+RECORD_CHANGES = [
+    "escaped key", "renamed key", "not a list", "crlf", "n a string", "m too large", "version",
+    "truncated", "bom", "only nested", "duplicate after", "duplicate before", "nested", "quoted",
+    "word", "true", "non-ascii",
+]
+
+
+def _outcome(loader, path):
+    try:
+        return loader(path)
+    except ValueError as error:
+        return type(error), str(error)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_rule_reader_agrees_with_the_whole_text_reader(data):
+    """For any mutated rule text, the block reader and the whole-text reader
+    give an equal rule or a ``ValueError`` of the same type and message."""
+    block = data.draw(st.sampled_from(BLOCKS), label="block")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rule.json"
+        text = _layout(data.draw(st.sampled_from(LAYOUTS), label="layout"), path)
+        start = text.index("[") + 1
+        end = text.index("]", start)
+        text = text[:start] + _mutate_body(data, text[start:end]) + text[end:]
+        changes = data.draw(st.lists(st.sampled_from(RECORD_CHANGES), max_size=2), label="changes")
+        for change in changes:
+            text = _record_change(text, change)
+        path.write_bytes(text.encode("utf-8"))
+        saved, rules_module._BODY_BLOCK = rules_module._BODY_BLOCK, block
+        try:
+            assert _outcome(load_rule, path) == _outcome(ref.load_rule, path)
+        finally:
+            rules_module._BODY_BLOCK = saved

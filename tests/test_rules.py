@@ -335,7 +335,10 @@ def _independent_digest(rule):
 
 
 def test_table_digest_equals_independent_sha256():
-    rules = [random_pareto_rule(3, 4, seed) for seed in range(3)]
+    """The built-in hash the digest uses agrees with ``hashlib.sha256`` on a
+    seeded rule at each of the six desk scales."""
+    scales = [(n, m) for m in (3, 4) for n in (2, 3, 4)]
+    rules = [random_pareto_rule(n, m, seed) for seed, (n, m) in enumerate(scales)]
     rules.append(cylinder_extend(random_pareto_rule(3, 4, 3)))
     assert rules[-1].n == 4
     for rule in rules:

@@ -61,10 +61,10 @@ CASES = {
     ),
     "CollapseEntry": (
         CollapseEntry,
-        ("ab", True, 0, "cd", True, False),
-        "CollapseEntry(rule_digest='ab', passed=True, collapse_voter=0, iterate_digest='cd', "
-        "iterate_is_dictatorship=True, iterate_equals_rule=False)",
-        "rule_digest",
+        (True, 0, True, False),
+        "CollapseEntry(passed=True, collapse_voter=0, iterate_is_dictatorship=True, "
+        "iterate_equals_rule=False)",
+        "passed",
     ),
     "CollapseReport": (CollapseReport, (1, 2, 1, ()), "CollapseReport(n=1, m=2, steps=1, entries=())", "n"),
     "ReplayReport": (
