@@ -25,7 +25,7 @@ from .measures import (
     lift_distribution,
     star_distribution,
 )
-from .orders import Frozen, LinearOrder, all_voter_permutations, profile_digit_columns, seat_gather
+from .orders import Frozen, LinearOrder, all_voter_permutations, seat_gather
 from .rules import (
     VotingRule,
     compose_collapse,
@@ -108,16 +108,13 @@ def force(mu: Distribution, rule: VotingRule, i: int) -> Fraction:
     _check_dims(mu, rule)
     if not 0 <= i < rule.n:
         raise ValueError(f"voter {i} out of range for n={rule.n}")
-    column = profile_digit_columns(rule.n, rule.m)[i]
-    table = int.from_bytes(rule.table, "little")
-    return Fraction(mu.agreement_mass(table, column), mu.denominator)
+    return Fraction(mu.agreement_mass(rule.table)[i], mu.denominator)
 
 
 def force_profile(mu: Distribution, rule: VotingRule) -> ForceProfile:
     """Forces of all voters in one sweep, with exact argmax/argmin sets."""
     _check_dims(mu, rule)
-    table = int.from_bytes(rule.table, "little")
-    totals = [mu.agreement_mass(table, c) for c in profile_digit_columns(rule.n, rule.m)]
+    totals = mu.agreement_mass(rule.table)
     top = max(totals)
     bottom = min(totals)
     most = tuple(i for i, v in enumerate(totals) if v == top)

@@ -39,6 +39,7 @@ _ALL_BYTES = bytes(range(256))
 # Bytes of result that a gather joins into one copy, so that the pieces and
 # the joined copy stay small next to a table.
 _RUN_BYTES = 1 << 14
+_FORCE_BLOCK = 1 << 14  # profiles per block of ``profile_blocks``; read at each call
 
 
 def _lane_width(bound: int) -> int:
@@ -244,18 +245,24 @@ def profile_digit_tuples(n: int, m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.product(range(factorial(m)), repeat=n))
 
 
+def profile_blocks(n: int, m: int) -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...], tuple[bytes, ...]]:
+    """How kernels compare a table with every voter's ballot a block of
+    profiles at a time, so none holds a whole-table int: the block size
+    S = (m!)^(n-h) for the fewest leading seats h with S <= ``_FORCE_BLOCK``,
+    each block's first profile and the ballots of its h leading seats, which
+    hold throughout it, and the ballot columns of the later seats over a
+    block: each ballot once per profile of the seats after it, tiled."""
+    return _profile_blocks(n, m, _FORCE_BLOCK)
+
+
 @lru_cache(maxsize=None)
-def profile_digit_columns(n: int, m: int) -> tuple[bytes, ...]:
-    """The digit matrix of scale (n, m) stored by voter: column i lists voter
-    i's ballot index for every profile, in profile-index order, one byte each."""
+def _profile_blocks(n: int, m: int, most: int):
     check_scale(n, m)
     mf = factorial(m)
-    columns = []
-    for i in range(n):
-        run = mf ** (n - 1 - i)
-        block = b"".join(bytes((d,)) * run for d in range(mf))
-        columns.append(block * mf**i)
-    return tuple(columns)
+    h = next(h for h in range(n + 1) if mf ** (n - h) <= most)
+    size, leads = mf ** (n - h), itertools.product(range(mf), repeat=h)
+    columns = [b"".join(bytes((d,)) * mf ** (n - 1 - i) for d in range(mf)) * mf ** (i - h) for i in range(h, n)]
+    return size, tuple(zip(range(0, mf**n, size), leads)), tuple(columns)
 
 
 def distinct_bytes(table: bytes) -> bytes:

@@ -91,8 +91,7 @@ def rule_distance(mu: Distribution, f: VotingRule, g: VotingRule) -> Fraction:
     """Probability under ``mu`` that two rules elect different rankings."""
     if not (mu.n == f.n == g.n and mu.m == f.m == g.m):
         raise ValueError("distribution and rules disagree on (n, m)")
-    agreed = mu.agreement_mass(int.from_bytes(f.table, "little"), g.table)
-    return Fraction(mu.denominator - agreed, mu.denominator)
+    return Fraction(mu.denominator - mu.agreement_mass(f.table, g.table)[0], mu.denominator)
 
 
 def space_from_rules(mu: Distribution, rules: Sequence[VotingRule]) -> FiniteMetricSpace:

@@ -9,6 +9,7 @@ as a few whole-table operations (``translate``, ``int.from_bytes``, ``set``).
 
 from __future__ import annotations
 
+import io
 import json
 import random
 import re
@@ -18,6 +19,7 @@ from pathlib import Path
 from typing import Callable, Iterator
 
 from .orders import (
+    _ALL_BYTES,
     Frozen,
     LinearOrder,
     VoterPermutation,
@@ -28,7 +30,7 @@ from .orders import (
     order_index,
     pair_above,
     pair_signatures,
-    profile_digit_columns,
+    profile_blocks,
     read_record,
     seat_gather,
     signature_codes,
@@ -110,7 +112,7 @@ def dictator(n: int, m: int, i: int) -> VotingRule:
     """The rule that copies voter i's ballot verbatim."""
     if not 0 <= i < n:
         raise ValueError(f"voter {i} out of range for n={n}")
-    return VotingRule(n, m, profile_digit_columns(n, m)[i])
+    return VotingRule(n, m, seat_gather(_ALL_BYTES[: factorial(m)], n, m, (i,)))
 
 
 def constant_rule(n: int, m: int, order: LinearOrder) -> VotingRule:
@@ -196,9 +198,14 @@ def is_iia(rule: VotingRule) -> bool:
 
 
 def is_dictatorship(rule: VotingRule) -> int | None:
-    """The voter whose ballot the rule always copies, or None."""
-    for i, column in enumerate(profile_digit_columns(rule.n, rule.m)):
-        if rule.table == column:
+    """The voter whose ballot the rule always copies, or None; by blocks (``orders.profile_blocks``)."""
+    size, blocks, columns = profile_blocks(rule.n, rule.m)
+    table, h = rule.table, rule.n - len(columns)
+    for i in range(rule.n):
+        if all(
+            table.startswith(columns[i - h], s) if i >= h else table.count(lead[i], s, s + size) == size
+            for s, lead in blocks
+        ):
             return i
     return None
 
@@ -323,12 +330,13 @@ def save_rule(rule: VotingRule, path: str | Path) -> None:
 
 
 def load_rule(path: str | Path) -> VotingRule:
-    """The rule in a rule file of any JSON layout.  The table is read from
-    the file's bytes a block at a time (``_read_rule_blocks``), so no
-    per-entry list of the whole table is held.  A file that read cannot vouch
-    for is parsed whole, as ``json.loads`` of its text, which gives the same
-    rule and every malformed file its one-line ``ValueError``."""
-    parsed = _read_rule_blocks(Path(path).read_bytes())
+    """The rule in a rule file of any JSON layout, read a block at a time
+    (``_read_rule_blocks``), so no whole text or per-entry list is held.  A
+    file that read cannot vouch for is parsed whole, as ``json.loads`` of its
+    text, which gives the same rule and every malformed file its one-line
+    ``ValueError``."""
+    with open(path, "rb") as fp:
+        parsed = _read_rule_blocks(fp)
     if parsed is not None:
         record, table = parsed
         checked = True
@@ -358,43 +366,46 @@ def load_rule(path: str | Path) -> VotingRule:
 # commas up to the first ``]`` holds nothing but unsigned integers.
 _TABLE_OPEN = re.compile(rb'"table"[\t\n\r ]*:[\t\n\r ]*\[')
 _BODY_BYTES = b"\t\n\r ,0123456789"
-# Bytes of table text per ``json.loads``; a block runs on to the next comma.
+# Bytes of a rule file per read; the table body read so far is parsed up to
+# its last comma.
 _BODY_BLOCK = 1 << 16
 
 
-def _read_rule_blocks(data: bytes) -> tuple[dict, bytearray] | None:
-    """The record of a rule file, its table emptied, and the table's entries;
-    or None where this read cannot show that ``json.loads`` of the whole text
-    gives the same.
-
-    Without a backslash, a ``"table"`` that occurs once is the top-level key
-    when the record, its table emptied, parses with ``"table": []``.  The
-    table's body, split at commas into blocks of about ``_BODY_BLOCK`` bytes,
-    then parses as the whole would when every block holds only digits, commas
-    and JSON whitespace and ``json.loads`` reads it as at least one entry (so
-    no element is empty), each an int that ``bytearray`` takes."""
-    match = _TABLE_OPEN.search(data)
-    if match is None or b"\\" in data or data.count(b'"table"') != 1:
-        return None
-    start, end = match.end(), data.find(b"]", match.end())
-    if end < 0:
-        return None
-    try:
-        rest = data[:start].decode("ascii") + data[end:].decode("ascii")
-        record = read_record(rest, "rule", RULE_FORMAT_VERSION)
-        if record.get("table") != []:
+def _read_rule_blocks(source) -> tuple[dict, bytearray] | None:
+    """The record of a rule file (its bytes or a binary file), its table
+    emptied, and the table's entries; or None where this read cannot show
+    that ``json.loads`` of the whole text gives the same: where a piece of the
+    table's body fails ``_body_entries`` or ``bytearray``, or, without a
+    backslash, the one ``"table"`` is not the top-level key of the text
+    around the body parsed with ``"table": []``."""
+    fp = io.BytesIO(source) if isinstance(source, bytes) else source
+    head = b""
+    while (at := head.find(b'"table"')) < 0 or head.find(b"[", at) < 0:
+        if not (block := fp.read(_BODY_BLOCK)):
             return None
-        table = bytearray()
-        while start <= end:
-            cut = data.find(b",", min(start + _BODY_BLOCK, end), end)
-            block = data[start : end if cut < 0 else cut]
-            if block.translate(None, _BODY_BYTES):
-                return None
-            entries = json.loads(b"[%b]" % block)
-            if not entries:
-                return None
-            table.extend(entries)
-            start += len(block) + 1
-    except ValueError:  # a malformed record, block or entry: the whole text names it
+        head += block
+    if (match := _TABLE_OPEN.match(head, at)) is None:
         return None
-    return record, table
+    head, body, table = head[: match.end()], head[match.end() :], bytearray()
+    try:
+        while (end := body.find(b"]")) < 0:
+            if not (block := fp.read(_BODY_BLOCK)):
+                return None
+            if (cut := body.rfind(b",")) >= 0:
+                table.extend(_body_entries(body[:cut]))
+            body = body[cut + 1 :] + block
+        table.extend(_body_entries(body[:end]))
+        rest = head + body[end:] + fp.read()
+        if b"\\" in rest or rest.count(b'"table"') != 1:
+            return None
+        record = read_record(rest.decode("ascii"), "rule", RULE_FORMAT_VERSION)
+    except ValueError:  # a malformed record, piece or entry: the whole text names it
+        return None
+    return (record, table) if record.get("table") == [] else None
+
+
+def _body_entries(piece: bytes) -> list:
+    """The entries of a piece of table body, at least one (no element is empty), or ``ValueError``."""
+    if piece.translate(None, _BODY_BYTES) or not (entries := json.loads(b"[%b]" % piece)):
+        raise ValueError("not a piece of table body")
+    return entries

@@ -21,7 +21,10 @@ relabel kernels, which the tests above pin.  The seat gather is the one
 slice per setting of the first n-1 seats, joined, and a ``memoryview`` piece
 per slice for records wider than a byte.  The rule-file reader is the one
 ``arrowlab`` used before it read the table a block at a time from the file's
-bytes: ``json.loads`` of the whole text, then the entry-type checks.
+bytes: ``json.loads`` of the whole text, then the entry-type checks.  The
+whole-table agreement kernel is the one ``arrowlab`` used before it read
+force and distance a block of profiles at a time: one int per whole table,
+cached digit columns and a mask per level over every profile.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from pathlib import Path
 from arrowlab.arrowcheck import PairwiseAggregator
 from arrowlab.dynamics import force_transfer as package_force_transfer
 from arrowlab.dynamics import orbit_class
-from arrowlab.measures import Distribution
+from arrowlab.measures import MAX_LEVELS, Distribution
 from arrowlab.orders import (
     LinearOrder,
     check_scale,
@@ -74,6 +77,37 @@ def force_profile(
     most = tuple(i for i, v in enumerate(totals) if v == top)
     least = tuple(i for i, v in enumerate(totals) if v == bottom)
     return tuple(totals), most, least
+
+
+def is_dictatorship(rule: VotingRule) -> int | None:
+    for i in range(rule.n):
+        if all(out == digits[i] for out, digits in zip(rule.table, profile_digit_tuples(rule.n, rule.m))):
+            return i
+    return None
+
+
+@lru_cache(maxsize=None)
+def digit_columns(n: int, m: int) -> tuple[bytes, ...]:
+    """Column i lists voter i's ballot index for every profile, one byte each."""
+    mf = factorial(m)
+    return tuple(b"".join(bytes((d,)) * mf ** (n - 1 - i) for d in range(mf)) * mf**i for i in range(n))
+
+
+def whole_table_agreement(mu: Distribution, f: bytes, g: bytes) -> int:
+    """``mu.denominator`` times the weight of the profiles where the one-byte
+    tables ``f`` and ``g`` agree, over the two whole tables as ints: adding
+    0x7f to each byte of their XOR sets bit 7 where they differ; then a
+    popcount per level mask, or past ``MAX_LEVELS`` levels a sum of the
+    differing profiles' numerators."""
+    size = len(g)
+    fill = lambda byte: int.from_bytes(bytes((byte,)) * size, "little")  # noqa: E731
+    flags = (int.from_bytes(f, "little") ^ int.from_bytes(g, "little")) + fill(0x7F)
+    if len(mu.levels) > MAX_LEVELS:
+        differ = (flags & fill(0x80)).to_bytes(size, "little")
+        return mu.denominator - sum(itertools.compress(mu.numerators, differ))
+    picks = [bytes(0x80 * (b == r) for b in range(256)) for r in range(len(mu.levels))]
+    masks = [int.from_bytes(mu.level_index.translate(t), "little") for t in picks]
+    return mu.denominator - sum(v * (flags & k).bit_count() for v, k in zip(mu.levels, masks))
 
 
 def rule_distance(mu: Distribution, f: VotingRule, g: VotingRule) -> Fraction:

@@ -238,9 +238,9 @@ def test_cli_import_leaves_numpy_out():
             "-c",
             "import sys, arrowlab.cli; print('numpy' in sys.modules, 'multiprocessing' in sys.modules)\n"
             "print(sorted(m for m in sys.modules if m.startswith('arrowlab')))\n"
-            "from arrowlab.orders import pair_signatures, profile_digit_columns, profile_digit_tuples\n"
+            "from arrowlab.orders import _profile_blocks, pair_signatures, profile_digit_tuples\n"
             "print([f.cache_info().currsize for f in "
-            "(pair_signatures, profile_digit_columns, profile_digit_tuples)])",
+            "(_profile_blocks, pair_signatures, profile_digit_tuples)])",
         ],
         capture_output=True,
         text=True,

@@ -26,6 +26,7 @@ from math import factorial, gcd
 import pytest
 
 import fraction_kernels as ref
+from arrowlab import orders as orders_module
 from arrowlab import rules as rules_module
 from arrowlab.arrowcheck import aggregator_from_rule, assemble_rule, candidates_total
 from arrowlab.cli import _class_transfer_holds
@@ -46,6 +47,7 @@ from arrowlab.orders import (
     enumerate_orders,
     pair_above,
     pair_signatures,
+    profile_blocks,
     profile_digit_tuples,
     seat_gather,
     signature_codes,
@@ -59,11 +61,13 @@ from arrowlab.rules import (
     compose_voter_permutation,
     constant_rule,
     dictator,
+    is_dictatorship,
     is_iia,
     is_pareto,
     load_rule,
     pairwise_majority_rule,
     random_pareto_rule,
+    save_rule,
 )
 
 SCALES = ((2, 3), (3, 3), (4, 3), (2, 4), (3, 4))
@@ -193,18 +197,23 @@ def test_seat_gather_equals_reference_at_four_by_four(width):
         assert seat_gather(values, 4, 4, seats, width) == ref.seat_gather(values, 4, 4, seats, width)
 
 
-def _traced_peak(call) -> int:
+def _traced(call) -> tuple[int, int]:
     """Bytes allocated at the peak of ``call()`` above what was held before,
-    the result included."""
+    the result included, and bytes still held once the result is dropped."""
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
         result = call()
         peak = tracemalloc.get_traced_memory()[1] - held
+        del result
+        kept = tracemalloc.get_traced_memory()[0] - held
     finally:
         tracemalloc.stop()
-    del result
-    return peak
+    return peak, kept
+
+
+def _traced_peak(call) -> int:
+    return _traced(call)[0]
 
 
 def test_transfer_gather_and_digest_hold_no_second_table():
@@ -232,6 +241,42 @@ def test_rule_file_read_holds_no_entry_list(tmp_path):
     assert 1.0 * 2**20 < path.stat().st_size < 1.2 * 2**20
     assert _traced_peak(lambda: load_rule(path)) < 2.5 * 2**20
     assert load_rule(path) == rule
+
+
+@pytest.mark.parametrize("layout", ("bench", "save_rule"))
+def test_rule_file_read_holds_no_whole_file(layout, tmp_path):
+    """``load_rule`` of a (4,4) file peaks below 1.25 MiB in the benchmark's
+    1.1 MB layout and in ``save_rule``'s 2.5 MB one: the table, its copy as
+    ``bytes`` and a block or two of text, with no whole file held (reading
+    the whole file peaked at 1.9 and 3.1 MB)."""
+    rule = VotingRule(4, 4, bytes(e % 24 for e in _records(4, 4, 1, 9)))
+    path = tmp_path / "rule.json"
+    if layout == "save_rule":
+        save_rule(rule, path)
+    else:
+        record = {"format_version": 1, "n": 4, "m": 4, "table": list(rule.table)}
+        path.write_text(json.dumps(record, sort_keys=True) + "\n")
+    assert path.stat().st_size > 1.0 * 2**20
+    assert _traced_peak(lambda: load_rule(path)) < 1.25 * 2**20
+    assert load_rule(path) == rule
+
+
+def test_force_and_dictatorship_hold_a_block_at_a_time():
+    """At (4,4), a first force profile under a star, which builds the block
+    columns, peaks below 256 KiB and keeps below 64 KiB, and a later one
+    keeps nothing; the dictatorship test of any dictator peaks below 64 KiB.
+    The whole-table kernel peaked at 1.4-3.0 MiB cold and 1.0 MiB warm, and
+    kept 2.0 MiB of columns, fills and masks."""
+    rule = random_pareto_rule(4, 4, 0)
+    mu = star_distribution(4, 4, Fraction(1, 3), enumerate_orders(4)[1])
+    orders_module._profile_blocks.cache_clear()
+    peak, kept = _traced(lambda: force_profile(mu, rule))
+    assert peak < 256 * 2**10 and kept < 64 * 2**10
+    assert _traced(lambda: force_profile(mu, rule))[1] < 2**10
+    orders_module._profile_blocks.cache_clear()
+    for i in range(4):
+        ruler = dictator(4, 4, i)
+        assert _traced(lambda: is_dictatorship(ruler))[0] < 64 * 2**10
 
 
 def _text_digest(rule: VotingRule) -> str:
@@ -466,6 +511,106 @@ def test_rule_distance_equals_reference(n, m):
         for f, g in itertools.combinations(rules, 2):
             assert rule_distance(mu, f, g) == ref.rule_distance(mu, f, g)
         assert rule_distance(mu, rules[0], rules[0]) == 0
+
+
+BLOCK_SCALES = ((1, 3), (2, 3), (3, 3), (4, 3), (1, 4), (2, 4), (3, 4))
+
+
+def _level_draw(n: int, m: int, count: int, seed: int) -> Distribution:
+    """Seeded numerators with exactly ``count`` distinct values."""
+    rng = random.Random(seed)
+    raw = list(range(1, count + 1)) + [1 + rng.randrange(count) for _ in range(factorial(m) ** n - count)]
+    rng.shuffle(raw)
+    mu = Distribution.from_numerators(n, m, raw, sum(raw))
+    assert len(mu.levels) == count
+    return mu
+
+
+def _block_distributions(n: int, m: int) -> list[Distribution]:
+    """Uniform, a star, the lift of a star, and draws of 11 and 257 levels
+    where the table has room: a popcount per level, a sum over the agreeing
+    profiles, and a level index of one byte and of two."""
+    y = enumerate_orders(m)[1]
+    dists = [uniform_distribution(n, m), star_distribution(n, m, Fraction(1, 3), y)]
+    if n > 1:
+        dists.append(lift_distribution(star_distribution(n - 1, m, Fraction(1, 2), y), n - 1))
+    return dists + [_level_draw(n, m, c, c * n + m) for c in (11, 257) if c <= factorial(m) ** n]
+
+
+@pytest.mark.parametrize("n,m", BLOCK_SCALES)
+def test_block_kernels_equal_reference_at_every_seat_split(n, m, monkeypatch):
+    """With ``_FORCE_BLOCK`` lowered to (m!)^(n-h) for every h from 0 (one
+    block) to n (a block per profile), forces, rule distance and the
+    dictatorship test equal the reference loops."""
+    mf = factorial(m)
+    rules = [random_pareto_rule(n, m, 0), random_pareto_rule(n, m, 1), constant_rule(n, m, enumerate_orders(m)[-1])]
+    rules += [dictator(n, m, i) for i in range(n)]
+    pairs = list(zip(rules, rules[1:]))
+    dists = _block_distributions(n, m)
+    forces = [[ref.force_profile(mu, rule) for rule in rules] for mu in dists]
+    distances = [[ref.rule_distance(mu, f, g) for f, g in pairs] for mu in dists]
+    dictators = [ref.is_dictatorship(rule) for rule in rules]
+    assert dictators[2:] == [None, *range(n)]
+    for h in range(n + 1):
+        monkeypatch.setattr(orders_module, "_FORCE_BLOCK", mf ** (n - h))
+        size, blocks, columns = profile_blocks(n, m)
+        assert (size, len(blocks), len(columns)) == (mf ** (n - h), mf**h, n - h)
+        for mu, expected, apart in zip(dists, forces, distances):
+            for rule, (values, most, least) in zip(rules, expected):
+                fp = force_profile(mu, rule)
+                assert (fp.forces, fp.most_forceful, fp.least_forceful) == (values, most, least), h
+            assert tuple(force(mu, rules[0], i) for i in range(n)) == expected[0][0]
+            assert [rule_distance(mu, f, g) for f, g in pairs] == apart
+        assert [is_dictatorship(rule) for rule in rules] == dictators
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_block_kernels_equal_the_whole_table_kernel_at_four_by_four(seed):
+    """At (4,4), 24 blocks of 13824 profiles: every voter's force, the
+    distance to the next seed's rule and the dictatorship test equal the
+    whole-table kernel they replaced."""
+    n, m = 4, 4
+    y = enumerate_orders(m)[seed + 3]
+    rule, other = random_pareto_rule(n, m, seed), random_pareto_rule(n, m, seed + 1)
+    for mu in (
+        uniform_distribution(n, m),
+        star_distribution(n, m, Fraction(1, 3), y),
+        lift_distribution(star_distribution(n - 1, m, Fraction(1, 2), y), n - 1),
+        _level_draw(n, m, 11, seed),
+    ):
+        columns = ref.digit_columns(n, m)
+        totals = [ref.whole_table_agreement(mu, rule.table, c) for c in columns]
+        assert force_profile(mu, rule).forces == tuple(Fraction(t, mu.denominator) for t in totals)
+        agreed = ref.whole_table_agreement(mu, rule.table, other.table)
+        assert rule_distance(mu, rule, other) == Fraction(mu.denominator - agreed, mu.denominator)
+    for candidate in (rule, dictator(n, m, seed + 1)):
+        expected = next((i for i, c in enumerate(ref.digit_columns(n, m)) if candidate.table == c), None)
+        assert is_dictatorship(candidate) == expected
+    assert is_dictatorship(dictator(n, m, seed + 1)) == seed + 1
+
+
+def _changed(rule: VotingRule, k: int) -> VotingRule:
+    table = bytearray(rule.table)
+    table[k] = (table[k] + 1) % factorial(rule.m)
+    return VotingRule(rule.n, rule.m, bytes(table))
+
+
+@pytest.mark.parametrize("n,m,h", ((4, 4, 1), (2, 3, 1), (3, 3, 2), (2, 4, 2), (3, 4, 1), (3, 4, 3)))
+def test_dictatorship_test_sees_one_changed_entry_in_any_block(n, m, h, monkeypatch):
+    """A dictator with one entry changed in the first, a middle or the last
+    block, at its first, middle or last profile, is no dictatorship; nor is
+    any constant rule."""
+    monkeypatch.setattr(orders_module, "_FORCE_BLOCK", factorial(m) ** (n - h))
+    size, blocks, _ = profile_blocks(n, m)
+    assert len(blocks) == factorial(m) ** h
+    for i in range(n):
+        rule = dictator(n, m, i)
+        assert is_dictatorship(rule) == i
+        for start, _ in (blocks[0], blocks[len(blocks) // 2], blocks[-1]):
+            for k in {start, start + size // 2, start + size - 1}:
+                assert is_dictatorship(_changed(rule, k)) is None, (i, k)
+    for order in enumerate_orders(m):
+        assert is_dictatorship(constant_rule(n, m, order)) is None
 
 
 def test_level_form_is_chosen_by_the_count_of_distinct_weights():
