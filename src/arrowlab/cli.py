@@ -5,7 +5,9 @@ the final proof step.
 Exit codes: 0 success, 2 precondition or usage error, 3 iteration stopped at
 the step limit, 4 an asserted suite failed.  Report and trace files are byte
 deterministic for a fixed semantic configuration: worker count and output
-locations never appear in them, and timing goes to stderr only.
+locations never appear in them (a report's ``config`` is the parsed command
+line without the handler, ``--out``, ``--jobs`` and ``--rule``), and timing
+goes to stderr only.
 """
 
 from __future__ import annotations
@@ -46,10 +48,29 @@ DEFAULT_SAMPLES = {
 }
 
 
-def _canonical_json(payload: dict) -> str:
+def _config(args: argparse.Namespace, **extra) -> dict:
+    """A report's ``config``: the parsed command line, epsilon as ``p/q``,
+    and ``extra``.  The handler, output location, worker count and rule path
+    are left out, so no report depends on them."""
+    config = {k: v for k, v in vars(args).items() if k not in {"handler", "out", "jobs", "rule"}}
+    if "epsilon" in config:
+        from .measures import format_rational
+
+        config["epsilon"] = format_rational(config["epsilon"])
+    return {**config, **extra}
+
+
+def _report(fields: dict, config: dict, out_dir: Path | None = None, filename: str = "") -> None:
+    """Print the report of ``fields`` and ``config`` as canonical JSON, and
+    write it to ``out_dir / filename`` when ``out_dir`` is given."""
     import json
 
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    payload = {"format_version": REPORT_FORMAT_VERSION, "config": config, **fields}
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    sys.stdout.write(text)
+    if out_dir is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / filename).write_text(text)
 
 
 def _favored_ranking(m: int, y_index: int) -> LinearOrder:
@@ -79,14 +100,6 @@ def _resolve_distribution(
     raise ValueError(f"unknown distribution spec {name!r}")
 
 
-def _write_output(payload: dict, out_dir: Path | None, filename: str) -> None:
-    text = _canonical_json(payload)
-    sys.stdout.write(text)
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / filename).write_text(text)
-
-
 def _cmd_verify_arrow(args: argparse.Namespace) -> int:
     from .arrowcheck import verify_arrow
     from .rules import save_rule, table_digest
@@ -103,13 +116,7 @@ def _cmd_verify_arrow(args: argparse.Namespace) -> int:
         }
         for (index, rule), voter in zip(report.found, report.dictators)
     ]
-    payload = {
-        "format_version": REPORT_FORMAT_VERSION,
-        "config": {
-            "command": "verify-arrow",
-            "voters": args.voters,
-            "candidates": args.candidates,
-        },
+    fields = {
         "n": report.n,
         "m": report.m,
         "candidates_scanned": report.candidates_scanned,
@@ -117,7 +124,7 @@ def _cmd_verify_arrow(args: argparse.Namespace) -> int:
         "rules_found_count": len(rules_found),
         "all_dictators": report.all_dictators,
     }
-    _write_output(payload, args.out, "verify_arrow_report.json")
+    _report(fields, _config(args), args.out, "verify_arrow_report.json")
     if args.out is not None:
         for index, rule in report.found:
             save_rule(rule, args.out / f"rule_{index:06d}.json")
@@ -130,23 +137,13 @@ def _cmd_verify_arrow(args: argparse.Namespace) -> int:
 
 def _cmd_iterate(args: argparse.Namespace) -> int:
     from .dynamics import iterate_force_transfer, write_trace
-    from .measures import format_rational
     from .rules import load_rule, table_digest
 
     started = time.monotonic()
     rule = load_rule(args.rule)
     mu = _resolve_distribution(args.dist, rule.n, rule.m, args.epsilon, args.y_index)
     trace = iterate_force_transfer(mu, rule, args.max_steps)
-    config = {
-        "command": "iterate",
-        "voters": rule.n,
-        "candidates": rule.m,
-        "dist": args.dist,
-        "epsilon": format_rational(args.epsilon),
-        "y_index": args.y_index,
-        "max_steps": args.max_steps,
-        "rule_table_digest": table_digest(rule),
-    }
+    config = _config(args, voters=rule.n, candidates=rule.m, rule_table_digest=table_digest(rule))
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
         write_trace(trace, args.out / "trace.jsonl", config)
@@ -155,7 +152,7 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
         "steps": len(trace.steps),
         "fixpoint_is_dictatorship": trace.fixpoint_is_dictatorship,
     }
-    sys.stdout.write(_canonical_json({"format_version": REPORT_FORMAT_VERSION, "config": config, **summary}))
+    _report(summary, config)
     print(f"iterate: {len(trace.steps)} steps in {time.monotonic() - started:.3f}s", file=sys.stderr)
     return EXIT_OK if trace.terminated_by == "fixpoint" else EXIT_STEP_LIMIT
 
@@ -354,7 +351,6 @@ _SUITE_RUNNERS = {
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from .measures import format_rational
     from .orders import check_scale
     from .rules import random_pareto_rule
 
@@ -372,23 +368,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
         outcome.setdefault("asserted", name in ASSERTED_SUITES)
         results[name] = outcome
     all_passed = all(r["passed"] for name, r in results.items() if name in ASSERTED_SUITES)
-    payload = {
-        "format_version": REPORT_FORMAT_VERSION,
-        "config": {
-            "command": "check",
-            "suite": args.suite,
-            "voters": args.voters,
-            "candidates": args.candidates,
-            "dist": args.dist,
-            "epsilon": format_rational(args.epsilon),
-            "y_index": args.y_index,
-            "seed": args.seed,
-            "samples": args.samples,
-        },
-        "suites": results,
-        "all_passed": all_passed,
-    }
-    _write_output(payload, args.out, "check_report.json")
+    fields = {"suites": results, "all_passed": all_passed}
+    _report(fields, _config(args), args.out, "check_report.json")
     print(f"check: {', '.join(names)} in {time.monotonic() - started:.2f}s", file=sys.stderr)
     return EXIT_OK if all_passed else EXIT_SUITE_FAILURE
 
@@ -404,25 +385,12 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     report = replay_contradiction(
         base, args.epsilon, _favored_ranking(args.candidates, args.y_index)
     )
-    config = {
-        "command": "replay",
-        "voters": args.voters,
-        "candidates": args.candidates,
-        "epsilon": format_rational(args.epsilon),
-        "y_index": args.y_index,
-    }
     rationals = {
         "epsilon": format_rational(report.epsilon),
         "forces": [format_rational(v) for v in report.forces],
         "base_forces": [format_rational(v) for v in report.base_forces],
     }
-    payload = {
-        "format_version": REPORT_FORMAT_VERSION,
-        "config": config,
-        **report._asdict(),
-        **rationals,
-    }
-    _write_output(payload, args.out, "replay_report.json")
+    _report({**report._asdict(), **rationals}, _config(args), args.out, "replay_report.json")
     return EXIT_OK
 
 

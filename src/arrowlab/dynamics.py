@@ -252,9 +252,8 @@ def check_collapse_conjecture(
 
 
 def _collapse_entry(mu: Distribution, rule: VotingRule) -> CollapseEntry:
-    iterate = rule
-    for _ in range(rule.n):
-        iterate = force_transfer(mu, iterate)
+    # The n-th iterate: a fixpoint reached sooner is its own image.
+    iterate = iterate_force_transfer(mu, rule, rule.n).steps[-1][0]
     collapse_voter = None
     for i in range(rule.n):
         if iterate == compose_collapse(rule, i):

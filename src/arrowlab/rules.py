@@ -339,25 +339,15 @@ def load_rule(path: str | Path) -> VotingRule:
         parsed = _read_rule_blocks(fp)
     if parsed is not None:
         record, table = parsed
-        checked = True
     else:
-        text = Path(path).read_text()
-        record = read_record(text, "rule", RULE_FORMAT_VERSION)
+        record = read_record(Path(path).read_text(), "rule", RULE_FORMAT_VERSION)
         table = record.get("table")
-        # ``bytes`` refuses every entry but an int in 0..255, save JSON ``true``
-        # and ``false``, which it reads as 1 and 0.  So in a file without either
-        # word one C pass checks the entry types; otherwise, or when ``bytes``
-        # refuses, the per-entry type scan gives the message.
-        checked = isinstance(table, list) and "true" not in text and "false" not in text
     n, m = record.get("n"), record.get("m")
     for key, value in (("n", n), ("m", m)):
         if type(value) is not int:
             raise ValueError(f"rule field {key!r} is missing or not an integer")
-    try:
-        table = bytes(table) if checked else table
-    except (TypeError, ValueError):
-        checked = False
-    if not checked and (not isinstance(table, list) or not {*map(type, table)} <= {int}):
+    # The type scan keeps out JSON ``true`` and ``false``, which ``bytes`` reads as 1 and 0.
+    if parsed is None and (not isinstance(table, list) or not {*map(type, table)} <= {int}):
         raise ValueError("rule field 'table' is missing or not a list of integers")
     return VotingRule(n, m, table)
 
@@ -371,13 +361,13 @@ _BODY_BYTES = b"\t\n\r ,0123456789"
 _BODY_BLOCK = 1 << 16
 
 
-def _read_rule_blocks(source) -> tuple[dict, bytearray] | None:
+def _read_rule_blocks(source) -> tuple[dict, bytes] | None:
     """The record of a rule file (its bytes or a binary file), its table
     emptied, and the table's entries; or None where this read cannot show
     that ``json.loads`` of the whole text gives the same: where a piece of the
-    table's body fails ``_body_entries`` or ``bytearray``, or, without a
-    backslash, the one ``"table"`` is not the top-level key of the text
-    around the body parsed with ``"table": []``."""
+    table's body fails ``_body_entries``, or, without a backslash, the one
+    ``"table"`` is not the top-level key of the text around the body parsed
+    with ``"table": []``."""
     fp = io.BytesIO(source) if isinstance(source, bytes) else source
     head = b""
     while (at := head.find(b'"table"')) < 0 or head.find(b"[", at) < 0:
@@ -386,26 +376,28 @@ def _read_rule_blocks(source) -> tuple[dict, bytearray] | None:
         head += block
     if (match := _TABLE_OPEN.match(head, at)) is None:
         return None
-    head, body, table = head[: match.end()], head[match.end() :], bytearray()
+    head, body, table = head[: match.end()], head[match.end() :], io.BytesIO()
     try:
         while (end := body.find(b"]")) < 0:
             if not (block := fp.read(_BODY_BLOCK)):
                 return None
             if (cut := body.rfind(b",")) >= 0:
-                table.extend(_body_entries(body[:cut]))
+                table.write(_body_entries(body[:cut]))
             body = body[cut + 1 :] + block
-        table.extend(_body_entries(body[:end]))
+        table.write(_body_entries(body[:end]))
         rest = head + body[end:] + fp.read()
         if b"\\" in rest or rest.count(b'"table"') != 1:
             return None
         record = read_record(rest.decode("ascii"), "rule", RULE_FORMAT_VERSION)
     except ValueError:  # a malformed record, piece or entry: the whole text names it
         return None
-    return (record, table) if record.get("table") == [] else None
+    # ``getvalue`` hands over the buffer as ``bytes`` without a copy.
+    return (record, table.getvalue()) if record.get("table") == [] else None
 
 
-def _body_entries(piece: bytes) -> list:
-    """The entries of a piece of table body, at least one (no element is empty), or ``ValueError``."""
+def _body_entries(piece: bytes) -> bytes:
+    """The entries of a piece of table body, at least one (no element is
+    empty), each in 0..255; or ``ValueError``."""
     if piece.translate(None, _BODY_BYTES) or not (entries := json.loads(b"[%b]" % piece)):
         raise ValueError("not a piece of table body")
-    return entries
+    return bytes(entries)

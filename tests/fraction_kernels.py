@@ -16,10 +16,12 @@ order and tests each candidate triple on every profile at once, as
 ``welldef`` verdict rebuilds the orbit class of every member and of every
 member's image, as ``arrowlab`` did before its membership test; it is a
 reference for that orbit logic, so it runs on ``arrowlab``'s own transfer and
-relabel kernels, which the tests above pin.  The seat gather is the one
-``arrowlab`` used before it copied whole progressions into one buffer: a
-slice per setting of the first n-1 seats, joined, and a ``memoryview`` piece
-per slice for records wider than a byte.  The rule-file reader is the one
+relabel kernels, which the tests above pin.  The collapse check is likewise
+a reference for its step count: it applies ``arrowlab``'s transfer map n
+times, as ``arrowlab`` did before it read the n-th iterate off the transfer
+trace.  The seat gather is the one ``arrowlab`` used before it copied whole
+progressions into one buffer: a slice per setting of the first n-1 seats,
+joined, and a ``memoryview`` piece per slice for records wider than a byte.  The rule-file reader is the one
 ``arrowlab`` used before it read the table a block at a time from the file's
 bytes: ``json.loads`` of the whole text, then the entry-type checks.  The
 whole-table agreement kernel is the one ``arrowlab`` used before it read
@@ -37,6 +39,7 @@ from math import comb, factorial
 from pathlib import Path
 
 from arrowlab.arrowcheck import PairwiseAggregator
+from arrowlab.dynamics import CollapseEntry
 from arrowlab.dynamics import force_transfer as package_force_transfer
 from arrowlab.dynamics import orbit_class
 from arrowlab.measures import MAX_LEVELS, Distribution
@@ -49,7 +52,7 @@ from arrowlab.orders import (
     profile_digit_tuples,
     read_record,
 )
-from arrowlab.rules import RULE_FORMAT_VERSION, VotingRule
+from arrowlab.rules import RULE_FORMAT_VERSION, VotingRule, compose_collapse
 
 
 def force(mu: Distribution, rule: VotingRule, i: int) -> Fraction:
@@ -470,6 +473,24 @@ def class_transfer_holds(mu: Distribution, rule: VotingRule) -> bool:
         if orbit_class(mu, package_force_transfer(mu, member)) != image:
             return False
     return all(orbit_class(mu, member) == cls for member in cls.members)
+
+
+def collapse_entry(mu: Distribution, rule: VotingRule) -> CollapseEntry:
+    """The collapse check of one rule: n applications of the transfer map."""
+    iterate = rule
+    for _ in range(rule.n):
+        iterate = package_force_transfer(mu, iterate)
+    collapse_voter = None
+    for i in range(rule.n):
+        if iterate == compose_collapse(rule, i):
+            collapse_voter = i
+            break
+    return CollapseEntry(
+        passed=collapse_voter is not None,
+        collapse_voter=collapse_voter,
+        iterate_is_dictatorship=is_dictatorship(iterate) is not None,
+        iterate_equals_rule=iterate == rule,
+    )
 
 
 def load_rule(path) -> VotingRule:

@@ -446,6 +446,58 @@ def test_out_that_is_no_directory_is_refused_before_any_work(argv, out, tmp_path
     assert (tmp_path / "file").read_text() == "kept"
 
 
+# Each command with ``--jobs 2`` where it takes it (RULE: a (2,3) rule file),
+# the file its report goes to under ``--out``, and the keys of its ``config``.
+REPORT_CONFIGS = {
+    "verify-arrow": (
+        ["verify-arrow", "--voters", "2", "--candidates", "3", "--jobs", "2"],
+        "verify_arrow_report.json",
+        {"command", "voters", "candidates"},
+    ),
+    "iterate": (
+        ["iterate", "--rule", "RULE", "--jobs", "2"],
+        "trace.jsonl",
+        {"command", "voters", "candidates", "dist", "epsilon", "y_index", "max_steps", "rule_table_digest"},
+    ),
+    "check": (
+        ["check", "--suite", "collapse", "--samples", "2", "--jobs", "2"],
+        "check_report.json",
+        {"command", "suite", "voters", "candidates", "dist", "epsilon", "y_index", "seed", "samples"},
+    ),
+    "replay": (["replay"], "replay_report.json", {"command", "voters", "candidates", "epsilon", "y_index"}),
+}
+
+
+@pytest.mark.parametrize("command", list(REPORT_CONFIGS))
+def test_report_config_leaves_out_locations_and_workers(command, tmp_path, capsys):
+    argv, filename, keys = REPORT_CONFIGS[command]
+    rule = tmp_path / "rule.json"
+    save_rule(dictator(2, 3, 0), rule)
+    argv = [str(rule) if a == "RULE" else a for a in argv]
+    code, out, _ = run_cli([*argv, "--out", str(tmp_path / "out")], capsys)
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert set(config) == keys and not {"out", "jobs", "rule", "handler"} & set(config)
+    assert config["command"] == command and config.get("epsilon", "1/2") == "1/2"
+    written = (tmp_path / "out" / filename).read_text()
+    assert json.loads(written.splitlines()[0] if command == "iterate" else written)["config"] == config
+
+
+def test_verify_arrow_report_loads_no_rationals(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    script = (
+        "import sys, arrowlab.cli\n"
+        "arrowlab.cli.main(sys.argv[1:])\n"
+        "print([m in sys.modules for m in ('arrowlab.measures', 'fractions')])"
+    )
+    argv = REPORT_CONFIGS["verify-arrow"][0] + ["--out", str(tmp_path)]
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str([False, False])
+    assert (tmp_path / "verify_arrow_report.json").exists()
+
+
 def test_iterate_takes_no_seed(tmp_path, capsys):
     rule_path = tmp_path / "rule.json"
     save_rule(dictator(2, 3, 0), rule_path)

@@ -30,7 +30,13 @@ from arrowlab import orders as orders_module
 from arrowlab import rules as rules_module
 from arrowlab.arrowcheck import aggregator_from_rule, assemble_rule, candidates_total
 from arrowlab.cli import _class_transfer_holds
-from arrowlab.dynamics import force, force_profile, force_transfer, iterate_force_transfer
+from arrowlab.dynamics import (
+    check_collapse_conjecture,
+    force,
+    force_profile,
+    force_transfer,
+    iterate_force_transfer,
+)
 from arrowlab.measures import (
     MAX_LEVELS,
     Distribution,
@@ -41,10 +47,12 @@ from arrowlab.measures import (
     uniform_distribution,
 )
 from arrowlab.orders import (
+    LinearOrder,
     all_voter_permutations,
     distinct_bytes,
     encode_digits,
     enumerate_orders,
+    order_index,
     pair_above,
     pair_signatures,
     profile_blocks,
@@ -60,6 +68,7 @@ from arrowlab.rules import (
     compose_collapse,
     compose_voter_permutation,
     constant_rule,
+    cylinder_extend,
     dictator,
     is_dictatorship,
     is_iia,
@@ -245,10 +254,11 @@ def test_rule_file_read_holds_no_entry_list(tmp_path):
 
 @pytest.mark.parametrize("layout", ("bench", "save_rule"))
 def test_rule_file_read_holds_no_whole_file(layout, tmp_path):
-    """``load_rule`` of a (4,4) file peaks below 1.25 MiB in the benchmark's
-    1.1 MB layout and in ``save_rule``'s 2.5 MB one: the table, its copy as
-    ``bytes`` and a block or two of text, with no whole file held (reading
-    the whole file peaked at 1.9 and 3.1 MB)."""
+    """``load_rule`` of a (4,4) file peaks below 0.85 MiB in the benchmark's
+    1.1 MB layout and in ``save_rule``'s 2.5 MB one: one copy of the table
+    and a block or two of text, with no whole file held (reading the whole
+    file peaked at 1.9 and 3.1 MB, and a second copy of the table as
+    ``bytes`` at 0.97 and 0.99 MiB)."""
     rule = VotingRule(4, 4, bytes(e % 24 for e in _records(4, 4, 1, 9)))
     path = tmp_path / "rule.json"
     if layout == "save_rule":
@@ -257,7 +267,7 @@ def test_rule_file_read_holds_no_whole_file(layout, tmp_path):
         record = {"format_version": 1, "n": 4, "m": 4, "table": list(rule.table)}
         path.write_text(json.dumps(record, sort_keys=True) + "\n")
     assert path.stat().st_size > 1.0 * 2**20
-    assert _traced_peak(lambda: load_rule(path)) < 1.25 * 2**20
+    assert _traced_peak(lambda: load_rule(path)) < 0.85 * 2**20
     assert load_rule(path) == rule
 
 
@@ -889,3 +899,49 @@ def test_replay_reads_forces_once_per_rule(monkeypatch):
         f = rules_module.cylinder_extend(base)
         mu = lift_distribution(star_distribution(2, 3, Fraction(1, 2), y), 2)
         assert report.transfer_fixed is (force_transfer(mu, f) == f)
+
+
+def _collapse_reads(mu: Distribution, rules: list, monkeypatch) -> list[int]:
+    """Check the collapse entries of ``rules`` against the n-step reference,
+    serially and on two workers; return the force profiles each entry reads."""
+    import arrowlab.dynamics as dynamics
+
+    expected = tuple(ref.collapse_entry(mu, rule) for rule in rules)
+    for jobs in (1, 2):
+        assert check_collapse_conjecture(mu, rules, jobs=jobs).entries == expected
+    read, calls, counts = dynamics.force_profile, [], []
+    monkeypatch.setattr(dynamics, "force_profile", lambda mu, rule: calls.append(rule) or read(mu, rule))
+    for rule, entry in zip(rules, expected):
+        calls.clear()
+        assert check_collapse_conjecture(mu, [rule]).entries == (entry,)
+        counts.append(len(calls))
+    return counts
+
+
+@pytest.mark.parametrize("n,m", ((2, 3), (3, 3), (4, 3), (3, 4)))
+def test_collapse_of_pareto_draws_reads_two_force_profiles(n, m, monkeypatch):
+    """Every seeded draw is fixed after one transfer, so its entry reads the
+    draw's forces and its image's, where n transfers read n."""
+    rules = [random_pareto_rule(n, m, seed) for seed in range(12)]
+    assert _collapse_reads(uniform_distribution(n, m), rules, monkeypatch) == [2] * len(rules)
+
+
+@pytest.mark.parametrize("m", (3, 4))
+def test_collapse_of_cylinder_rules_equals_reference(m, monkeypatch):
+    mu = lift_distribution(star_distribution(2, m, Fraction(1, 2), enumerate_orders(m)[0]), 2)
+    bases = [pairwise_majority_rule(2, m)] + [random_pareto_rule(2, m, seed) for seed in range(3)]
+    _collapse_reads(mu, [cylinder_extend(base) for base in bases], monkeypatch)
+
+
+def _inverse_dictator(n: int, m: int, i: int) -> VotingRule:
+    """The rule that outputs voter i's ballot reversed."""
+    reverse = bytes(order_index(LinearOrder(o.ranking[::-1])) for o in enumerate_orders(m))
+    return VotingRule(n, m, dictator(n, m, i).table.translate(reverse.ljust(256, b"\0")))
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_collapse_of_inverse_dictators_runs_every_step(n, monkeypatch):
+    """Inverse dictators 0 and 1 map to each other, so no trace ends at a
+    fixpoint: each entry reads the forces of the rule and its n iterates."""
+    rules = [_inverse_dictator(n, 3, i) for i in range(n)]
+    assert _collapse_reads(uniform_distribution(n, 3), rules, monkeypatch) == [n + 1] * n

@@ -166,7 +166,7 @@ def _record_change(text: str, change: str) -> str:
     if change == "only nested":
         return _record_change(_record_change(text, "renamed key"), "nested")
     if change == "duplicate after":
-        return text[: text.rindex("}")] + ', "table": [0]}'
+        return text.rsplit("}", 1)[0] + ', "table": [0]}'
     inserted = {
         "duplicate before": '"table": [0, 1], ',
         "nested": '"x": {"table": [1, 2]}, ',
