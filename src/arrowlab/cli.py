@@ -4,7 +4,7 @@ the final proof step.
 
 Exit codes: 0 success, 2 precondition or usage error, 3 iteration stopped at
 the step limit, 4 an asserted suite failed.  Report and trace files are byte
-deterministic for a fixed semantic configuration: worker count and output
+deterministic for a fixed semantic configuration: ``--jobs`` and output
 locations never appear in them (a report's ``config`` is the parsed command
 line without the handler, ``--out``, ``--jobs`` and ``--rule``), and timing
 goes to stderr only.
@@ -36,21 +36,10 @@ EXIT_SUITE_FAILURE = 4
 
 REPORT_FORMAT_VERSION = 1
 
-SUITE_NAMES = ("metric", "isometry", "relabel", "welldef", "cylinder", "collapse")
-ASSERTED_SUITES = frozenset(SUITE_NAMES) - {"collapse"}
-DEFAULT_SAMPLES = {
-    "metric": 50,
-    "isometry": 200,
-    "relabel": 200,
-    "welldef": 100,
-    "cylinder": 200,
-    "collapse": 1000,
-}
-
 
 def _config(args: argparse.Namespace, **extra) -> dict:
     """A report's ``config``: the parsed command line, epsilon as ``p/q``,
-    and ``extra``.  The handler, output location, worker count and rule path
+    and ``extra``.  The handler, output location, ``--jobs`` and rule path
     are left out, so no report depends on them."""
     config = {k: v for k, v in vars(args).items() if k not in {"handler", "out", "jobs", "rule"}}
     if "epsilon" in config:
@@ -157,18 +146,13 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
     return EXIT_OK if trace.terminated_by == "fixpoint" else EXIT_STEP_LIMIT
 
 
-def _sample_count(args: argparse.Namespace, suite: str) -> int:
-    return args.samples if args.samples is not None else DEFAULT_SAMPLES[suite]
-
-
 # ``random_pareto_rule`` behind a per-run cache: each seeded rule is drawn once.
 _Draw = Callable[[int, int, int], "VotingRule"]
 
 
-def _suite_metric(args: argparse.Namespace, mu: Distribution, draw: _Draw) -> dict:
+def _suite_metric(args: argparse.Namespace, mu: Distribution, draw: _Draw, count: int) -> dict:
     from .quotient import check_metric_axioms, space_from_rules
 
-    count = _sample_count(args, "metric")
     rules = [draw(args.voters, args.candidates, args.seed + i) for i in range(count)]
     report = check_metric_axioms(space_from_rules(mu, rules))
     return {
@@ -179,12 +163,11 @@ def _suite_metric(args: argparse.Namespace, mu: Distribution, draw: _Draw) -> di
     }
 
 
-def _suite_isometry(args: argparse.Namespace, mu: Distribution, draw: _Draw) -> dict:
+def _suite_isometry(args: argparse.Namespace, mu: Distribution, draw: _Draw, count: int) -> dict:
     from .orders import all_voter_permutations
     from .quotient import rule_distance
     from .rules import compose_voter_permutation
 
-    count = _sample_count(args, "isometry")
     rules = [draw(args.voters, args.candidates, args.seed + i) for i in range(count)]
     perms = all_voter_permutations(args.voters)
     checked = 0
@@ -200,12 +183,11 @@ def _suite_isometry(args: argparse.Namespace, mu: Distribution, draw: _Draw) -> 
     return {"passed": True, "pairs_checked": checked}
 
 
-def _suite_relabel(args: argparse.Namespace, mu: Distribution, draw: _Draw) -> dict:
+def _suite_relabel(args: argparse.Namespace, mu: Distribution, draw: _Draw, count: int) -> dict:
     from .dynamics import force_profile
     from .orders import all_voter_permutations
     from .rules import compose_voter_permutation
 
-    count = _sample_count(args, "relabel")
     rules = [draw(args.voters, args.candidates, args.seed + i) for i in range(count)]
     perms = all_voter_permutations(args.voters)
     checked = 0
@@ -233,10 +215,9 @@ def _class_transfer_holds(mu: Distribution, rule: VotingRule) -> bool:
     return len(profiles) == 1 or all(len(p.most_forceful) == 1 for p in profiles)
 
 
-def _suite_welldef(args: argparse.Namespace, mu: Distribution, draw: _Draw) -> dict:
+def _suite_welldef(args: argparse.Namespace, mu: Distribution, draw: _Draw, count: int) -> dict:
     from .rules import table_digest
 
-    count = _sample_count(args, "welldef")
     orbits_checked = 0
     for i in range(count):
         seed = args.seed + i
@@ -248,7 +229,7 @@ def _suite_welldef(args: argparse.Namespace, mu: Distribution, draw: _Draw) -> d
     return {"passed": True, "orbits_checked": orbits_checked}
 
 
-def _suite_cylinder(args: argparse.Namespace, _mu: Distribution, draw: _Draw) -> dict:
+def _suite_cylinder(args: argparse.Namespace, _mu: Distribution, draw: _Draw, count: int) -> dict:
     from .dynamics import cylinder_ceiling, cylinder_forces
     from .measures import (
         format_rational,
@@ -262,12 +243,11 @@ def _suite_cylinder(args: argparse.Namespace, _mu: Distribution, draw: _Draw) ->
 
     if args.voters < 2:
         raise ValueError("the cylinder suite needs at least two voters")
-    count = _sample_count(args, "cylinder")
     n, m = args.voters, args.candidates
     k = n - 1
     y = _favored_ranking(m, args.y_index)
     bound = format_rational(cylinder_ceiling(n, m))
-    details: dict = {"passed": True, "bound": bound, "base_distributions": {}}
+    parts = {}
     for label, nu in (
         ("uniform", uniform_distribution(k, m)),
         ("star", star_distribution(k, m, args.epsilon, y)),
@@ -278,11 +258,9 @@ def _suite_cylinder(args: argparse.Namespace, _mu: Distribution, draw: _Draw) ->
             "permutation_invariant": is_permutation_invariant(lifted),
             "rules_checked": 0,
         }
-        ok = part["full_support"] and part["permutation_invariant"]
         for i in range(count):
             f, fp, _, below, kept = cylinder_forces(nu, lifted, draw(k, m, args.seed + i))
             if not (below and kept):
-                ok = False
                 part["witness"] = {
                     "seed": args.seed + i,
                     "rule_table_digest": table_digest(f),
@@ -290,22 +268,23 @@ def _suite_cylinder(args: argparse.Namespace, _mu: Distribution, draw: _Draw) ->
                 }
                 break
             part["rules_checked"] += 1
-        part["passed"] = ok
-        details["base_distributions"][label] = part
-        details["passed"] = details["passed"] and ok
-    return details
+        part["passed"] = (
+            part["full_support"] and part["permutation_invariant"] and "witness" not in part
+        )
+        parts[label] = part
+    passed = all(part["passed"] for part in parts.values())
+    return {"passed": passed, "bound": bound, "base_distributions": parts}
 
 
-def _suite_collapse(args: argparse.Namespace, _mu: Distribution, draw: _Draw) -> dict:
+def _suite_collapse(args: argparse.Namespace, _mu: Distribution, draw: _Draw, count: int) -> dict:
     from .dynamics import check_collapse_conjecture
     from .measures import uniform_distribution
     from .rules import cylinder_extend, pairwise_majority_rule, table_digest
 
     n, m = args.voters, args.candidates
-    count = _sample_count(args, "collapse")
     mu = uniform_distribution(n, m)
     rules = [draw(n, m, args.seed + i) for i in range(count)]
-    tally = check_collapse_conjecture(mu, rules, jobs=args.jobs)
+    tally = check_collapse_conjecture(mu, rules)
 
     # Witness part: cylinder rules need a non-dictatorial base, so it runs at
     # the smallest electorate with one (three voters) regardless of --voters.
@@ -313,7 +292,7 @@ def _suite_collapse(args: argparse.Namespace, _mu: Distribution, draw: _Draw) ->
     lifted = _resolve_distribution("lift-star", nw, m, args.epsilon, args.y_index)
     witness_rules = [cylinder_extend(pairwise_majority_rule(nw - 1, m))]
     witness_rules += [cylinder_extend(draw(nw - 1, m, args.seed + i)) for i in range(3)]
-    witness_report = check_collapse_conjecture(lifted, witness_rules, jobs=args.jobs)
+    witness_report = check_collapse_conjecture(lifted, witness_rules)
     witnesses = [
         {
             "rule_table_digest": table_digest(rule),
@@ -340,14 +319,18 @@ def _suite_collapse(args: argparse.Namespace, _mu: Distribution, draw: _Draw) ->
     }
 
 
-_SUITE_RUNNERS = {
-    "metric": _suite_metric,
-    "isometry": _suite_isometry,
-    "relabel": _suite_relabel,
-    "welldef": _suite_welldef,
-    "cylinder": _suite_cylinder,
-    "collapse": _suite_collapse,
+# Each suite, in report order: its runner and its default population size.
+# A runner's outcome counts toward ``all_passed`` unless it says
+# ``"asserted": False``.
+_SUITES = {
+    "metric": (_suite_metric, 50),
+    "isometry": (_suite_isometry, 200),
+    "relabel": (_suite_relabel, 200),
+    "welldef": (_suite_welldef, 100),
+    "cylinder": (_suite_cylinder, 200),
+    "collapse": (_suite_collapse, 1000),
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -364,10 +347,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
     results = {}
     draw = lru_cache(maxsize=None)(random_pareto_rule)
     for name in names:
-        outcome = _SUITE_RUNNERS[name](args, mu, draw)
-        outcome.setdefault("asserted", name in ASSERTED_SUITES)
-        results[name] = outcome
-    all_passed = all(r["passed"] for name, r in results.items() if name in ASSERTED_SUITES)
+        runner, samples = _SUITES[name]
+        results[name] = {"asserted": True, **runner(args, mu, draw, args.samples or samples)}
+    all_passed = all(r["passed"] for r in results.values() if r["asserted"])
     fields = {"suites": results, "all_passed": all_passed}
     _report(fields, _config(args), args.out, "check_report.json")
     print(f"check: {', '.join(names)} in {time.monotonic() - started:.2f}s", file=sys.stderr)
@@ -485,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the per-suite population size",
     )
     p_check.add_argument("--seed", type=int, default=0, help="base seed for rule populations")
-    _add_common(p_check, voters=2, jobs="worker processes for the collapse suite")
+    _add_common(p_check, voters=2, jobs="accepted for symmetry; the suites run serially")
     p_check.set_defaults(handler=_cmd_check)
 
     p_replay = sub.add_parser(

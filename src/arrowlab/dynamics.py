@@ -212,22 +212,15 @@ def iterate_force_transfer(mu: Distribution, rule: VotingRule, max_steps: int) -
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
     steps = [(rule, force_profile(mu, rule))]
-    terminated: Literal["fixpoint", "step-limit"] = "step-limit"
-    current = rule
     for _ in range(max_steps):
-        nxt = _transfer(current, steps[-1][1])
-        if nxt == current:
-            terminated = "fixpoint"
-            break
+        nxt = _transfer(*steps[-1])
+        if nxt == steps[-1][0]:
+            return IterationTrace(tuple(steps), "fixpoint", is_dictatorship(nxt) is not None)
         steps.append((nxt, force_profile(mu, nxt)))
-        current = nxt
-    is_dict = terminated == "fixpoint" and is_dictatorship(steps[-1][0]) is not None
-    return IterationTrace(tuple(steps), terminated, is_dict)
+    return IterationTrace(tuple(steps), "step-limit", False)
 
 
-def check_collapse_conjecture(
-    mu: Distribution, rules: Sequence[VotingRule], jobs: int = 1
-) -> CollapseReport:
+def check_collapse_conjecture(mu: Distribution, rules: Sequence[VotingRule]) -> CollapseReport:
     """For each rule, test whether n transfer steps land on the rule composed
     with some voter's self-collapse (equivalently, on a dictatorship for
     unanimity-respecting rules).
@@ -239,16 +232,8 @@ def check_collapse_conjecture(
         raise ValueError("the transfer map requires a full-support distribution")
     if not is_permutation_invariant(mu):
         raise ValueError("the collapse check requires a permutation-invariant distribution")
-    rules = tuple(rules)
-    if jobs > 1 and len(rules) > 1:
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=jobs) as pool:
-            entries = pool.starmap(_collapse_entry, [(mu, r) for r in rules])
-    else:
-        entries = [_collapse_entry(mu, r) for r in rules]
-    return CollapseReport(mu.n, mu.m, mu.n, tuple(entries))
+    entries = tuple(_collapse_entry(mu, rule) for rule in rules)
+    return CollapseReport(mu.n, mu.m, mu.n, entries)
 
 
 def _collapse_entry(mu: Distribution, rule: VotingRule) -> CollapseEntry:

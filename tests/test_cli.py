@@ -258,7 +258,8 @@ def test_cli_import_leaves_numpy_out():
 
 # Each command and the arrowlab submodules its process loads, past
 # ``arrowlab`` and ``arrowlab.cli``; RULE stands for a (2,3) rule file.
-# None loads OpenSSL (``_hashlib``), not even those that print a rule digest.
+# None loads OpenSSL (``_hashlib``), not even those that print a rule digest,
+# and none loads ``multiprocessing``, not even ``check --jobs 2``.
 COMMAND_MODULES = {
     "help": (["--help"], []),
     "usage-error": (["verify-arrow", "--voters", "2", "--candidates", "3", "--jobs", "0"], []),
@@ -267,6 +268,10 @@ COMMAND_MODULES = {
     "replay": (["replay", "--voters", "2"], ["dynamics", "measures", "orders", "rules"]),
     "metric": (["check", "--suite", "metric", "--samples", "3"], ["measures", "orders", "quotient", "rules"]),
     "relabel": (["check", "--suite", "relabel", "--samples", "2"], ["dynamics", "measures", "orders", "rules"]),
+    "collapse": (
+        ["check", "--suite", "collapse", "--samples", "2", "--jobs", "2"],
+        ["dynamics", "measures", "orders", "rules"],
+    ),
 }
 
 
@@ -281,7 +286,7 @@ def test_each_command_loads_only_the_modules_it_runs(command, tmp_path):
         "import sys, arrowlab.cli\n"
         "try:\n    arrowlab.cli.main(sys.argv[1:])\nexcept SystemExit:\n    pass\n"
         "print(sorted(m for m in sys.modules if m.startswith('arrowlab')))\n"
-        "print([m in sys.modules for m in ('dataclasses', 'inspect', '_hashlib')])"
+        "print([m in sys.modules for m in ('dataclasses', 'inspect', '_hashlib', 'multiprocessing')])"
     )
     argv = [str(rule) if a == "RULE" else a for a in argv]
     proc = subprocess.run(
@@ -290,7 +295,7 @@ def test_each_command_loads_only_the_modules_it_runs(command, tmp_path):
     assert proc.returncode == 0, proc.stderr
     loaded, stdlib = proc.stdout.splitlines()[-2:]
     assert loaded == str(sorted(["arrowlab", "arrowlab.cli"] + [f"arrowlab.{m}" for m in modules]))
-    assert stdlib == str([False, False, False])
+    assert stdlib == str([False, False, False, False])
 
 
 PUBLIC_NAMES = """
@@ -562,6 +567,24 @@ def test_cylinder_failure_names_its_witness(capsys):
     assert set(bases) == set(forces)
 
 
+def test_suite_populations_and_asserted_flags(capsys):
+    """With no ``--samples``, each suite checks its default population, and
+    every suite but ``collapse`` is asserted."""
+    code, out, _ = run_cli(["check", "--suite", "all", "--voters", "2", "--candidates", "3"], capsys)
+    assert code == 0
+    suites = json.loads(out)["suites"]
+    assert suites["metric"]["points"] == 50
+    assert suites["isometry"]["pairs_checked"] == 200
+    assert suites["relabel"]["relabelings_checked"] == 400
+    assert suites["welldef"]["orbits_checked"] == 100
+    bases = suites["cylinder"]["base_distributions"]
+    assert {label: base["rules_checked"] for label, base in bases.items()} == {"uniform": 200, "star": 200}
+    assert suites["collapse"]["uniform"]["rules_checked"] == 1000
+    assert {name: suite["asserted"] for name, suite in suites.items()} == {
+        name: name != "collapse" for name in SUITE_NAMES
+    }
+
+
 def test_passing_suites_carry_no_witness(capsys):
     code, out, _ = run_cli(
         ["check", "--suite", "all", "--voters", "2", "--candidates", "3", "--samples", "4"],
@@ -575,8 +598,7 @@ def test_passing_suites_carry_no_witness(capsys):
 
 # Per flag, tokens that argparse accepts, some of which the command refuses,
 # and tokens that argparse refuses.  Scales stop at three voters and three
-# candidates, where every command finishes in milliseconds; --jobs never
-# reaches 2, which would start worker processes.
+# candidates, where every command finishes in milliseconds.
 _SCALE = {
     "--voters": (("-1", "0", "1", "2", "3", "9"), ("x",)),
     "--candidates": (("-1", "0", "1", "2", "3", "9"), ("x",)),
@@ -586,7 +608,7 @@ _SPREAD = {
     "--y-index": (("-1", "0", "5", "6"), ("x",)),
 }
 _DIST = {"--dist": (("uniform", "star", "lift-star"), ("cubic",))}
-_JOBS = {"--jobs": (("1",), ("-1", "0", "x"))}
+_JOBS = {"--jobs": (("1", "2"), ("-1", "0", "x"))}
 _OUT = {"--out": (("dir", "file", "under-file"), ())}
 FUZZ_FLAGS = {
     "verify-arrow": {**_SCALE, **_JOBS, **_OUT},

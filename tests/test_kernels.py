@@ -902,13 +902,12 @@ def test_replay_reads_forces_once_per_rule(monkeypatch):
 
 
 def _collapse_reads(mu: Distribution, rules: list, monkeypatch) -> list[int]:
-    """Check the collapse entries of ``rules`` against the n-step reference,
-    serially and on two workers; return the force profiles each entry reads."""
+    """Check the collapse entries of ``rules`` against the n-step reference;
+    return the force profiles each entry reads."""
     import arrowlab.dynamics as dynamics
 
     expected = tuple(ref.collapse_entry(mu, rule) for rule in rules)
-    for jobs in (1, 2):
-        assert check_collapse_conjecture(mu, rules, jobs=jobs).entries == expected
+    assert check_collapse_conjecture(mu, rules).entries == expected
     read, calls, counts = dynamics.force_profile, [], []
     monkeypatch.setattr(dynamics, "force_profile", lambda mu, rule: calls.append(rule) or read(mu, rule))
     for rule, entry in zip(rules, expected):
