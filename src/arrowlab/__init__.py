@@ -14,10 +14,9 @@ import importlib
 _EXPORTS = {
     "orders": """LinearOrder VoterPermutation all_voter_permutations
         enumerate_orders order_index""",
-    "rules": """VotingRule borda_rule compose_collapse compose_voter_permutation
-        constant_rule cylinder_extend dictator is_dictatorship is_iia
-        is_pareto load_rule pairwise_majority_rule random_pareto_rule save_rule
-        table_digest""",
+    "rules": """VotingRule compose_collapse compose_voter_permutation constant_rule
+        cylinder_extend dictator is_dictatorship is_iia is_pareto load_rule
+        pairwise_majority_rule random_pareto_rule save_rule table_digest""",
     "measures": """Distribution has_full_support is_permutation_invariant
         lift_distribution load_distribution save_distribution star_distribution
         uniform_distribution""",

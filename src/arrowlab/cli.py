@@ -29,6 +29,9 @@ if TYPE_CHECKING:
     from .orders import LinearOrder
     from .rules import VotingRule
 
+    # ``random_pareto_rule`` behind a per-run cache: each seeded rule is drawn once.
+    _Draw = Callable[[int, int, int], VotingRule]
+
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
 EXIT_STEP_LIMIT = 3
@@ -146,10 +149,6 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
     return EXIT_OK if trace.terminated_by == "fixpoint" else EXIT_STEP_LIMIT
 
 
-# ``random_pareto_rule`` behind a per-run cache: each seeded rule is drawn once.
-_Draw = Callable[[int, int, int], "VotingRule"]
-
-
 def _suite_metric(args: argparse.Namespace, mu: Distribution, draw: _Draw, count: int) -> dict:
     from .quotient import check_metric_axioms, space_from_rules
 
@@ -201,28 +200,15 @@ def _suite_relabel(args: argparse.Namespace, mu: Distribution, draw: _Draw, coun
     return {"passed": True, "relabelings_checked": checked}
 
 
-def _class_transfer_holds(mu: Distribution, rule: VotingRule) -> bool:
-    """Whether the transfer map is well defined on the class of ``rule`` and
-    that class is closed: the orbit of each member is the class, which holds
-    when the class is a singleton or every member's top voter is unique."""
-    from .dynamics import _class_transfer, _orbit, force_profile
-
-    fp = force_profile(mu, rule)  # finds the class, then serves as the rule's member profile
-    try:
-        _, profiles = _class_transfer(mu, _orbit(rule, fp), (rule, fp))
-    except RuntimeError:
-        return False
-    return len(profiles) == 1 or all(len(p.most_forceful) == 1 for p in profiles)
-
-
 def _suite_welldef(args: argparse.Namespace, mu: Distribution, draw: _Draw, count: int) -> dict:
+    from .dynamics import class_transfer_holds
     from .rules import table_digest
 
     orbits_checked = 0
     for i in range(count):
         seed = args.seed + i
         rule = draw(args.voters, args.candidates, seed)
-        if not _class_transfer_holds(mu, rule):
+        if not class_transfer_holds(mu, rule):
             witness = {"seed": seed, "rule_table_digest": table_digest(rule)}
             return {"passed": False, "orbits_checked": orbits_checked, "witness": witness}
         orbits_checked += 1
@@ -376,11 +362,18 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for ``--jobs`` and ``--samples``: an integer of at least 1."""
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
+def _int_at_least(least: int) -> Callable[[str], int]:
+    """argparse type for a decimal integer of at least ``least``: 1 for
+    ``--jobs`` and ``--samples``, 0 for ``--seed``, since ``random.Random``
+    draws the same for a seed and its negation."""
+
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < least:
+            message = f"expected an integer of at least {least}, got {text!r}"
+            raise argparse.ArgumentTypeError(message)
+        return int(text)
+
+    return parse
 
 
 def _open_unit_rational(text: str) -> Fraction:
@@ -429,7 +422,7 @@ def _add_common(
         "--y-index", type=int, default=0, help="canonical index of the favored ranking"
     )
     if jobs is not None:
-        parser.add_argument("--jobs", type=_positive_int, default=1, help=jobs)
+        parser.add_argument("--jobs", type=_int_at_least(1), default=1, help=jobs)
     parser.add_argument("--out", type=Path, default=None, help="directory for report files")
 
 
@@ -447,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--voters", type=int, required=True)
     p_verify.add_argument("--candidates", type=int, required=True)
     p_verify.add_argument(
-        "--jobs", type=_positive_int, default=1, help="accepted for symmetry; the search is serial"
+        "--jobs", type=_int_at_least(1), default=1, help="accepted for symmetry; the search is serial"
     )
     p_verify.add_argument("--out", type=Path, default=None)
     p_verify.set_defaults(handler=_cmd_verify_arrow)
@@ -462,11 +455,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
     p_check.add_argument(
         "--samples",
-        type=_positive_int,
+        type=_int_at_least(1),
         default=None,
         help="override the per-suite population size",
     )
-    p_check.add_argument("--seed", type=int, default=0, help="base seed for rule populations")
+    p_check.add_argument(
+        "--seed", type=_int_at_least(0), default=0, help="base seed for rule populations"
+    )
     _add_common(p_check, voters=2, jobs="accepted for symmetry; the suites run serially")
     p_check.set_defaults(handler=_cmd_check)
 

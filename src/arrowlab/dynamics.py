@@ -199,6 +199,18 @@ def _class_transfer(mu: Distribution, cls: OrbitClass, known=None) -> tuple[Orbi
     return image, tuple(profiles)
 
 
+def class_transfer_holds(mu: Distribution, rule: VotingRule) -> bool:
+    """Whether the transfer map is well defined on the class of ``rule`` and
+    that class is closed: the orbit of each member is the class, which holds
+    when the class is a singleton or every member's top voter is unique."""
+    fp = force_profile(mu, rule)  # finds the class, then serves as the rule's member profile
+    try:
+        _, profiles = _class_transfer(mu, _orbit(rule, fp), (rule, fp))
+    except RuntimeError:
+        return False
+    return len(profiles) == 1 or all(len(p.most_forceful) == 1 for p in profiles)
+
+
 def iterate_force_transfer(mu: Distribution, rule: VotingRule, max_steps: int) -> IterationTrace:
     """Apply the transfer map until the newly computed rule equals the current
     one (a fixpoint) or ``max_steps`` applications have been spent.
@@ -252,14 +264,14 @@ def _collapse_entry(mu: Distribution, rule: VotingRule) -> CollapseEntry:
     )
 
 
-def write_trace(trace: IterationTrace, path: str | Path, config: dict | None = None) -> None:
+def write_trace(trace: IterationTrace, path: str | Path, config: dict) -> None:
     """Write a trace as line-delimited JSON: a header record carrying the
     format version and resolved configuration, one record per step with the
     rule's table digest and force data, and a footer with the termination
     status."""
     lines = [
         json.dumps(
-            {"format_version": TRACE_FORMAT_VERSION, "config": config or {}},
+            {"format_version": TRACE_FORMAT_VERSION, "config": config},
             sort_keys=True,
         )
     ]

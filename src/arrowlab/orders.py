@@ -22,7 +22,6 @@ from typing import Callable
 
 MAX_VOTERS = 4
 MAX_CANDIDATES = 4
-MAX_TABLE_ENTRIES = 331_776
 SCALE_OVERRIDE_ENV = "ARROWLAB_SCALE_OVERRIDE"
 # Tables hold one byte per entry: 5! = 120 rankings fit, 6! = 720 do not.
 # A pair signature doubled plus one output bit must fit too: 2 * (2**7 - 1) + 1.
@@ -60,12 +59,10 @@ def check_scale(n: int, m: int) -> None:
         raise ValueError(f"need at least one voter, got n={n}")
     if m < 1:
         raise ValueError(f"need at least one candidate, got m={m}")
-    if not os.environ.get(SCALE_OVERRIDE_ENV) and (
-        n > MAX_VOTERS or m > MAX_CANDIDATES or factorial(m) ** n > MAX_TABLE_ENTRIES
-    ):
+    if not os.environ.get(SCALE_OVERRIDE_ENV) and (n > MAX_VOTERS or m > MAX_CANDIDATES):
         raise ValueError(
             f"scale (n={n}, m={m}) exceeds desk bounds "
-            f"(n <= {MAX_VOTERS}, m <= {MAX_CANDIDATES}, table <= {MAX_TABLE_ENTRIES}); "
+            f"(n <= {MAX_VOTERS}, m <= {MAX_CANDIDATES}); "
             f"set {SCALE_OVERRIDE_ENV}=1 to override"
         )
     if n > BYTE_MAX_VOTERS or m > BYTE_MAX_CANDIDATES:
@@ -169,19 +166,6 @@ class VoterPermutation(Frozen):
     @property
     def n(self) -> int:
         return len(self.mapping)
-
-    def compose(self, other: "VoterPermutation") -> "VoterPermutation":
-        """Composition chosen so that relabeling seats by ``self`` then by
-        ``other`` equals relabeling by ``self.compose(other)`` once (the
-        group-action law).  A rule composed with ``a``, then ``b``, is the
-        rule composed with ``b.compose(a)``."""
-        if self.n != other.n:
-            raise ValueError("permutation sizes disagree")
-        return VoterPermutation(tuple(self.mapping[j] for j in other.mapping))
-
-    @staticmethod
-    def identity(n: int) -> "VoterPermutation":
-        return VoterPermutation(tuple(range(n)))
 
 
 @lru_cache(maxsize=None)

@@ -44,9 +44,6 @@ class FiniteMetricSpace(Frozen):
     def size(self) -> int:
         return len(self.points)
 
-    def distance(self, i: int, j: int) -> Fraction:
-        return self.dist[i][j]
-
     @staticmethod
     def from_function(points: Sequence, fn: Callable) -> "FiniteMetricSpace":
         """Build the matrix by calling ``fn(p, q)`` once per unordered pair,
@@ -75,10 +72,6 @@ class EquivalencePartition(Frozen):
         for i, c in enumerate(self.class_of):
             out.setdefault(c, []).append(i)
         return {c: tuple(members) for c, members in out.items()}
-
-    @staticmethod
-    def singletons(size: int) -> "EquivalencePartition":
-        return EquivalencePartition(tuple(range(size)))
 
 
 class MetricCheckReport(NamedTuple):

@@ -287,30 +287,6 @@ def pairwise_majority_rule(
     return VotingRule(n, m, table)
 
 
-def borda_rule(n: int, m: int, tiebreak_order: LinearOrder | None = None) -> VotingRule:
-    """Rank candidates by total positional score, ties broken by a fixed ranking.
-
-    A score sums the candidate's votes over its pairs, so the ranking is
-    computed once per distinct vector of pair vote counts (signature popcounts).
-    """
-    if tiebreak_order is None:
-        tiebreak_order = enumerate_orders(m)[0]
-    pairs = candidate_pairs(m)
-    radix = n + 1
-    counts = signature_codes(n, m, lambda p, s: s.bit_count() * radix**p)
-    ranked = {}
-    for code in set(counts):
-        score = [0] * m
-        rest = code
-        for a, b in pairs:
-            rest, votes = divmod(rest, radix)
-            score[a] += votes
-            score[b] += n - votes
-        ranking = sorted(range(m), key=lambda c: (-score[c], tiebreak_order.ranking.index(c)))
-        ranked[code] = order_index(LinearOrder(ranking))
-    return VotingRule(n, m, bytes(map(ranked.__getitem__, counts)))
-
-
 def table_digest(rule: VotingRule) -> str:
     """Stable identifier of a rule: its cached ``VotingRule.digest``."""
     return rule.digest
@@ -361,29 +337,36 @@ _BODY_BYTES = b"\t\n\r ,0123456789"
 _BODY_BLOCK = 1 << 16
 
 
-def _read_rule_blocks(source) -> tuple[dict, bytes] | None:
-    """The record of a rule file (its bytes or a binary file), its table
-    emptied, and the table's entries; or None where this read cannot show
-    that ``json.loads`` of the whole text gives the same: where a piece of the
+def _read_rule_blocks(fp) -> tuple[dict, bytes] | None:
+    """The record of the rule file open in binary ``fp``, its table emptied,
+    and the table's entries; or None where this read cannot show that
+    ``json.loads`` of the whole text gives the same: where a piece of the
     table's body fails ``_body_entries``, or, without a backslash, the one
     ``"table"`` is not the top-level key of the text around the body parsed
-    with ``"table": []``."""
-    fp = io.BytesIO(source) if isinstance(source, bytes) else source
-    head = b""
-    while (at := head.find(b'"table"')) < 0 or head.find(b"[", at) < 0:
+    with ``"table": []``.  Each byte is searched once, but for the six that
+    a key can straddle, and the body is trimmed at each comma, so the read
+    is linear in the file."""
+    head, at, seen = bytearray(), -1, 0
+    while at < 0 or head.find(b"[", max(at, seen)) < 0:
         if not (block := fp.read(_BODY_BLOCK)):
             return None
+        seen = max(len(head) - 6, 0)
         head += block
+        if at < 0:
+            at = head.find(b'"table"', seen)
     if (match := _TABLE_OPEN.match(head, at)) is None:
         return None
-    head, body, table = head[: match.end()], head[match.end() :], io.BytesIO()
+    body, table, seen = head[match.end() :], io.BytesIO(), 0  # body[:seen]: no "," or "]"
+    del head[match.end() :]
     try:
-        while (end := body.find(b"]")) < 0:
+        while (end := body.find(b"]", seen)) < 0:
             if not (block := fp.read(_BODY_BLOCK)):
                 return None
-            if (cut := body.rfind(b",")) >= 0:
+            if (cut := body.rfind(b",", seen)) >= 0:
                 table.write(_body_entries(body[:cut]))
-            body = body[cut + 1 :] + block
+                del body[: cut + 1]
+            seen = len(body)
+            body += block
         table.write(_body_entries(body[:end]))
         rest = head + body[end:] + fp.read()
         if b"\\" in rest or rest.count(b'"table"') != 1:
@@ -395,7 +378,7 @@ def _read_rule_blocks(source) -> tuple[dict, bytes] | None:
     return (record, table.getvalue()) if record.get("table") == [] else None
 
 
-def _body_entries(piece: bytes) -> bytes:
+def _body_entries(piece: bytearray) -> bytes:
     """The entries of a piece of table body, at least one (no element is
     empty), each in 0..255; or ``ValueError``."""
     if piece.translate(None, _BODY_BYTES) or not (entries := json.loads(b"[%b]" % piece)):

@@ -9,7 +9,8 @@ re-encode it, and the seeded Pareto draw caches its allowed outputs per
 digit tuple, as ``random_pareto_rule`` once did.  The other rule builders and
 predicates (majority, Borda, unanimity, independence, the pair rows and the
 aggregator round trip) compare each digit tuple's ballots through a 3-D
-preference matrix, as ``arrowlab`` did before it read pair signature columns.
+preference matrix, as ``arrowlab`` did before it read pair signature columns;
+``arrowlab`` builds no Borda rule, so the tests that need one take it from here.
 The Arrow scan walks every pinned aggregator combination in candidate-index
 order and tests each candidate triple on every profile at once, as
 ``arrowlab`` did before its search over per-voter triple patterns.  The

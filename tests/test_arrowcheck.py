@@ -15,7 +15,6 @@ from arrowlab.arrowcheck import (
 from arrowlab.dynamics import replay_contradiction
 from arrowlab.orders import enumerate_orders
 from arrowlab.rules import (
-    borda_rule,
     cylinder_extend,
     dictator,
     is_dictatorship,
@@ -46,7 +45,7 @@ def test_aggregator_round_trip_on_dictators():
 
 def test_aggregator_from_non_iia_rule_is_none():
     assert aggregator_from_rule(pairwise_majority_rule(2, 3)) is None
-    assert aggregator_from_rule(borda_rule(2, 3)) is None
+    assert aggregator_from_rule(ref.borda_rule(2, 3)) is None
 
 
 def test_aggregator_pinning_enforced():

@@ -29,9 +29,9 @@ import fraction_kernels as ref
 from arrowlab import orders as orders_module
 from arrowlab import rules as rules_module
 from arrowlab.arrowcheck import aggregator_from_rule, assemble_rule, candidates_total
-from arrowlab.cli import _class_transfer_holds
 from arrowlab.dynamics import (
     check_collapse_conjecture,
+    class_transfer_holds,
     force,
     force_profile,
     force_transfer,
@@ -64,7 +64,6 @@ from arrowlab.quotient import rule_distance
 from arrowlab.rules import (
     VotingRule,
     _pareto_consistent_outputs,
-    borda_rule,
     compose_collapse,
     compose_voter_permutation,
     constant_rule,
@@ -426,21 +425,20 @@ def _edge_rules(n, m):
 
 @lru_cache(maxsize=None)
 def _rule_population(n, m):
-    """Seeded draws, the edge rules, every majority variant and Borda under both orders."""
+    """Seeded draws, the edge rules, every majority variant and the reference
+    Borda under both orders."""
     last = enumerate_orders(m)[-1]
     rules = [random_pareto_rule(n, m, seed) for seed in range(RULES_PER_SCALE)]
     rules += _edge_rules(n, m)
     rules += [pairwise_majority_rule(n, m, **kw) for kw in _majority_variants(n, m)]
-    rules += [borda_rule(n, m), borda_rule(n, m, last)]
+    rules += [ref.borda_rule(n, m), ref.borda_rule(n, m, last)]
     return rules
 
 
 @pytest.mark.parametrize("n,m", SCALES)
-def test_majority_and_borda_equal_reference(n, m):
+def test_majority_equals_reference(n, m):
     for kw in _majority_variants(n, m):
         assert pairwise_majority_rule(n, m, **kw) == ref.pairwise_majority_rule(n, m, **kw)
-    for order in (None, enumerate_orders(m)[-1]):
-        assert borda_rule(n, m, order) == ref.borda_rule(n, m, order)
 
 
 @pytest.mark.parametrize("n,m", SCALES)
@@ -858,7 +856,7 @@ def test_class_transfer_verdict_equals_orbit_rebuild(n, m, dist, seeds, failures
     else:
         mu = lift_distribution(star_distribution(n - 1, m, Fraction(1, 2), y), n - 1)
     rules = [random_pareto_rule(n, m, seed) for seed in seeds]
-    verdicts = [_class_transfer_holds(mu, rule) for rule in rules]
+    verdicts = [class_transfer_holds(mu, rule) for rule in rules]
     assert verdicts == [ref.class_transfer_holds(mu, rule) for rule in rules]
     assert verdicts.count(False) == failures
 
@@ -878,7 +876,7 @@ def test_class_transfer_reads_forces_once_per_member_and_image(monkeypatch):
     monkeypatch.setattr(dynamics, "force_profile", lambda mu, rule: calls.append(rule) or read(mu, rule))
     for rule, size in zip(rules, sizes):
         calls.clear()
-        assert _class_transfer_holds(mu, rule) is True
+        assert class_transfer_holds(mu, rule) is True
         assert len(calls) == 2 * size
 
 

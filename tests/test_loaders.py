@@ -2,9 +2,11 @@
 reader: a malformed file of any shape raises ``ValueError`` and nothing
 else, so the command line can turn it into exit code 2 and one line."""
 
+import io
 import json
 import re
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -117,9 +119,28 @@ def test_rule_file_layouts_read_by_blocks(layout, block, tmp_path, monkeypatch):
     monkeypatch.setattr(rules_module, "_BODY_BLOCK", block)
     path = tmp_path / "rule.json"
     path.write_text(_layout(layout, path))
-    record, table = rules_module._read_rule_blocks(path.read_bytes())
+    record, table = rules_module._read_rule_blocks(io.BytesIO(path.read_bytes()))
     assert bytes(table) == RULE.table and record == {**RECORD, "table": []}
     assert load_rule(path) == RULE == ref.load_rule(path)
+
+
+def test_rule_read_is_linear_in_the_file(monkeypatch):
+    """A MiB of note before ``"table"``, and two MiB of space after the first
+    entry, read by 256-byte blocks in well under the bound: a read that
+    searches again what it has searched, or joins again what it has joined,
+    takes seconds on either, one that searches each byte once milliseconds."""
+    monkeypatch.setattr(rules_module, "_BODY_BLOCK", 256)
+    first, *rest = RULE.table
+    texts = {
+        "note": json.dumps({**RECORD, "note": "x" * (1 << 20)}, sort_keys=True),
+        "space": '{"format_version": 1, "m": 3, "n": 2, "table": [%d%s, %s]}'
+        % (first, " " * (2 << 20), ", ".join(map(str, rest))),
+    }
+    for name, text in texts.items():
+        started = time.perf_counter()
+        record, table = rules_module._read_rule_blocks(io.BytesIO(text.encode("ascii")))
+        assert time.perf_counter() - started < 0.25, name
+        assert table == RULE.table and record["table"] == []
 
 
 # Texts put in place of one table entry: bad values, JSON that is no

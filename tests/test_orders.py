@@ -80,15 +80,16 @@ def test_profile_index_round_trip():
 
 
 def test_group_action_law():
-    """Composing a rule with pi, then sigma, is composing it with
-    sigma.compose(pi) once; the seeded rule is asymmetric enough that the
-    other order fails."""
+    """Composing a rule with pi, then sigma, is composing it once with the
+    permutation whose seat i holds ``sigma.mapping[pi.mapping[i]]``; the
+    seeded rule is asymmetric enough that the other order fails."""
     rule = random_pareto_rule(3, 3, 5)
     perms = all_voter_permutations(3)
     for pi in perms:
         for sigma in perms:
             stepwise = compose_voter_permutation(compose_voter_permutation(rule, pi), sigma)
-            assert stepwise == compose_voter_permutation(rule, sigma.compose(pi))
+            once = VoterPermutation(tuple(sigma.mapping[j] for j in pi.mapping))
+            assert stepwise == compose_voter_permutation(rule, once)
 
 
 def test_compose_voter_permutation_rejects_a_wrong_size():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraction_kernels as ref
 from arrowlab.orders import (
     VoterPermutation,
     all_voter_permutations,
@@ -17,7 +18,6 @@ from arrowlab.orders import (
 )
 from arrowlab.rules import (
     VotingRule,
-    borda_rule,
     compose_collapse,
     compose_voter_permutation,
     constant_rule,
@@ -112,7 +112,7 @@ def test_is_pareto_agrees_with_brute_force_oracle():
         dictator(2, 3, 1),
         constant_rule(2, 3, ORDERS3[2]),
         pairwise_majority_rule(2, 3),
-        borda_rule(2, 3),
+        ref.borda_rule(2, 3),
     ] + [random_pareto_rule(2, 3, seed) for seed in range(10)]
     for rule in rules:
         assert is_pareto(rule) == brute_force_is_pareto(rule)
@@ -121,13 +121,13 @@ def test_is_pareto_agrees_with_brute_force_oracle():
 def test_is_iia_examples():
     assert is_iia(dictator(2, 3, 0))
     assert is_iia(constant_rule(2, 3, ORDERS3[0]))
-    assert not is_iia(borda_rule(2, 3))
+    assert not is_iia(ref.borda_rule(2, 3))
 
 
 def test_borda_iia_witness_found_by_exhaustive_scan():
     """Two profiles agreeing on one pair's per-voter comparisons but with
     differing output comparisons, found over all 36x36 profile pairs."""
-    rule = borda_rule(2, 3)
+    rule = ref.borda_rule(2, 3)
     profiles = profile_digit_tuples(2, 3)
     witness = None
     for ka, pa in enumerate(profiles):
@@ -164,7 +164,7 @@ def test_dictatorship_implies_pareto_and_iia():
 
 def test_compose_voter_permutation_examples():
     d0 = dictator(2, 3, 0)
-    assert compose_voter_permutation(d0, VoterPermutation.identity(2)) == d0
+    assert compose_voter_permutation(d0, VoterPermutation((0, 1))) == d0
     swap = VoterPermutation((1, 0))
     assert compose_voter_permutation(d0, swap) == dictator(2, 3, 1)
     assert compose_voter_permutation(compose_voter_permutation(d0, swap), swap) == d0
@@ -204,7 +204,7 @@ def test_cylinder_extend_table_ignores_last_voter():
 def test_cylinder_preserves_predicates_exactly():
     cases = [
         dictator(2, 3, 0),  # Pareto, IIA
-        borda_rule(2, 3),  # Pareto, not IIA
+        ref.borda_rule(2, 3),  # Pareto, not IIA
         pairwise_majority_rule(2, 3),  # Pareto, not IIA
         constant_rule(2, 3, ORDERS3[0]),  # not Pareto, IIA
     ]
@@ -381,7 +381,8 @@ def test_digest_at_five_candidates_writes_three_digit_entries(monkeypatch):
 
 # Digests of the rule builders at the two scales whose codes are wider than a
 # byte somewhere: majority's tournament at m = 5 (ten pairs), the draw's
-# unanimity pattern at m = 4 and m = 5 (12 and 20 bits), Borda's radix code.
+# unanimity pattern at m = 4 and m = 5 (12 and 20 bits).  The package builds
+# no Borda rule; the tests that need one take ``fraction_kernels.borda_rule``.
 BUILDER_DIGESTS = {
     (4, 4): {
         "majority": (
@@ -391,10 +392,6 @@ BUILDER_DIGESTS = {
             "4a0f961a3633073a10fe1ca4821cef0e0d93574b2f4ec95ad638fae6b7a7b4bb",
             "d71acbe86e9f73de95146b866576385c68d15ae93eee99ef8ccd35ef9695393b",
             "c4513b91f1e4e63a1734cc329ba936430a3e2736c95b28039783205caa6dbc6d",
-        ),
-        "borda": (
-            "2bbee71f03301da8d4a62c9fc7f344e81a682d31fe0cff5e6fd2c31b0b7233c7",
-            "37c4a6fc06e129307b48f0be1e281ecc8b2af443b26999bf7c23b4122be8eb91",
         ),
         "draw": (
             "92b0634e59248febbf010942c74954d541c7d8ea97d472d08bd58aa845dda168",
@@ -409,10 +406,6 @@ BUILDER_DIGESTS = {
             "16f9844120844bc4200f17a4c916b95a88db70694168cd046049b029a4fcdaa7",
             "fdd250e19eb225c4d74da490fc413ccc166b9bd55011f6d74e05041a6cfde3fc",
         ),
-        "borda": (
-            "6142c29a0bdda67b84eed1e5d45e07980e158498c42a0cdb8b5801b95c86d442",
-            "8577e743347d7a8bb32ce32fc471607c796a0bcb1ec24023297d69103a412a6f",
-        ),
         "draw": (
             "6a05f88f866bad170d1c381f96fc4b18515386aa307c32cde870263bb60121c7",
             "12c5c5e52fe5b98bb0515c14185f9310c9b03bc6446d9c7588efd4bcb9be4b08",
@@ -425,13 +418,12 @@ BUILDER_DIGESTS = {
 @pytest.mark.parametrize("n, m", sorted(BUILDER_DIGESTS))
 def test_rule_builders_keep_their_pinned_digests(n, m, monkeypatch):
     """Majority under the first and the last ranking and every tie-break
-    voter, Borda under both rankings, and the draw for seeds 0-2."""
+    voter, and the draw for seeds 0-2."""
     monkeypatch.setenv("ARROWLAB_SCALE_OVERRIDE", "1")
     last = enumerate_orders(m)[-1]
     variants = [{}, {"tiebreak_order": last}] + [{"tiebreak_voter": v} for v in range(n)]
     digests = {
         "majority": tuple(pairwise_majority_rule(n, m, **kw).digest for kw in variants),
-        "borda": tuple(borda_rule(n, m, order).digest for order in (None, last)),
         "draw": tuple(random_pareto_rule(n, m, seed).digest for seed in range(3)),
     }
     assert digests == BUILDER_DIGESTS[n, m]
