@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -95,9 +96,11 @@ def space_from_rules(mu: Distribution, rules: Sequence[VotingRule]) -> FiniteMet
 def check_metric_axioms(space: FiniteMetricSpace) -> MetricCheckReport:
     """Exhaustively certify nonnegativity, zero diagonal, identity of
     indiscernibles, symmetry, and the triangle inequality; stop at the first
-    violation."""
+    violation.  The matrix is compared as integer numerators over the lcm of
+    its denominators, which orders sums as the ``Fraction``s do."""
     n = space.size
-    d = space.dist
+    scale = lcm(*(v.denominator for row in space.dist for v in row))
+    d = [[v.numerator * (scale // v.denominator) for v in row] for row in space.dist]
     for i in range(n):
         if d[i][i] != 0:
             return MetricCheckReport(False, "nonzero-self-distance", (i,))

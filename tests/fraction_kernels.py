@@ -27,7 +27,9 @@ joined, and a ``memoryview`` piece per slice for records wider than a byte.  The
 bytes: ``json.loads`` of the whole text, then the entry-type checks.  The
 whole-table agreement kernel is the one ``arrowlab`` used before it read
 force and distance a block of profiles at a time: one int per whole table,
-cached digit columns and a mask per level over every profile.
+cached digit columns and a mask per level over every profile.  The metric
+axiom check is the one ``arrowlab`` used before it compared integer
+numerators over a common denominator: the same loops on the ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from arrowlab.orders import (
     profile_digit_tuples,
     read_record,
 )
+from arrowlab.quotient import FiniteMetricSpace, MetricCheckReport
 from arrowlab.rules import RULE_FORMAT_VERSION, VotingRule, compose_collapse
 
 
@@ -513,3 +516,29 @@ def load_rule(path) -> VotingRule:
     if not checked and (not isinstance(table, list) or not {*map(type, table)} <= {int}):
         raise ValueError("rule field 'table' is missing or not a list of integers")
     return VotingRule(n, m, table)
+
+
+def check_metric_axioms(space: FiniteMetricSpace) -> MetricCheckReport:
+    n = space.size
+    d = space.dist
+    for i in range(n):
+        if d[i][i] != 0:
+            return MetricCheckReport(False, "nonzero-self-distance", (i,))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if d[i][j] < 0:
+                return MetricCheckReport(False, "negative-distance", (i, j))
+            if d[i][j] != d[j][i]:
+                return MetricCheckReport(False, "asymmetry", (i, j))
+            if d[i][j] == 0 and space.points[i] != space.points[j]:
+                return MetricCheckReport(False, "zero-distance-distinct-points", (i, j))
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                if d[i][k] > d[i][j] + d[j][k]:
+                    return MetricCheckReport(False, "triangle", (i, j, k))
+                if d[i][j] > d[i][k] + d[k][j]:
+                    return MetricCheckReport(False, "triangle", (i, k, j))
+                if d[j][k] > d[j][i] + d[i][k]:
+                    return MetricCheckReport(False, "triangle", (j, i, k))
+    return MetricCheckReport(True)

@@ -17,7 +17,7 @@ import fraction_kernels as ref
 from arrowlab import rules as rules_module
 from arrowlab.measures import load_distribution
 from arrowlab.quotient import load_fixture
-from arrowlab.rules import load_rule, random_pareto_rule, save_rule
+from arrowlab.rules import VotingRule, dictator, load_rule, random_pareto_rule, save_rule
 
 # A well-formed record for each loader, keyed by the file kind in its messages.
 VALID = {
@@ -95,21 +95,25 @@ def test_arbitrary_fields_load_or_raise_value_error(kind, data):
 # same; ``fraction_kernels.load_rule`` is the whole-text reader alone.
 RULE = random_pareto_rule(2, 3, 11)
 RECORD = {"format_version": 1, "n": 2, "m": 3, "table": list(RULE.table)}
+# Entries of one digit at (2,3), of one and two at (2,4).
+WIDE_RULE = random_pareto_rule(2, 4, 11)
 
 
-def _layout(name: str, path: Path) -> str:
+def _layout(name: str, path: Path, rule: VotingRule = RULE) -> str:
+    record = {"format_version": 1, "n": rule.n, "m": rule.m, "table": list(rule.table)}
     if name == "save_rule":
-        save_rule(RULE, path)
+        save_rule(rule, path)
         return path.read_text()
     if name == "bench":  # as the benchmark writes its input rules
-        return json.dumps(RECORD, sort_keys=True) + "\n"
+        return json.dumps(record, sort_keys=True) + "\n"
     if name == "compact":
-        return json.dumps(RECORD, separators=(",", ":"))
-    return json.dumps({"table": RECORD["table"], "m": 3, "n": 2, "format_version": 1}, indent="\t")
+        return json.dumps(record, separators=(",", ":"))
+    return json.dumps(dict(reversed(record.items())), indent="\t")
 
 
 LAYOUTS = ["save_rule", "bench", "compact", "table-first"]
-BLOCKS = [1, 2, 3, 5, 8, 64, rules_module._BODY_BLOCK]
+# Read sizes down to a byte, the reader's own, and one twice as large.
+BLOCKS = [1, 2, 3, 5, 8, 64, rules_module._BODY_BLOCK, 1 << 16]
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
@@ -143,12 +147,47 @@ def test_rule_read_is_linear_in_the_file(monkeypatch):
         assert table == RULE.table and record["table"] == []
 
 
+def _json_texts(monkeypatch) -> list[str]:
+    """Every text ``json.loads`` parses from here on."""
+    texts, loads = [], json.loads
+    monkeypatch.setattr(json, "loads", lambda text, **kw: texts.append(text) or loads(text, **kw))
+    return texts
+
+
+@pytest.mark.parametrize("layout", ("save_rule", "bench"))
+@pytest.mark.parametrize("n, m", [(n, m) for m in (3, 4) for n in (1, 2, 3, 4)])
+def test_rule_body_is_decoded_without_json(layout, n, m, tmp_path, monkeypatch):
+    """At every desk scale, the table body of a file in either layout is
+    decoded whole-piece: ``json.loads`` parses only the record around it."""
+    rule = random_pareto_rule(n, m, 5)
+    path = tmp_path / "rule.json"
+    path.write_text(_layout(layout, path, rule))
+    texts = _json_texts(monkeypatch)
+    assert load_rule(path) == rule
+    assert len(texts) == 1 and texts[0].startswith("{")
+
+
+def test_three_digit_rule_body_takes_json(tmp_path, monkeypatch):
+    """At m = 5, entries above 99 are past the decode; the body pieces go to
+    ``json.loads``, and the rule equals the whole-text reader's."""
+    monkeypatch.setenv("ARROWLAB_SCALE_OVERRIDE", "1")
+    rule = dictator(2, 5, 1)
+    path = tmp_path / "rule.json"
+    save_rule(rule, path)
+    texts = _json_texts(monkeypatch)
+    assert load_rule(path) == rule
+    assert len(texts) > 1 and all(text.startswith("[") for text in texts[:-1])
+    assert load_rule(path) == ref.load_rule(path)
+
+
 # Texts put in place of one table entry: bad values, JSON that is no
-# integer, leading zeros, two entries without a comma, an empty element, and
-# whitespace JSON does and does not allow.
+# integer, entries of one, two and three digits, leading zeros, two entries
+# without a comma, an empty element, and whitespace JSON does and does not
+# allow.
 ENTRY_TEXTS = [
     "true", "false", "null", "-1", "-0", "1.5", "1e0", "256", "6", "01", "00", "1 2", "",
     '"3"', "[1]", "{}", " 4 ", "\t5\n", "\r\n2", "\f1", "\v3", " 2", "7" * 5000,
+    "10", "23", "99", "100", "119", "255", "05", "1 7",
 ]
 SEPARATORS = [",", ", ", ",\n    ", " ,\t", "\r\n,\r\n"]
 
@@ -177,7 +216,7 @@ def _record_change(text: str, change: str) -> str:
     if change == "n a string":
         return re.sub(r'"n":\s*2', '"n": "2"', text)
     if change == "m too large":
-        return re.sub(r'"m":\s*3', '"m": 4', text)
+        return re.sub(r'"m":\s*(\d)', lambda m: f'"m": {int(m[1]) + 1}', text)
     if change == "version":
         return re.sub(r'"format_version":\s*1', '"format_version": 2', text)
     if change == "truncated":
@@ -218,10 +257,22 @@ def _outcome(loader, path):
 def test_rule_reader_agrees_with_the_whole_text_reader(data):
     """For any mutated rule text, the block reader and the whole-text reader
     give an equal rule or a ``ValueError`` of the same type and message."""
+    _agrees_with_the_whole_text_reader(data, RULE)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_two_digit_rule_reader_agrees_with_the_whole_text_reader(data):
+    """The same at (2,4), whose entries of two digits take the whole-piece
+    decode of ``_body_entries``."""
+    _agrees_with_the_whole_text_reader(data, WIDE_RULE)
+
+
+def _agrees_with_the_whole_text_reader(data, rule: VotingRule) -> None:
     block = data.draw(st.sampled_from(BLOCKS), label="block")
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "rule.json"
-        text = _layout(data.draw(st.sampled_from(LAYOUTS), label="layout"), path)
+        text = _layout(data.draw(st.sampled_from(LAYOUTS), label="layout"), path, rule)
         start = text.index("[") + 1
         end = text.index("]", start)
         text = text[:start] + _mutate_body(data, text[start:end]) + text[end:]

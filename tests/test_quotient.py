@@ -8,10 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrowlab.measures import Distribution, uniform_distribution
+import fraction_kernels as ref
+from arrowlab.measures import Distribution, star_distribution, uniform_distribution
+from arrowlab.orders import enumerate_orders
 from arrowlab.quotient import (
     EquivalencePartition,
     FiniteMetricSpace,
+    MetricCheckReport,
     _find_class_preserving_isometry,
     check_metric_axioms,
     load_fixture,
@@ -271,6 +274,80 @@ def test_metric_axioms_detect_asymmetry_and_triangle():
         ),
     )
     assert check_metric_axioms(tri).violation == "triangle"
+
+
+def _matrix(rows):
+    return FiniteMetricSpace(tuple(range(len(rows))), tuple(tuple(map(Fraction, r)) for r in rows))
+
+
+# One matrix per violation kind and triangle orientation, and one that ties
+# the triangle inequality, with the report the ``Fraction`` loops give it; the
+# mixed denominators make the integer check scale every entry.
+VIOLATIONS = [
+    ([["0", "1/3"], ["1/3", "1/7"]], MetricCheckReport(False, "nonzero-self-distance", (1,))),
+    (
+        [["0", "-1/6", "1/2"], ["-1/6", "0", "1/3"], ["1/2", "1/3", "0"]],
+        MetricCheckReport(False, "negative-distance", (0, 1)),
+    ),
+    (
+        [["0", "1/2", "1/3"], ["1/2", "0", "1/5"], ["1/3", "2/9", "0"]],
+        MetricCheckReport(False, "asymmetry", (1, 2)),
+    ),
+    (
+        [["0", "1/4", "0"], ["1/4", "0", "1/4"], ["0", "1/4", "0"]],
+        MetricCheckReport(False, "zero-distance-distinct-points", (0, 2)),
+    ),
+    (
+        [["0", "1/3", "6/7"], ["1/3", "0", "1/2"], ["6/7", "1/2", "0"]],
+        MetricCheckReport(False, "triangle", (0, 1, 2)),
+    ),
+    (
+        [["0", "6/7", "1/3"], ["6/7", "0", "1/2"], ["1/3", "1/2", "0"]],
+        MetricCheckReport(False, "triangle", (0, 2, 1)),
+    ),
+    (
+        [["0", "1/3", "1/2"], ["1/3", "0", "6/7"], ["1/2", "6/7", "0"]],
+        MetricCheckReport(False, "triangle", (1, 0, 2)),
+    ),
+    ([["0", "1/3", "1/2"], ["1/3", "0", "5/6"], ["1/2", "5/6", "0"]], MetricCheckReport(True)),
+]
+
+
+@pytest.mark.parametrize(
+    "rows, expected", VIOLATIONS, ids=[f"{r.violation}{r.witness}" for _, r in VIOLATIONS]
+)
+def test_integer_metric_check_reports_each_violation_as_the_fraction_check(rows, expected):
+    space = _matrix(rows)
+    assert check_metric_axioms(space) == expected == ref.check_metric_axioms(space)
+
+
+def test_integer_metric_check_equals_the_fraction_check_on_seeded_spaces():
+    """Rule spaces under uniform, star and an off-support distribution, and
+    random matrices of mixed denominators, some of them negative, asymmetric
+    or short of the triangle inequality."""
+    spaces = []
+    for n, m in ((2, 3), (3, 3)):
+        rules = [random_pareto_rule(n, m, seed) for seed in range(10)]
+        rules += [dictator(n, m, i) for i in range(n)]
+        star = star_distribution(n, m, Fraction(1, 3), enumerate_orders(m)[1])
+        weights = [Fraction(0)] * 6**n
+        weights[:2] = Fraction(1, 2), Fraction(1, 2)
+        for mu in (uniform_distribution(n, m), star, Distribution(n, m, tuple(weights))):
+            spaces.append(space_from_rules(mu, rules))
+    rng = random.Random(7)
+    for _ in range(300):
+        size = rng.randrange(1, 6)
+        rows = [[Fraction(rng.randrange(-1, 9), rng.randrange(1, 7)) for _ in range(size)] for _ in range(size)]
+        for i in range(size):
+            rows[i][i] = Fraction(0) if rng.random() < 0.9 else rows[i][i]
+            for j in range(i):
+                if rng.random() < 0.9:
+                    rows[i][j] = rows[j][i]
+        spaces.append(_matrix(rows))
+    reports = [check_metric_axioms(space) for space in spaces]
+    assert reports == [ref.check_metric_axioms(space) for space in spaces]
+    kinds = {"nonzero-self-distance", "negative-distance", "asymmetry", "zero-distance-distinct-points"}
+    assert {r.violation for r in reports} == {None, "triangle", *kinds}
 
 
 def test_fixture_file_round_trip(tmp_path):
