@@ -13,11 +13,13 @@ goes to stderr only.
 from __future__ import annotations
 
 import argparse
+import atexit
+import os
 import sys
 import time
 from functools import lru_cache
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NoReturn
 
 # Each command imports the arrowlab modules it runs, and ``json`` and
 # ``fractions``, when it runs, so that start-up, ``--help`` and usage errors
@@ -495,5 +497,46 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PRECONDITION
 
 
+def _watched() -> bool:
+    """True when a trace or profile hook watches this process (``trace``,
+    coverage, cProfile), through ``sys.settrace``, ``sys.setprofile`` or a
+    ``sys.monitoring`` tool: from Python 3.12 cProfile registers one and
+    leaves ``sys.getprofile()`` None."""
+    monitoring = getattr(sys, "monitoring", None)
+    if monitoring is not None and any(monitoring.get_tool(tool) for tool in range(6)):
+        return True
+    return bool(sys.gettrace() or sys.getprofile())
+
+
+def run() -> NoReturn:
+    """The process entry of ``python -m arrowlab.cli`` and of the ``arrowlab``
+    script: exit with ``main()``'s status (``SystemExit.code`` for ``--help``
+    and usage errors) as soon as it is known and the output is flushed.
+
+    The exit functions registered so far run, stdout and stderr are flushed,
+    and ``os._exit`` ends the process without the interpreter's teardown (a
+    last garbage collection and the unloading of every module).  That skips
+    nothing a command needs, because every command closes its files before it
+    returns (``write_text``, ``with open``) and no command starts a thread.
+    The normal ``sys.exit`` stays when the status is not an int, when a hook
+    watches the process (profilers and coverage report at teardown), and
+    when a flush fails, so the interpreter reports a closed stream as ever.
+    ``main()`` itself never ends the process: tests call it in-process."""
+    try:
+        status = main()
+    except SystemExit as exc:
+        status = exc.code
+    if not isinstance(status, int) or _watched():
+        sys.exit(status)
+    atexit._run_exitfuncs()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the descriptor was closed at start-up
+                stream.flush()
+    except OSError:
+        sys.exit(status)
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

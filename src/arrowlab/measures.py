@@ -306,25 +306,22 @@ def lift_distribution(dist: Distribution, i: int) -> Distribution:
         decode = lambda code: factorial(n) * low + sum(  # noqa: E731
             code // c % radix * (v - low) for c, v in zip(codes[1:], high)
         )
-    entries = tuple(map(codes.__getitem__, _ranks(dist.levels, dist.level_index)))
-    # Lanes that hold n! * max(entries) never carry, and every sum below is
-    # one big-int add per table.
-    width = _lane_width(factorial(n) * max(entries))
-    small = _pack(entries, width)
+    # Lanes that hold n! times the largest code never carry, and every sum
+    # below is one big-int add per table.
+    width = _lane_width(factorial(n) * codes[-1])
+    small = _pack(tuple(map(codes.__getitem__, _ranks(dist.levels, dist.level_index))), width)
     sym = sum(
         int.from_bytes(seat_gather(small, n - 1, m, seats, width), _ORDER)
         for seats in itertools.permutations(range(n - 1))
     )
     sym_lanes = sym.to_bytes(len(small), _ORDER)
     # Dropping seat j: source seat s reads seat s before j and seat s + 1 after.
-    total = sum(
-        int.from_bytes(
-            seat_gather(sym_lanes, n, m, tuple(s + (s >= j) for s in range(n - 1)), width),
-            _ORDER,
-        )
-        for j in range(n)
-    )
+    total = 0
+    for j in range(n):
+        seats = tuple(s + (s >= j) for s in range(n - 1))
+        total += int.from_bytes(seat_gather(sym_lanes, n, m, seats, width), _ORDER)
     lanes = total.to_bytes(len(small) * factorial(m), _ORDER)
+    del total  # a table-sized int: freed before ``_level_form`` adds the level index
     if width > 8:  # only lifts of numerators of 2**64 or more: decoded lane by lane
         starts = range(0, len(lanes), width)
         lanes = tuple(int.from_bytes(lanes[k : k + width], _ORDER) for k in starts)

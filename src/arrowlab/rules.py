@@ -64,10 +64,16 @@ class VotingRule(Frozen):
         try:
             # iter(): bytes(k) of an int k would be k zero entries.
             entries = bytes(iter(table)) if type(table) is not bytes else table
-            bad = entries.translate(None, bytes(range(mf)))
         except (TypeError, ValueError):  # an entry that is not an int in 0..255
             entries = tuple(table)
             bad = [e for e in entries if not (isinstance(e, int) and 0 <= e < mf)]
+        else:
+            # Deleting the entries from the bytes of m! and up keeps them all
+            # unless an entry is out of range: one C pass that holds no copy
+            # of the table.  Only a refused table is copied, for its first
+            # bad entry.
+            clean = len(_ALL_BYTES[mf:].translate(None, entries)) == 256 - mf
+            bad = b"" if clean else entries.translate(None, _ALL_BYTES[:mf])
         size = mf**n
         if len(entries) != size:
             raise ValueError(f"table has {len(entries)} entries, expected {size}")
@@ -120,9 +126,11 @@ def constant_rule(n: int, m: int, order: LinearOrder) -> VotingRule:
     return VotingRule(n, m, bytes((order_index(order),)) * factorial(m) ** n)
 
 
+@lru_cache(maxsize=None)
 def _unanimity_patterns(n: int, m: int) -> bytes | memoryview:
     """Per profile, two bits per pair p: bit 2p when every voter ranks the
-    pair's first candidate higher, bit 2p+1 when every voter ranks it lower."""
+    pair's first candidate higher, bit 2p+1 when every voter ranks it lower;
+    built once per scale, like ``pair_signatures``."""
     full = (1 << n) - 1
     return signature_codes(n, m, lambda p, s: (s == full) << (2 * p) | (s == 0) << (2 * p + 1))
 
@@ -151,6 +159,17 @@ def _pareto_consistent_outputs(pattern: int, m: int) -> tuple[int, ...]:
     pattern, so the cache holds one entry per pattern: those whose break
     mask shares no bit with the pattern."""
     return tuple(o for o, mask in enumerate(_pareto_break_masks(m)) if not pattern & mask)
+
+
+@lru_cache(maxsize=None)
+def _pareto_draws(n: int, m: int) -> dict[int, tuple[tuple[int, ...], int, int]]:
+    """Per unanimity pattern at (n, m): its consistent outputs, their count
+    and the count's bit length, as ``random_pareto_rule`` draws among them."""
+    draws = {}
+    for u in set(_unanimity_patterns(n, m)):
+        allowed = _pareto_consistent_outputs(u, m)
+        draws[u] = (allowed, len(allowed), len(allowed).bit_length())
+    return draws
 
 
 def _signature_outputs(rule: VotingRule) -> Iterator[bytes]:
@@ -236,9 +255,7 @@ def random_pareto_rule(n: int, m: int, seed: int) -> VotingRule:
 
     Deterministic in the seed; the result always satisfies ``is_pareto``.
     """
-    patterns = _unanimity_patterns(n, m)
-    outputs = {u: _pareto_consistent_outputs(u, m) for u in set(patterns)}
-    draws = {u: (a, len(a), len(a).bit_length()) for u, a in outputs.items()}
+    patterns, draws = _unanimity_patterns(n, m), _pareto_draws(n, m)
     # The loop of ``randrange(size)`` in CPython (``_randbelow_with_getrandbits``)
     # without its per-call overhead: the same words drawn, so the same table.
     getrandbits = random.Random(seed).getrandbits

@@ -237,6 +237,19 @@ def test_transfer_gather_and_digest_hold_no_second_table():
     assert _traced_peak(lambda: rule.digest) < 0.25 * 2**20
 
 
+def test_rule_construction_holds_no_copy_of_its_table():
+    """Checking the entries of a (4,4) table allocates no table-sized buffer
+    (deleting the valid entries with ``translate`` allocated 0.32 MiB), so a
+    transfer step peaks at its gather: below 1.5 tables, result included,
+    where it peaked at two."""
+    table = bytes(e % 24 for e in _records(4, 4, 1, 7))
+    assert _traced_peak(lambda: VotingRule(4, 4, table)) < 4 * 2**10
+    rule = VotingRule(4, 4, table)
+    mu = star_distribution(4, 4, Fraction(1, 3), enumerate_orders(4)[1])
+    force_transfer(mu, rule)  # builds the block columns the force reads
+    assert _traced_peak(lambda: force_transfer(mu, rule)) < 1.5 * len(table)
+
+
 def test_rule_file_read_holds_no_entry_list(tmp_path):
     """``load_rule`` of a (4,4) file of about 1.1 MB, in the benchmark's
     layout, peaks below 2.5 MB, the rule included: the file's bytes, one
@@ -268,6 +281,17 @@ def test_rule_file_read_holds_no_whole_file(layout, tmp_path):
     assert path.stat().st_size > 1.0 * 2**20
     assert _traced_peak(lambda: load_rule(path)) < 0.85 * 2**20
     assert load_rule(path) == rule
+
+
+def test_lift_frees_its_running_sum():
+    """The (4,4) lift of a star peaks below 0.95 MiB, its result included:
+    the sum of the dropped-seat gathers is freed once its lanes are read,
+    and no tuple of level codes outlives their packing (with both held it
+    peaked at 1.10 MiB; now at 0.76)."""
+    nu = star_distribution(3, 4, Fraction(1, 2), enumerate_orders(4)[0])
+    lifted = lift_distribution(nu, 3)  # builds the gather tables the lift reads
+    assert _traced_peak(lambda: lift_distribution(nu, 3)) < 0.95 * 2**20
+    assert lift_distribution(nu, 3) == lifted
 
 
 def test_force_and_dictatorship_hold_a_block_at_a_time():
@@ -324,6 +348,7 @@ def test_random_pareto_rule_equals_digit_keyed_draw(n, m):
 def test_pareto_output_cache_holds_one_entry_per_unanimity_pattern():
     n, m = 3, 4
     _pareto_consistent_outputs.cache_clear()
+    rules_module._pareto_draws.cache_clear()  # the per-scale table built on it
     random_pareto_rule(n, m, 0)
     orders = enumerate_orders(m)
     ballot_sets = {frozenset(digits) for digits in profile_digit_tuples(n, m)}

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_kernels as ref
+from arrowlab import rules as rules_module
 from arrowlab.orders import (
     VoterPermutation,
     all_voter_permutations,
@@ -81,6 +82,15 @@ def test_bad_table_entry_is_named_in_one_message(entry):
     for given_table in (table, tuple(table)):
         with pytest.raises(ValueError, match=message):
             VotingRule(2, 4, given_table)
+
+
+def test_first_bad_table_entry_is_named():
+    """Of several entries out of range, the message names the first in
+    table order, not the largest or the smallest."""
+    table = bytearray(24**2)
+    table[3], table[7], table[9] = 200, 24, 255
+    with pytest.raises(ValueError, match="^table entry 200 out of range for m=4$"):
+        VotingRule(2, 4, bytes(table))
 
 
 def test_table_is_bytes_whatever_it_was_built_from():
@@ -243,6 +253,23 @@ def test_random_pareto_rule_thousand_seeds_all_pareto():
 @given(st.integers(0, 10_000))
 def test_random_pareto_rule_always_pareto(seed):
     assert is_pareto(random_pareto_rule(2, 3, seed))
+
+
+def test_draws_at_one_scale_build_the_unanimity_patterns_once(monkeypatch):
+    """The patterns and the per-pattern draw table are built once per scale:
+    a second draw, and majority's cyclic fallback, reuse them, so only
+    majority's own tournament adds a pass over the signature columns."""
+    calls = []
+    codes = rules_module.signature_codes
+    monkeypatch.setattr(rules_module, "signature_codes", lambda n, m, share: calls.append((n, m)) or codes(n, m, share))
+    rules_module._unanimity_patterns.cache_clear()
+    rules_module._pareto_draws.cache_clear()
+    first, second = random_pareto_rule(3, 3, 1), random_pareto_rule(3, 3, 2)
+    assert calls == [(3, 3)]
+    assert is_pareto(first) and is_pareto(second) and first != second
+    majority = pairwise_majority_rule(3, 3)
+    assert calls == [(3, 3)] * 2
+    assert is_pareto(majority) and majority == ref.pairwise_majority_rule(3, 3)
 
 
 def test_rule_file_round_trip(tmp_path):
