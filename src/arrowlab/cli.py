@@ -17,7 +17,7 @@ import atexit
 import os
 import sys
 import time
-from functools import lru_cache
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NoReturn
 
@@ -31,8 +31,9 @@ if TYPE_CHECKING:
     from .orders import LinearOrder
     from .rules import VotingRule
 
-    # ``random_pareto_rule`` behind a per-run cache: each seeded rule is drawn once.
-    _Draw = Callable[[int, int, int], VotingRule]
+    # A seeded draw ``(n, m, seed)``: ``random_pareto_rule``, or that behind the
+    # run's draw cache (``_draw``), which also takes ``keep``.
+    _Draw = Callable[..., VotingRule]
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -136,8 +137,13 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
     started = time.monotonic()
     rule = load_rule(args.rule)
     mu = _resolve_distribution(args.dist, rule.n, rule.m, args.epsilon, args.y_index)
-    trace = iterate_force_transfer(mu, rule, args.max_steps)
     config = _config(args, voters=rule.n, candidates=rule.m, rule_table_digest=table_digest(rule))
+    # The iteration gets the one reference to the input, so it can drop the
+    # input's table once the first iterate differs.  Only a trace file needs
+    # the digest of each step.
+    held = [rule]
+    del rule
+    trace = iterate_force_transfer(mu, held.pop(), args.max_steps, digests=args.out is not None)
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
         write_trace(trace, args.out / "trace.jsonl", config)
@@ -271,7 +277,9 @@ def _suite_collapse(args: argparse.Namespace, _mu: Distribution, draw: _Draw, co
 
     n, m = args.voters, args.candidates
     mu = uniform_distribution(n, m)
-    rules = [draw(n, m, args.seed + i) for i in range(count)]
+    # One rule at a time: each is drawn, or read where an earlier suite drew
+    # it, checked and dropped.  Collapse keeps none of its own draws.
+    rules = (draw(n, m, args.seed + i, keep=False) for i in range(count))
     tally = check_collapse_conjecture(mu, rules)
 
     # Witness part: cylinder rules need a non-dictatorial base, so it runs at
@@ -279,7 +287,7 @@ def _suite_collapse(args: argparse.Namespace, _mu: Distribution, draw: _Draw, co
     nw = max(n, 3)
     lifted = _resolve_distribution("lift-star", nw, m, args.epsilon, args.y_index)
     witness_rules = [cylinder_extend(pairwise_majority_rule(nw - 1, m))]
-    witness_rules += [cylinder_extend(draw(nw - 1, m, args.seed + i)) for i in range(3)]
+    witness_rules += [cylinder_extend(draw(nw - 1, m, args.seed + i, keep=False)) for i in range(3)]
     witness_report = check_collapse_conjecture(lifted, witness_rules)
     witnesses = [
         {
@@ -321,6 +329,16 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
+def _draw(kept: dict, sample: _Draw, n: int, m: int, seed: int, keep: bool = True) -> VotingRule:
+    """``sample(n, m, seed)`` from the run's draw cache ``kept``, drawn and
+    kept there when missing; with ``keep=False`` a missing rule is drawn and
+    not kept."""
+    rule = kept.get((n, m, seed)) or sample(n, m, seed)
+    if keep:
+        kept[n, m, seed] = rule
+    return rule
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     from .orders import check_scale
     from .rules import random_pareto_rule
@@ -333,7 +351,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         args.dist, args.voters, args.candidates, args.epsilon, args.y_index
     )
     results = {}
-    draw = lru_cache(maxsize=None)(random_pareto_rule)
+    draw = partial(_draw, {}, random_pareto_rule)
     for name in names:
         runner, samples = _SUITES[name]
         results[name] = {"asserted": True, **runner(args, mu, draw, args.samples or samples)}

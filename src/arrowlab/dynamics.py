@@ -15,7 +15,7 @@ import json
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
-from typing import Literal, NamedTuple, Sequence
+from typing import Iterable, Literal, NamedTuple
 
 from .measures import (
     Distribution,
@@ -64,9 +64,13 @@ class OrbitClass(Frozen):
 
 
 class IterationTrace(NamedTuple):
-    """The successive distinct iterates of the transfer map, with their force data."""
+    """The successive distinct iterates of the transfer map, with their force
+    data.  Each step is the table digest of its iterate, or None when the
+    iteration took no digests, and the iterate's force profile.  Only the
+    last iterate's rule is kept, as ``last``."""
 
-    steps: tuple[tuple[VotingRule, ForceProfile], ...]
+    steps: tuple[tuple[str | None, ForceProfile], ...]
+    last: VotingRule
     terminated_by: Literal["fixpoint", "step-limit"]
     fixpoint_is_dictatorship: bool
 
@@ -211,31 +215,44 @@ def class_transfer_holds(mu: Distribution, rule: VotingRule) -> bool:
     return len(profiles) == 1 or all(len(p.most_forceful) == 1 for p in profiles)
 
 
-def iterate_force_transfer(mu: Distribution, rule: VotingRule, max_steps: int) -> IterationTrace:
+def iterate_force_transfer(
+    mu: Distribution, rule: VotingRule, max_steps: int, digests: bool = False
+) -> IterationTrace:
     """Apply the transfer map until the newly computed rule equals the current
     one (a fixpoint) or ``max_steps`` applications have been spent.
 
-    The trace stores the distinct iterates only; on fixpoint termination the
-    next computed rule equaled the last stored one.
+    The trace lists the distinct iterates only; on fixpoint termination the
+    next computed rule equaled the last listed one.  It keeps only the last
+    iterate's rule: each earlier one is dropped once its successor differs
+    from it, so the input's table is freed then unless the caller holds it.
+    With ``digests``, each step records its iterate's table digest, which
+    ``write_trace`` writes; without, no digest is computed.
     """
     _check_dims(mu, rule)
     if not has_full_support(mu):
         raise ValueError("the transfer map requires a full-support distribution")
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
-    steps = [(rule, force_profile(mu, rule))]
-    for _ in range(max_steps):
-        nxt = _transfer(*steps[-1])
-        if nxt == steps[-1][0]:
-            return IterationTrace(tuple(steps), "fixpoint", is_dictatorship(nxt) is not None)
-        steps.append((nxt, force_profile(mu, nxt)))
-    return IterationTrace(tuple(steps), "step-limit", False)
+    steps = []
+    while True:
+        fp = force_profile(mu, rule)
+        steps.append((table_digest(rule) if digests else None, fp))
+        if len(steps) > max_steps:
+            return IterationTrace(tuple(steps), rule, "step-limit", False)
+        nxt = _transfer(rule, fp)
+        if nxt == rule:
+            return IterationTrace(tuple(steps), rule, "fixpoint", is_dictatorship(rule) is not None)
+        rule = nxt  # the superseded iterate is dropped here
 
 
-def check_collapse_conjecture(mu: Distribution, rules: Sequence[VotingRule]) -> CollapseReport:
+def check_collapse_conjecture(mu: Distribution, rules: Iterable[VotingRule]) -> CollapseReport:
     """For each rule, test whether n transfer steps land on the rule composed
     with some voter's self-collapse (equivalently, on a dictatorship for
     unanimity-respecting rules).
+
+    ``rules`` may be any iterable, read once in order; each rule is checked
+    as it comes and kept by no entry, so a generator that draws the rules
+    holds one at a time.  The steps take no digests.
 
     This is a reporting operation: some distributions fix non-dictatorial
     rules exactly, so outcomes are findings, not assertions.
@@ -250,7 +267,7 @@ def check_collapse_conjecture(mu: Distribution, rules: Sequence[VotingRule]) -> 
 
 def _collapse_entry(mu: Distribution, rule: VotingRule) -> CollapseEntry:
     # The n-th iterate: a fixpoint reached sooner is its own image.
-    iterate = iterate_force_transfer(mu, rule, rule.n).steps[-1][0]
+    iterate = iterate_force_transfer(mu, rule, rule.n).last
     collapse_voter = None
     for i in range(rule.n):
         if iterate == compose_collapse(rule, i):
@@ -268,19 +285,22 @@ def write_trace(trace: IterationTrace, path: str | Path, config: dict) -> None:
     """Write a trace as line-delimited JSON: a header record carrying the
     format version and resolved configuration, one record per step with the
     rule's table digest and force data, and a footer with the termination
-    status."""
+    status.  The digests are the trace's own, so the trace must come from
+    ``iterate_force_transfer`` with ``digests``; else ``ValueError``."""
     lines = [
         json.dumps(
             {"format_version": TRACE_FORMAT_VERSION, "config": config},
             sort_keys=True,
         )
     ]
-    for step, (rule, fp) in enumerate(trace.steps):
+    for step, (digest, fp) in enumerate(trace.steps):
+        if digest is None:
+            raise ValueError("the trace has no digests: iterate with digests=True to write it")
         lines.append(
             json.dumps(
                 {
                     "step": step,
-                    "rule_table_digest": table_digest(rule),
+                    "rule_table_digest": digest,
                     "forces": [format_rational(v) for v in fp.forces],
                     "most_forceful": list(fp.most_forceful),
                     "least_forceful": list(fp.least_forceful),

@@ -22,6 +22,7 @@ level index a block of profiles at a time, with one popcount per level up to
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import struct
@@ -266,10 +267,40 @@ def star_distribution(k: int, m: int, epsilon: Fraction, y: LinearOrder) -> Dist
     # Over the denominator q * (size - 1): the spread is p, the top (q - p) * (size - 1).
     # The top is the higher level, since epsilon < 1 - 2/m! <= (size - 1)/size.
     p, q = epsilon.numerator, epsilon.denominator
-    index = bytearray(size)
-    index[encode_digits((order_index(y),) * k, m)] = 1
+    # The level index is written into the buffer that becomes its ``bytes``:
+    # ``getvalue()`` hands that buffer over without a copy.
+    index = io.BytesIO(bytes(size))
+    index.seek(encode_digits((order_index(y),) * k, m))
+    index.write(b"\1")
     levels = (p, (q - p) * (size - 1))
-    return Distribution._from_levels(k, m, q * (size - 1), levels, bytes(index))
+    return Distribution._from_levels(k, m, q * (size - 1), levels, index.getvalue())
+
+
+# Lanes that ``_gather_sum`` adds as one integer.
+_SUM_LANES = 1 << 14
+
+
+def _gather_sum(values: bytes, n: int, m: int, seatings, width: int) -> bytes:
+    """The lane-wise sum of the ``seat_gather`` of ``values`` by each seat
+    tuple of ``seatings``, in lanes of ``width`` bytes that no sum overflows.
+
+    The first gather is the buffer that becomes the result, and each later
+    one is added into it ``_SUM_LANES`` lanes at a time, so a sum holds the
+    buffer and one gather, never a table-sized int.
+    """
+    seatings = iter(seatings)
+    buffer = io.BytesIO(seat_gather(values, n, m, next(seatings), width))
+    piece = _SUM_LANES * width
+    with buffer.getbuffer() as out:  # the gather's own bytes: no other reference
+        for seats in seatings:
+            addend = seat_gather(values, n, m, seats, width)
+            for k in range(0, len(out), piece):
+                end = min(k + piece, len(out))
+                total = int.from_bytes(out[k:end], _ORDER) + int.from_bytes(addend[k:end], _ORDER)
+                out[k:end] = total.to_bytes(end - k, _ORDER)
+            del addend  # before the next gather is built
+    # No copy once the view is released, and no slice of it is left alive.
+    return buffer.getvalue()
 
 
 def lift_distribution(dist: Distribution, i: int) -> Distribution:
@@ -286,7 +317,7 @@ def lift_distribution(dist: Distribution, i: int) -> Distribution:
     ``sum_j sym(x without seat j)`` with ``sym`` the sum of the input over
     the (n-1)! seat orders; the dropped seat ``i`` does not matter.  ``sym``
     is built once on the small table, then gathered once per dropped seat;
-    both sums add whole tables of packed lanes as integers.
+    both sums add tables of packed lanes with ``_gather_sum``.
     """
     n = dist.n + 1
     m = dist.m
@@ -306,22 +337,16 @@ def lift_distribution(dist: Distribution, i: int) -> Distribution:
         decode = lambda code: factorial(n) * low + sum(  # noqa: E731
             code // c % radix * (v - low) for c, v in zip(codes[1:], high)
         )
-    # Lanes that hold n! times the largest code never carry, and every sum
-    # below is one big-int add per table.
+    # Lanes that hold n! times the largest code never carry, so every sum
+    # below adds whole lanes as ints.
     width = _lane_width(factorial(n) * codes[-1])
     small = _pack(tuple(map(codes.__getitem__, _ranks(dist.levels, dist.level_index))), width)
-    sym = sum(
-        int.from_bytes(seat_gather(small, n - 1, m, seats, width), _ORDER)
-        for seats in itertools.permutations(range(n - 1))
-    )
-    sym_lanes = sym.to_bytes(len(small), _ORDER)
+    sym = _gather_sum(small, n - 1, m, itertools.permutations(range(n - 1)), width)
     # Dropping seat j: source seat s reads seat s before j and seat s + 1 after.
-    total = 0
-    for j in range(n):
-        seats = tuple(s + (s >= j) for s in range(n - 1))
-        total += int.from_bytes(seat_gather(sym_lanes, n, m, seats, width), _ORDER)
-    lanes = total.to_bytes(len(small) * factorial(m), _ORDER)
-    del total  # a table-sized int: freed before ``_level_form`` adds the level index
+    # The last seat first: its gather, which leaves a seat unread, holds the
+    # most while it runs, and it runs before the sum holds a buffer.
+    dropped = (tuple(s + (s >= j) for s in range(n - 1)) for j in reversed(range(n)))
+    lanes = _gather_sum(sym, n, m, dropped, width)
     if width > 8:  # only lifts of numerators of 2**64 or more: decoded lane by lane
         starts = range(0, len(lanes), width)
         lanes = tuple(int.from_bytes(lanes[k : k + width], _ORDER) for k in starts)

@@ -1,4 +1,5 @@
 import ast
+import collections
 import contextlib
 import importlib
 import importlib.util
@@ -8,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrowlab.cli import SUITE_NAMES, main
-from arrowlab.dynamics import ReplayReport, replay_contradiction
+from arrowlab.dynamics import ReplayReport, force_profile, force_transfer, replay_contradiction
+from arrowlab.measures import format_rational, uniform_distribution
 from arrowlab.orders import enumerate_orders
 from arrowlab.rules import (
     cylinder_extend,
@@ -97,6 +100,38 @@ def test_iterate_zero_steps_exits_with_step_limit_code(tmp_path, capsys):
     assert json.loads(out)["terminated_by"] == "step-limit"
 
 
+@pytest.mark.parametrize("max_steps", (0, 1))
+def test_iterate_step_limit_trace_lists_every_step_with_its_digest(max_steps, tmp_path, capsys):
+    """At the step limit the trace lists the input and each iterate, each
+    with its table digest and forces, the last listed step included, on a
+    rule whose fixpoint takes two steps to reach."""
+    rule = random_pareto_rule(3, 3, 0)
+    mu = uniform_distribution(3, 3)
+    first = force_transfer(mu, rule)
+    assert first != rule and force_transfer(mu, first) == first
+    save_rule(rule, tmp_path / "rule.json")
+    argv = ["iterate", "--rule", str(tmp_path / "rule.json"), "--max-steps", str(max_steps)]
+    code, out, _ = run_cli(argv + ["--out", str(tmp_path / "out")], capsys)
+    assert code == 3
+    lines = (tmp_path / "out" / "trace.jsonl").read_text().splitlines()
+    header, *steps, footer = map(json.loads, lines)
+    assert header["config"]["rule_table_digest"] == table_digest(rule)
+    listed = [rule, first][: max_steps + 1]
+    assert steps == [
+        {
+            "step": k,
+            "rule_table_digest": table_digest(r),
+            "forces": [format_rational(v) for v in fp.forces],
+            "most_forceful": list(fp.most_forceful),
+            "least_forceful": list(fp.least_forceful),
+        }
+        for k, (r, fp) in enumerate((r, force_profile(mu, r)) for r in listed)
+    ]
+    summary = {"terminated_by": "step-limit", "fixpoint_is_dictatorship": False, "steps": max_steps + 1}
+    assert footer == summary
+    assert {k: json.loads(out)[k] for k in summary} == summary
+
+
 def test_iterate_rejects_missing_rule_file(tmp_path, capsys):
     code, _, err = run_cli(["iterate", "--rule", str(tmp_path / "nope.json")], capsys)
     assert code == 2
@@ -111,6 +146,51 @@ def test_check_metric_suite(capsys):
     payload = json.loads(out)
     assert payload["suites"]["metric"]["passed"] is True
     assert payload["all_passed"] is True
+
+
+def _traced_check_peak(argv: list[str], capsys) -> int:
+    """Bytes allocated at the peak of ``main(argv)``, in process."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        main(argv)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    return peak
+
+
+def test_collapse_suite_memory_does_not_grow_with_its_samples(capsys):
+    """The traced peak of ``check --suite collapse`` at (3,4) with 60
+    samples exceeds that with 5 by less than three tables: the suite holds
+    one drawn rule at a time.  Holding every draw grew by about one table
+    per sample."""
+    argv = ["check", "--suite", "collapse", "--voters", "3", "--candidates", "4", "--samples"]
+    main(argv + ["5"])  # builds the per-scale draw and gather tables
+    capsys.readouterr()
+    few, many = (_traced_check_peak(argv + [samples], capsys) for samples in ("5", "60"))
+    assert many - few < 3 * 24**3
+
+
+def test_check_draws_each_seeded_rule_at_most_once(monkeypatch, capsys):
+    """``check --suite all`` at (3,3) draws each (n, m, seed) at most once:
+    a later suite reads an earlier suite's draw from the run's draw cache,
+    and collapse, which keeps none of its own, draws each of its seeds once."""
+    from arrowlab import rules
+
+    calls = collections.Counter()
+    original = rules.random_pareto_rule
+
+    def counted(n, m, seed):
+        calls[n, m, seed] += 1
+        return original(n, m, seed)
+
+    monkeypatch.setattr(rules, "random_pareto_rule", counted)
+    main(["check", "--suite", "all", "--voters", "3", "--candidates", "3"])
+    capsys.readouterr()
+    assert max(calls.values()) == 1
+    assert {(3, 3, seed) for seed in range(1000)} <= set(calls)
 
 
 def test_check_collapse_suite_reports_witnesses_but_exits_zero(capsys):

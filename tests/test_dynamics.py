@@ -288,7 +288,8 @@ def test_iterate_near_dictator_reaches_dictator_in_one_step():
     trace = iterate_force_transfer(UNIFORM23, near_dictator(), 10)
     assert trace.terminated_by == "fixpoint"
     assert len(trace.steps) == 2
-    assert trace.steps[-1][0] == dictator(2, 3, 0)
+    assert trace.last == dictator(2, 3, 0)
+    assert [digest for digest, _ in trace.steps] == [None, None]
     assert trace.fixpoint_is_dictatorship
 
 
@@ -437,7 +438,7 @@ def test_collapse_check_requires_invariant_distribution():
 def test_trace_file_format(tmp_path):
     import json
 
-    trace = iterate_force_transfer(UNIFORM23, near_dictator(), 10)
+    trace = iterate_force_transfer(UNIFORM23, near_dictator(), 10, digests=True)
     path = tmp_path / "trace.jsonl"
     write_trace(trace, path, {"voters": 2})
     lines = path.read_text().splitlines()
@@ -452,3 +453,12 @@ def test_trace_file_format(tmp_path):
     assert footer["terminated_by"] == "fixpoint"
     assert footer["fixpoint_is_dictatorship"] is True
     assert footer["steps"] == 2
+
+
+def test_trace_file_needs_the_digests_of_its_steps(tmp_path):
+    """A trace iterated without digests keeps no rule but the last, so it
+    cannot be written: ``write_trace`` refuses it before writing a file."""
+    trace = iterate_force_transfer(UNIFORM23, near_dictator(), 10)
+    with pytest.raises(ValueError, match="digests"):
+        write_trace(trace, tmp_path / "trace.jsonl", {})
+    assert not (tmp_path / "trace.jsonl").exists()

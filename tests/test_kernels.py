@@ -284,14 +284,46 @@ def test_rule_file_read_holds_no_whole_file(layout, tmp_path):
 
 
 def test_lift_frees_its_running_sum():
-    """The (4,4) lift of a star peaks below 0.95 MiB, its result included:
-    the sum of the dropped-seat gathers is freed once its lanes are read,
-    and no tuple of level codes outlives their packing (with both held it
-    peaked at 1.10 MiB; now at 0.76)."""
-    nu = star_distribution(3, 4, Fraction(1, 2), enumerate_orders(4)[0])
-    lifted = lift_distribution(nu, 3)  # builds the gather tables the lift reads
-    assert _traced_peak(lambda: lift_distribution(nu, 3)) < 0.95 * 2**20
-    assert lift_distribution(nu, 3) == lifted
+    """The (4,4) lift of a star peaks below 0.79 MiB, its result included,
+    whichever ranking the star favors: the dropped-seat gathers are added
+    into the first one a piece at a time, and no tuple of level codes
+    outlives their packing.  Adding them as whole-table ints held three of
+    those ints at once, which peaked at 0.76 MiB for ranking 0 and at 0.99
+    for ranking 19 (little-endian ints drop high zero bytes); the piecewise
+    sum peaks at 0.71 and 0.72."""
+    for favored in (0, 19):
+        nu = star_distribution(3, 4, Fraction(1, 2), enumerate_orders(4)[favored])
+        lifted = lift_distribution(nu, 3)  # builds the gather tables the lift reads
+        assert _traced_peak(lambda: lift_distribution(nu, 3)) < 0.79 * 2**20, favored
+        assert lift_distribution(nu, 3) == lifted
+
+
+def test_star_writes_its_level_index_once():
+    """A (4,4) star peaks below 1.1 tables, its result included: the level
+    index is written into the buffer that becomes its ``bytes`` (a
+    ``bytearray`` and then its ``bytes`` copy peaked at two tables)."""
+    y = enumerate_orders(4)[7]
+    size = factorial(4) ** 4
+    star = star_distribution(4, 4, Fraction(1, 3), y)
+    assert _traced_peak(lambda: star_distribution(4, 4, Fraction(1, 3), y)) < 1.1 * size
+    assert star.levels == (1, 2 * (size - 1)) and star.denominator == 3 * (size - 1)
+    top = encode_digits((order_index(y),) * 4, 4)
+    assert star.level_index[top] == 1 and star.level_index.count(0) == size - 1
+
+
+def test_iteration_holds_only_the_current_iterate():
+    """A two-step (4,4) iteration of a rule that the caller does not keep
+    peaks below three tables above its distribution, its result included:
+    the input is dropped once the first iterate differs from it, so the
+    second transfer holds two rules and its gather.  Keeping every iterate
+    peaked at 3.1 tables (4.1 with the distribution's level index)."""
+    table = bytearray(random_pareto_rule(4, 4, 0).table)
+    mu = uniform_distribution(4, 4)
+    iterate_force_transfer(mu, random_pareto_rule(4, 4, 1), 2)  # builds the block columns
+    peak = _traced_peak(lambda: iterate_force_transfer(mu, VotingRule(4, 4, bytes(table)), 2))
+    assert peak < 3 * len(table)
+    trace = iterate_force_transfer(mu, VotingRule(4, 4, bytes(table)), 2)
+    assert (len(trace.steps), trace.terminated_by) == (2, "fixpoint")
 
 
 def test_force_and_dictatorship_hold_a_block_at_a_time():

@@ -54,8 +54,8 @@ CASES = {
     ),
     "IterationTrace": (
         IterationTrace,
-        (((RULE, None),), "fixpoint", False),
-        f"IterationTrace(steps=(({RULE_REPR}, None),), terminated_by='fixpoint', "
+        ((("ab", None),), RULE, "fixpoint", False),
+        f"IterationTrace(steps=(('ab', None),), last={RULE_REPR}, terminated_by='fixpoint', "
         "fixpoint_is_dictatorship=False)",
         "steps",
     ),
