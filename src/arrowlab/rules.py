@@ -126,15 +126,6 @@ def constant_rule(n: int, m: int, order: LinearOrder) -> VotingRule:
     return VotingRule(n, m, bytes((order_index(order),)) * factorial(m) ** n)
 
 
-@lru_cache(maxsize=None)
-def _unanimity_patterns(n: int, m: int) -> bytes | memoryview:
-    """Per profile, two bits per pair p: bit 2p when every voter ranks the
-    pair's first candidate higher, bit 2p+1 when every voter ranks it lower;
-    built once per scale, like ``pair_signatures``."""
-    full = (1 << n) - 1
-    return signature_codes(n, m, lambda p, s: (s == full) << (2 * p) | (s == 0) << (2 * p + 1))
-
-
 def tournament_table(n: int, m: int, wins: Callable[[int, int], int]) -> bytes:
     """Per profile, the ranking with outcome ``wins(p, s)`` on each pair p at
     signature s (1: the first candidate wins), or 255 where those cycle."""
@@ -146,30 +137,22 @@ def tournament_table(n: int, m: int, wins: Callable[[int, int], int]) -> bytes:
 
 
 @lru_cache(maxsize=None)
-def _pareto_break_masks(m: int) -> tuple[int, ...]:
-    """Per order o, the unanimity-pattern bits that o breaks: bit
-    2p + above[p][o] for every pair p."""
+def _pareto_draws(n: int, m: int) -> tuple[bytes | memoryview, dict[int, tuple[tuple[int, ...], int, int]]]:
+    """Per profile, its unanimity pattern: two bits per pair p, bit 2p when
+    every voter ranks the pair's first candidate higher, bit 2p+1 when every
+    voter ranks it lower.  Per pattern that occurs, the orders that keep its
+    unanimous comparisons, their count and the count's bit length, as
+    ``random_pareto_rule`` draws among them: order o breaks bit
+    2p + above[p][o] of every pair p.  Built once per scale."""
+    full = (1 << n) - 1
+    patterns = signature_codes(n, m, lambda p, s: (s == full) << (2 * p) | (s == 0) << (2 * p + 1))
     above = pair_above(m)
-    return tuple(sum(1 << (2 * p + bits[o]) for p, bits in enumerate(above)) for o in range(factorial(m)))
-
-
-@lru_cache(maxsize=None)
-def _pareto_consistent_outputs(pattern: int, m: int) -> tuple[int, ...]:
-    """Order indices that keep every unanimous comparison of a unanimity
-    pattern, so the cache holds one entry per pattern: those whose break
-    mask shares no bit with the pattern."""
-    return tuple(o for o, mask in enumerate(_pareto_break_masks(m)) if not pattern & mask)
-
-
-@lru_cache(maxsize=None)
-def _pareto_draws(n: int, m: int) -> dict[int, tuple[tuple[int, ...], int, int]]:
-    """Per unanimity pattern at (n, m): its consistent outputs, their count
-    and the count's bit length, as ``random_pareto_rule`` draws among them."""
+    breaks = [sum(1 << (2 * p + bits[o]) for p, bits in enumerate(above)) for o in range(factorial(m))]
     draws = {}
-    for u in set(_unanimity_patterns(n, m)):
-        allowed = _pareto_consistent_outputs(u, m)
+    for u in set(patterns):
+        allowed = tuple(o for o, mask in enumerate(breaks) if not u & mask)
         draws[u] = (allowed, len(allowed), len(allowed).bit_length())
-    return draws
+    return patterns, draws
 
 
 def _signature_outputs(rule: VotingRule) -> Iterator[bytes]:
@@ -251,15 +234,17 @@ def cylinder_extend(rule: VotingRule) -> VotingRule:
 
 def random_pareto_rule(n: int, m: int, seed: int) -> VotingRule:
     """A seeded rule drawn profile by profile, uniformly among the outputs
-    consistent with that profile's unanimous pairwise comparisons.
+    consistent with that profile's unanimous pairwise comparisons, as read
+    from the per-scale table of ``_pareto_draws``; the drawn entries fill one
+    ``bytearray``, so a draw holds about two tables at its peak.
 
     Deterministic in the seed; the result always satisfies ``is_pareto``.
     """
-    patterns, draws = _unanimity_patterns(n, m), _pareto_draws(n, m)
+    patterns, draws = _pareto_draws(n, m)
     # The loop of ``randrange(size)`` in CPython (``_randbelow_with_getrandbits``)
     # without its per-call overhead: the same words drawn, so the same table.
     getrandbits = random.Random(seed).getrandbits
-    table = []
+    table = bytearray()
     for allowed, size, bits in map(draws.__getitem__, patterns):
         r = getrandbits(bits)
         while r >= size:
@@ -278,8 +263,9 @@ def pairwise_majority_rule(
     or by a designated voter's ballot.
 
     Profiles whose majority tournament is cyclic fall back to the first
-    ranking consistent with all unanimous comparisons, which keeps the rule
-    total and unanimity-respecting everywhere.
+    ranking consistent with all unanimous comparisons, read from the seeded
+    draw's per-scale table (``_pareto_draws``), which keeps the rule total
+    and unanimity-respecting everywhere.
     """
     if tiebreak_voter is not None and tiebreak_order is not None:
         raise ValueError("choose either a tiebreak order or a tiebreak voter, not both")
@@ -299,8 +285,8 @@ def pairwise_majority_rule(
 
     table = tournament_table(n, m, first_wins)
     if 255 in table:
-        rows = zip(table, _unanimity_patterns(n, m))
-        table = bytes(t if t != 255 else _pareto_consistent_outputs(u, m)[0] for t, u in rows)
+        patterns, draws = _pareto_draws(n, m)
+        table = bytes(t if t != 255 else draws[u][0][0] for t, u in zip(table, patterns))
     return VotingRule(n, m, table)
 
 

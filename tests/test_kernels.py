@@ -63,7 +63,6 @@ from arrowlab.orders import (
 from arrowlab.quotient import rule_distance
 from arrowlab.rules import (
     VotingRule,
-    _pareto_consistent_outputs,
     compose_collapse,
     compose_voter_permutation,
     constant_rule,
@@ -79,6 +78,8 @@ from arrowlab.rules import (
 )
 
 SCALES = ((2, 3), (3, 3), (4, 3), (2, 4), (3, 4))
+# Scales where the draw and majority see at most one pair, or one voter.
+EDGE_SCALES = ((1, 3), (1, 4), (2, 1), (2, 2), (3, 2))
 RULES_PER_SCALE = 3
 
 
@@ -369,7 +370,7 @@ def test_distinct_bytes_lists_each_entry_value_once_ascending():
         assert distinct_bytes(table) == bytes(sorted(set(table)))
 
 
-@pytest.mark.parametrize("n,m", SCALES)
+@pytest.mark.parametrize("n,m", SCALES + EDGE_SCALES)
 def test_random_pareto_rule_equals_digit_keyed_draw(n, m):
     """The reference calls ``randrange`` per profile; the draw inlines its
     loop, so the two must consume the same words at every seed."""
@@ -379,9 +380,7 @@ def test_random_pareto_rule_equals_digit_keyed_draw(n, m):
 
 def test_pareto_output_cache_holds_one_entry_per_unanimity_pattern():
     n, m = 3, 4
-    _pareto_consistent_outputs.cache_clear()
-    rules_module._pareto_draws.cache_clear()  # the per-scale table built on it
-    random_pareto_rule(n, m, 0)
+    _, draws = rules_module._pareto_draws(n, m)
     orders = enumerate_orders(m)
     ballot_sets = {frozenset(digits) for digits in profile_digit_tuples(n, m)}
     forced_pair_sets = {
@@ -392,23 +391,36 @@ def test_pareto_output_cache_holds_one_entry_per_unanimity_pattern():
         )
         for ballots in ballot_sets
     }
-    assert _pareto_consistent_outputs.cache_info().currsize == len(forced_pair_sets)
-
+    assert len(draws) == len(forced_pair_sets)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_pareto_outputs_equal_the_per_pair_scan(m):
-    """One break mask per ranking keeps exactly the rankings that the scan
-    over pairs keeps, on every unanimity pattern: order o breaks pair p when
-    bit 2p + above[p][o] of the pattern is set."""
+    """At every voter count, one break mask per ranking keeps exactly the
+    rankings that the scan over pairs keeps, on every unanimity pattern that
+    occurs: order o breaks pair p when bit 2p + above[p][o] of the pattern is
+    set.  Each row holds the outputs, their count and its bit length."""
     above = pair_above(m)
-    for pattern in range(1 << 2 * len(above)):
-        scan = tuple(
-            o
-            for o in range(factorial(m))
-            if not any(pattern >> (2 * p + bits[o]) & 1 for p, bits in enumerate(above))
-        )
-        assert _pareto_consistent_outputs(pattern, m) == scan
+    for n in range(1, 5):
+        patterns, draws = rules_module._pareto_draws(n, m)
+        assert set(draws) == set(patterns)
+        for pattern, row in draws.items():
+            scan = tuple(
+                o
+                for o in range(factorial(m))
+                if not any(pattern >> (2 * p + bits[o]) & 1 for p, bits in enumerate(above))
+            )
+            assert row == (scan, len(scan), len(scan).bit_length())
+
+
+@pytest.mark.parametrize("n,m", [(3, 4), (4, 4)])
+def test_pareto_draw_fills_one_byte_buffer(n, m):
+    """A warm draw peaks below 2.5 tables, its rule included: one
+    ``bytearray`` and its ``bytes`` copy, where a list of ints peaked at
+    about ten."""
+    random_pareto_rule(n, m, 0)
+    assert _traced_peak(lambda: random_pareto_rule(n, m, 1)) < 2.5 * factorial(m) ** n
+
 
 @pytest.mark.parametrize("n,m", ((1, 3),) + SCALES)
 def test_pair_signatures_equal_pair_rows(n, m):
@@ -492,7 +504,7 @@ def _rule_population(n, m):
     return rules
 
 
-@pytest.mark.parametrize("n,m", SCALES)
+@pytest.mark.parametrize("n,m", SCALES + EDGE_SCALES)
 def test_majority_equals_reference(n, m):
     for kw in _majority_variants(n, m):
         assert pairwise_majority_rule(n, m, **kw) == ref.pairwise_majority_rule(n, m, **kw)

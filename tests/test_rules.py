@@ -256,13 +256,12 @@ def test_random_pareto_rule_always_pareto(seed):
 
 
 def test_draws_at_one_scale_build_the_unanimity_patterns_once(monkeypatch):
-    """The patterns and the per-pattern draw table are built once per scale:
-    a second draw, and majority's cyclic fallback, reuse them, so only
+    """The patterns and the per-pattern draw table are one table built once
+    per scale: a second draw, and majority's cyclic fallback, reuse it, so only
     majority's own tournament adds a pass over the signature columns."""
     calls = []
     codes = rules_module.signature_codes
     monkeypatch.setattr(rules_module, "signature_codes", lambda n, m, share: calls.append((n, m)) or codes(n, m, share))
-    rules_module._unanimity_patterns.cache_clear()
     rules_module._pareto_draws.cache_clear()
     first, second = random_pareto_rule(3, 3, 1), random_pareto_rule(3, 3, 2)
     assert calls == [(3, 3)]
