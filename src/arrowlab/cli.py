@@ -17,9 +17,9 @@ import atexit
 import os
 import sys
 import time
-from functools import partial
+from functools import cache
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, NoReturn
+from typing import TYPE_CHECKING, Callable, Generator, NoReturn
 
 # Each command imports the arrowlab modules it runs, and ``json`` and
 # ``fractions``, when it runs, so that start-up, ``--help`` and usage errors
@@ -31,9 +31,7 @@ if TYPE_CHECKING:
     from .orders import LinearOrder
     from .rules import VotingRule
 
-    # A seeded draw ``(n, m, seed)``: ``random_pareto_rule``, or that behind the
-    # run's draw cache (``_draw``), which also takes ``keep``.
-    _Draw = Callable[..., VotingRule]
+    _Suite = Generator[None, Callable[[int], VotingRule], dict]
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -157,10 +155,12 @@ def _cmd_iterate(args: argparse.Namespace) -> int:
     return EXIT_OK if trace.terminated_by == "fixpoint" else EXIT_STEP_LIMIT
 
 
-def _suite_metric(args: argparse.Namespace, mu: Distribution, draw: _Draw, count: int) -> dict:
+def _suite_metric(args: argparse.Namespace, mu: Distribution, count: int) -> _Suite:
     from .quotient import check_metric_axioms, space_from_rules
 
-    rules = [draw(args.voters, args.candidates, args.seed + i) for i in range(count)]
+    rules = []
+    for _ in range(count):
+        rules.append((yield)(args.voters))
     report = check_metric_axioms(space_from_rules(mu, rules))
     return {
         "passed": report.ok,
@@ -170,15 +170,18 @@ def _suite_metric(args: argparse.Namespace, mu: Distribution, draw: _Draw, count
     }
 
 
-def _suite_isometry(args: argparse.Namespace, mu: Distribution, draw: _Draw, count: int) -> dict:
+def _suite_isometry(args: argparse.Namespace, mu: Distribution, count: int) -> _Suite:
     from .orders import all_voter_permutations
     from .quotient import rule_distance
     from .rules import compose_voter_permutation
 
-    rules = [draw(args.voters, args.candidates, args.seed + i) for i in range(count)]
     perms = all_voter_permutations(args.voters)
     checked = 0
-    for f, g in zip(rules[0::2], rules[1::2]):
+    for i in range(count):
+        g = (yield)(args.voters)
+        if i % 2 == 0:  # f, the first of a pair
+            f = g
+            continue
         base = rule_distance(mu, f, g)
         for perm in perms:
             relabeled = rule_distance(
@@ -190,15 +193,15 @@ def _suite_isometry(args: argparse.Namespace, mu: Distribution, draw: _Draw, cou
     return {"passed": True, "pairs_checked": checked}
 
 
-def _suite_relabel(args: argparse.Namespace, mu: Distribution, draw: _Draw, count: int) -> dict:
+def _suite_relabel(args: argparse.Namespace, mu: Distribution, count: int) -> _Suite:
     from .dynamics import force_profile
     from .orders import all_voter_permutations
     from .rules import compose_voter_permutation
 
-    rules = [draw(args.voters, args.candidates, args.seed + i) for i in range(count)]
     perms = all_voter_permutations(args.voters)
     checked = 0
-    for g in rules:
+    for _ in range(count):
+        g = (yield)(args.voters)
         forces = force_profile(mu, g).forces
         for perm in perms:
             relabeled = force_profile(mu, compose_voter_permutation(g, perm)).forces
@@ -208,30 +211,25 @@ def _suite_relabel(args: argparse.Namespace, mu: Distribution, draw: _Draw, coun
     return {"passed": True, "relabelings_checked": checked}
 
 
-def _suite_welldef(args: argparse.Namespace, mu: Distribution, draw: _Draw, count: int) -> dict:
+def _suite_welldef(args: argparse.Namespace, mu: Distribution, count: int) -> _Suite:
     from .dynamics import class_transfer_holds
     from .rules import table_digest
 
-    orbits_checked = 0
     for i in range(count):
-        seed = args.seed + i
-        rule = draw(args.voters, args.candidates, seed)
+        rule = (yield)(args.voters)
         if not class_transfer_holds(mu, rule):
-            witness = {"seed": seed, "rule_table_digest": table_digest(rule)}
-            return {"passed": False, "orbits_checked": orbits_checked, "witness": witness}
-        orbits_checked += 1
-    return {"passed": True, "orbits_checked": orbits_checked}
+            witness = {"seed": args.seed + i, "rule_table_digest": table_digest(rule)}
+            return {"passed": False, "orbits_checked": i, "witness": witness}
+    return {"passed": True, "orbits_checked": count}
 
 
-def _suite_cylinder(args: argparse.Namespace, _mu: Distribution, draw: _Draw, count: int) -> dict:
+def _suite_cylinder(args: argparse.Namespace, _mu: Distribution, count: int) -> _Suite:
     from .dynamics import cylinder_ceiling, cylinder_forces
     from .measures import (
         format_rational,
         has_full_support,
         is_permutation_invariant,
         lift_distribution,
-        star_distribution,
-        uniform_distribution,
     )
     from .rules import table_digest
 
@@ -239,55 +237,56 @@ def _suite_cylinder(args: argparse.Namespace, _mu: Distribution, draw: _Draw, co
         raise ValueError("the cylinder suite needs at least two voters")
     n, m = args.voters, args.candidates
     k = n - 1
-    y = _favored_ranking(m, args.y_index)
     bound = format_rational(cylinder_ceiling(n, m))
-    parts = {}
-    for label, nu in (
-        ("uniform", uniform_distribution(k, m)),
-        ("star", star_distribution(k, m, args.epsilon, y)),
-    ):
+    parts, running = {}, {}
+    for label in ("uniform", "star"):
+        nu = _resolve_distribution(label, k, m, args.epsilon, args.y_index)
         lifted = lift_distribution(nu, k)
-        part = {
-            "full_support": has_full_support(lifted),
-            "permutation_invariant": is_permutation_invariant(lifted),
-            "rules_checked": 0,
+        running[label] = nu, lifted
+        support, invariant = has_full_support(lifted), is_permutation_invariant(lifted)
+        parts[label] = {
+            "full_support": support,
+            "permutation_invariant": invariant,
+            "passed": support and invariant,
+            "rules_checked": count,
         }
-        for i in range(count):
-            f, fp, _, below, kept = cylinder_forces(nu, lifted, draw(k, m, args.seed + i))
+    for i in range(count):
+        g = (yield)(k)
+        for label, (nu, lifted) in list(running.items()):
+            f, fp, _, below, kept = cylinder_forces(nu, lifted, g)
             if not (below and kept):
-                part["witness"] = {
+                del running[label]
+                witness = {
                     "seed": args.seed + i,
                     "rule_table_digest": table_digest(f),
                     "forces": [format_rational(v) for v in fp.forces],
                 }
-                break
-            part["rules_checked"] += 1
-        part["passed"] = (
-            part["full_support"] and part["permutation_invariant"] and "witness" not in part
-        )
-        parts[label] = part
+                parts[label].update(passed=False, rules_checked=i, witness=witness)
+        if not running:
+            break
     passed = all(part["passed"] for part in parts.values())
     return {"passed": passed, "bound": bound, "base_distributions": parts}
 
 
-def _suite_collapse(args: argparse.Namespace, _mu: Distribution, draw: _Draw, count: int) -> dict:
+def _suite_collapse(args: argparse.Namespace, _mu: Distribution, count: int) -> _Suite:
     from .dynamics import check_collapse_conjecture
     from .measures import uniform_distribution
     from .rules import cylinder_extend, pairwise_majority_rule, table_digest
 
     n, m = args.voters, args.candidates
     mu = uniform_distribution(n, m)
-    # One rule at a time: each is drawn, or read where an earlier suite drew
-    # it, checked and dropped.  Collapse keeps none of its own draws.
-    rules = (draw(n, m, args.seed + i, keep=False) for i in range(count))
-    tally = check_collapse_conjecture(mu, rules)
-
     # Witness part: cylinder rules need a non-dictatorial base, so it runs at
     # the smallest electorate with one (three voters) regardless of --voters.
     nw = max(n, 3)
     lifted = _resolve_distribution("lift-star", nw, m, args.epsilon, args.y_index)
     witness_rules = [cylinder_extend(pairwise_majority_rule(nw - 1, m))]
-    witness_rules += [cylinder_extend(draw(nw - 1, m, args.seed + i, keep=False)) for i in range(3)]
+    passed_count = 0
+    for i in range(max(count, 3)):
+        draw = yield
+        if i < count:
+            passed_count += check_collapse_conjecture(mu, [draw(n)]).passed_count
+        if i < 3:
+            witness_rules.append(cylinder_extend(draw(nw - 1)))
     witness_report = check_collapse_conjecture(lifted, witness_rules)
     witnesses = [
         {
@@ -302,9 +301,9 @@ def _suite_collapse(args: argparse.Namespace, _mu: Distribution, draw: _Draw, co
         "passed": True,
         "asserted": False,
         "uniform": {
-            "rules_checked": len(tally.entries),
-            "passed_count": tally.passed_count,
-            "failed_count": tally.failed_count,
+            "rules_checked": count,
+            "passed_count": passed_count,
+            "failed_count": count - passed_count,
         },
         "lifted_star": {
             "voters": nw,
@@ -315,9 +314,9 @@ def _suite_collapse(args: argparse.Namespace, _mu: Distribution, draw: _Draw, co
     }
 
 
-# Each suite, in report order: its runner and its default population size.
-# A runner's outcome counts toward ``all_passed`` unless it says
-# ``"asserted": False``.
+# Each suite, in report order: its runner, a generator sent one seed's draw
+# per step until it returns its report, and its default population size.  A
+# report counts toward ``all_passed`` unless it says ``"asserted": False``.
 _SUITES = {
     "metric": (_suite_metric, 50),
     "isometry": (_suite_isometry, 200),
@@ -327,16 +326,6 @@ _SUITES = {
     "collapse": (_suite_collapse, 1000),
 }
 SUITE_NAMES = tuple(_SUITES)
-
-
-def _draw(kept: dict, sample: _Draw, n: int, m: int, seed: int, keep: bool = True) -> VotingRule:
-    """``sample(n, m, seed)`` from the run's draw cache ``kept``, drawn and
-    kept there when missing; with ``keep=False`` a missing rule is drawn and
-    not kept."""
-    rule = kept.get((n, m, seed)) or sample(n, m, seed)
-    if keep:
-        kept[n, m, seed] = rule
-    return rule
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -350,11 +339,22 @@ def _cmd_check(args: argparse.Namespace) -> int:
     mu = _resolve_distribution(
         args.dist, args.voters, args.candidates, args.epsilon, args.y_index
     )
-    results = {}
-    draw = partial(_draw, {}, random_pareto_rule)
+    running = {}
     for name in names:
         runner, samples = _SUITES[name]
-        results[name] = {"asserted": True, **runner(args, mu, draw, args.samples or samples)}
+        running[name] = runner(args, mu, args.samples or samples)
+        next(running[name])  # its distributions and preconditions, before any draw
+    results, seed = {}, args.seed
+    while running:
+        draw = cache(lambda voters: random_pareto_rule(voters, args.candidates, seed))
+        for name, suite in list(running.items()):
+            try:
+                suite.send(draw)
+            except StopIteration as done:
+                results[name] = {"asserted": True, **done.value}
+                del running[name]
+        draw.cache_clear()  # no rule outlives its step
+        seed += 1
     all_passed = all(r["passed"] for r in results.values() if r["asserted"])
     fields = {"suites": results, "all_passed": all_passed}
     _report(fields, _config(args), args.out, "check_report.json")

@@ -1,6 +1,7 @@
 import ast
 import collections
 import contextlib
+import gc
 import importlib
 import importlib.util
 import io
@@ -149,7 +150,10 @@ def test_check_metric_suite(capsys):
 
 
 def _traced_check_peak(argv: list[str], capsys) -> int:
-    """Bytes allocated at the peak of ``main(argv)``, in process."""
+    """Bytes allocated at the peak of ``main(argv)``, in process.  A full
+    collection first empties the interpreter's free lists, which a run's
+    small tuples fill, so each peak starts from the same state."""
+    gc.collect()
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
@@ -161,22 +165,23 @@ def _traced_check_peak(argv: list[str], capsys) -> int:
     return peak
 
 
-def test_collapse_suite_memory_does_not_grow_with_its_samples(capsys):
-    """The traced peak of ``check --suite collapse`` at (3,4) with 60
-    samples exceeds that with 5 by less than three tables: the suite holds
-    one drawn rule at a time.  Holding every draw grew by about one table
-    per sample."""
-    argv = ["check", "--suite", "collapse", "--voters", "3", "--candidates", "4", "--samples"]
+@pytest.mark.parametrize("suite", ["collapse", "isometry", "relabel", "welldef"])
+def test_check_suite_memory_does_not_grow_with_its_samples(suite, capsys):
+    """The traced peak of ``check --suite SUITE`` at (3,4) with 60 samples
+    exceeds that with 5 by less than three tables: each seed's rule lives
+    for one step of the walk over the seeds (two for an ``isometry`` pair).
+    Holding every draw grew by about one table per sample.  ``metric`` is
+    left out: it measures distances between all its points at once, so it
+    holds every rule it draws."""
+    argv = ["check", "--suite", suite, "--voters", "3", "--candidates", "4", "--samples"]
     main(argv + ["5"])  # builds the per-scale draw and gather tables
     capsys.readouterr()
     few, many = (_traced_check_peak(argv + [samples], capsys) for samples in ("5", "60"))
     assert many - few < 3 * 24**3
 
 
-def test_check_draws_each_seeded_rule_at_most_once(monkeypatch, capsys):
-    """``check --suite all`` at (3,3) draws each (n, m, seed) at most once:
-    a later suite reads an earlier suite's draw from the run's draw cache,
-    and collapse, which keeps none of its own, draws each of its seeds once."""
+def _count_draws(monkeypatch) -> collections.Counter:
+    """Count every ``random_pareto_rule(n, m, seed)`` call by its key."""
     from arrowlab import rules
 
     calls = collections.Counter()
@@ -187,10 +192,41 @@ def test_check_draws_each_seeded_rule_at_most_once(monkeypatch, capsys):
         return original(n, m, seed)
 
     monkeypatch.setattr(rules, "random_pareto_rule", counted)
-    main(["check", "--suite", "all", "--voters", "3", "--candidates", "3"])
+    return calls
+
+
+@pytest.mark.parametrize(("n", "base_seeds"), [(2, 200), (3, 3)])
+def test_check_draws_each_seeded_rule_at_most_once(n, base_seeds, monkeypatch, capsys):
+    """``check --suite all`` at (n,3) draws each (n, m, seed) at most once:
+    each seed's rules are drawn in one step and handed to every suite that
+    reads them.  It draws collapse's 1000 seeds and the (n-1)-voter rules of
+    the first ``base_seeds`` seeds: at n = 2 cylinder passes all of its 200,
+    and collapse's witnesses take theirs from the run's own electorate; at
+    n = 3 cylinder stops at seed 0 and the witnesses read three."""
+    calls = _count_draws(monkeypatch)
+    main(["check", "--suite", "all", "--voters", str(n), "--candidates", "3"])
     capsys.readouterr()
     assert max(calls.values()) == 1
-    assert {(3, 3, seed) for seed in range(1000)} <= set(calls)
+    drawn = {(n, 3, seed) for seed in range(1000)} | {(n - 1, 3, s) for s in range(base_seeds)}
+    assert set(calls) == drawn
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--suite", "collapse", "--voters", "4", "--candidates", "2"],
+        ["--suite", "all", "--voters", "3", "--candidates", "2"],
+    ],
+)
+def test_check_refuses_a_scale_before_drawing(argv, monkeypatch, capsys):
+    """A suite that refuses the scale (here the star distribution of
+    cylinder and of collapse's witnesses, at m = 2) does so before any
+    suite draws a rule."""
+    calls = _count_draws(monkeypatch)
+    code, out, err = run_cli(["check", *argv], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: star distribution needs at least three candidates, got m=2\n"
+    assert not calls
 
 
 def test_check_collapse_suite_reports_witnesses_but_exits_zero(capsys):
