@@ -384,8 +384,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 def _int_at_least(least: int) -> Callable[[str], int]:
     """argparse type for a decimal integer of at least ``least``: 1 for
-    ``--jobs`` and ``--samples``, 0 for ``--seed``, since ``random.Random``
-    draws the same for a seed and its negation."""
+    ``--jobs`` and ``--samples``, 0 for ``--max-steps`` and for ``--seed``,
+    since ``random.Random`` draws the same for a seed and its negation."""
 
     def parse(text: str) -> int:
         if not text.isdecimal() or int(text) < least:
@@ -467,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_iter = sub.add_parser("iterate", help="iterate the ballot-transfer map on a rule file")
     p_iter.add_argument("--rule", type=Path, required=True, help="rule file to iterate")
-    p_iter.add_argument("--max-steps", type=int, default=64)
+    p_iter.add_argument("--max-steps", type=_int_at_least(0), default=64)
     _add_common(p_iter, voters=None, jobs="accepted for symmetry; the iteration is serial")
     p_iter.set_defaults(handler=_cmd_iterate)
 

@@ -107,6 +107,14 @@ def _check_dims(mu: Distribution, rule: VotingRule) -> None:
         )
 
 
+def _require(mu: Distribution, invariant: str = "") -> None:
+    """Refuse a ``mu`` without full support, or not permutation-invariant where ``invariant`` names a use."""
+    if not has_full_support(mu):
+        raise ValueError("the transfer map requires a full-support distribution")
+    if invariant and not is_permutation_invariant(mu):
+        raise ValueError(f"{invariant} requires a permutation-invariant distribution")
+
+
 def force(mu: Distribution, rule: VotingRule, i: int) -> Fraction:
     """Probability under ``mu`` that the outcome equals voter i's ballot."""
     _check_dims(mu, rule)
@@ -141,9 +149,7 @@ def force_transfer(mu: Distribution, rule: VotingRule) -> VotingRule:
     rewriting ballots with another ballot of the same profile cannot create a
     new unanimous comparison that the original profile lacked.
     """
-    _check_dims(mu, rule)
-    if not has_full_support(mu):
-        raise ValueError("the transfer map requires a full-support distribution")
+    _require(mu)
     return _transfer(rule, force_profile(mu, rule))
 
 
@@ -157,8 +163,7 @@ def _orbit(rule: VotingRule, fp: ForceProfile) -> OrbitClass:
 def orbit_class(mu: Distribution, rule: VotingRule) -> OrbitClass:
     """The equivalence class of a rule: its full relabeling orbit when its
     most-forceful voter is unique, else the singleton."""
-    if not has_full_support(mu):
-        raise ValueError("orbit classes are defined relative to a full-support distribution")
+    _require(mu)
     return _orbit(rule, force_profile(mu, rule))
 
 
@@ -182,12 +187,7 @@ def _class_transfer(mu: Distribution, cls: OrbitClass, known=None) -> tuple[Orbi
     """``force_transfer_class`` and the force profile of every member, in
     member order.  Each member's and each image's profile is read once, and
     not at all for the member of a ``known`` pair of a rule and its profile."""
-    if not has_full_support(mu):
-        raise ValueError("the transfer map requires a full-support distribution")
-    if not is_permutation_invariant(mu):
-        raise ValueError(
-            "the class-level transfer map requires a permutation-invariant distribution"
-        )
+    _require(mu, "the class-level transfer map")
     profiles, image, unique = [], None, None
     for member in cls.members:
         profiles.append(known[1] if known and member == known[0] else force_profile(mu, member))
@@ -229,8 +229,7 @@ def iterate_force_transfer(
     ``write_trace`` writes; without, no digest is computed.
     """
     _check_dims(mu, rule)
-    if not has_full_support(mu):
-        raise ValueError("the transfer map requires a full-support distribution")
+    _require(mu)
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
     steps = []
@@ -257,10 +256,7 @@ def check_collapse_conjecture(mu: Distribution, rules: Iterable[VotingRule]) -> 
     This is a reporting operation: some distributions fix non-dictatorial
     rules exactly, so outcomes are findings, not assertions.
     """
-    if not has_full_support(mu):
-        raise ValueError("the transfer map requires a full-support distribution")
-    if not is_permutation_invariant(mu):
-        raise ValueError("the collapse check requires a permutation-invariant distribution")
+    _require(mu, "the collapse check")
     entries = tuple(_collapse_entry(mu, rule) for rule in rules)
     return CollapseReport(mu.n, mu.m, mu.n, entries)
 

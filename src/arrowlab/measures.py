@@ -14,10 +14,10 @@ relabeling of the voters.
 Every distribution is stored as levels: the distinct numerators, and a level
 index naming each profile's level, one byte per profile up to 256 levels.
 Uniform and star write their levels in closed form, and the lift reads them
-off its packed integer lanes (one fixed-width record per profile); none of
-them builds a tuple of ints per profile.  Force and rule distance read the
-level index a block of profiles at a time, with one popcount per level up to
-``MAX_LEVELS`` levels.  The invariance test gathers the level index.
+off packed integer lanes in the format ``orders`` owns (one fixed-width record
+per profile); none of them builds a tuple of ints per profile.  Force and rule
+distance read the level index a block of profiles at a time, with one popcount
+per level up to ``MAX_LEVELS`` levels.  The invariance test gathers the level index.
 """
 
 from __future__ import annotations
@@ -25,25 +25,25 @@ from __future__ import annotations
 import io
 import itertools
 import json
-import struct
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, gcd, lcm
 from pathlib import Path
 
 from .orders import (
-    _LANE_CODES,
-    _ORDER,
     Frozen,
     LinearOrder,
-    _lane_width,
     check_scale,
     distinct_bytes,
     encode_digits,
+    lane_values,
+    lane_width,
     order_index,
+    pack_lanes,
     profile_blocks,
     read_record,
     seat_gather,
+    sum_lanes,
 )
 
 DISTRIBUTION_FORMAT_VERSION = 1
@@ -54,13 +54,6 @@ DISTRIBUTION_FORMAT_VERSION = 1
 # profiles past it.  A mask covers one block, so memory no longer bounds the
 # count.  Up to this many levels the lift also sums level codes.
 MAX_LEVELS = 10
-
-
-# Lanes and their helpers live in ``orders``, beside the signature codes.
-def _pack(entries: tuple[int, ...], width: int) -> bytes:
-    if width <= 8:
-        return struct.pack(f"{len(entries)}{_LANE_CODES[width]}", *entries)
-    return b"".join(map(int.to_bytes, entries, itertools.repeat(width), itertools.repeat(_ORDER)))
 
 
 def _level_form(entries, decode=None) -> tuple[tuple[int, ...], bytes]:
@@ -76,13 +69,12 @@ def _level_form(entries, decode=None) -> tuple[tuple[int, ...], bytes]:
     rank = {k: position[v] for k, v in numerator_of.items()}
     if one_byte:
         return tuple(levels), entries.translate(bytes(map(rank.get, range(256), bytes(256))))
-    return tuple(levels), _pack(tuple(map(rank.__getitem__, entries)), _lane_width(len(levels) - 1))
+    return tuple(levels), pack_lanes(tuple(map(rank.__getitem__, entries)), lane_width(len(levels) - 1))
 
 
 def _ranks(levels: tuple[int, ...], index: bytes):
-    """The level index as ints: its bytes, or its lanes cast to ints."""
-    width = _lane_width(len(levels) - 1)
-    return index if width == 1 else memoryview(index).cast(_LANE_CODES[width])
+    """The level index as ints, read by ``orders.lane_values``."""
+    return lane_values(index, lane_width(len(levels) - 1))
 
 
 def format_rational(q: Fraction) -> str:
@@ -153,7 +145,7 @@ class Distribution(Frozen):
         profile, and keep them in lowest terms."""
         check_scale(n, m)
         size = factorial(m) ** n
-        width = _lane_width(len(levels) - 1)
+        width = lane_width(len(levels) - 1)
         if len(index) != size * width:
             raise ValueError(f"{len(index) // width} weights, expected {size}")
         if denominator < 1:
@@ -200,7 +192,7 @@ class Distribution(Frozen):
         a mask per level above the lowest keeps those bits at its profiles,
         so a level costs one popcount; past that, the numerators are summed."""
         size, blocks, columns = profile_blocks(self.n, self.m)
-        (low, *high), width = self.levels, _lane_width(len(self.levels) - 1)
+        (low, *high), width = self.levels, lane_width(len(self.levels) - 1)
         ones = int.from_bytes(b"\1" * size, "little")
         flag, few = 0x80 * ones, len(high) < MAX_LEVELS
         picks = [r * ones for r in range(1, len(high) + 1)] if few else []
@@ -231,7 +223,7 @@ class Distribution(Frozen):
         on the level index suffices.  Computed on first use, then kept on the
         instance.
         """
-        index, width = self.level_index, _lane_width(len(self.levels) - 1)
+        index, width = self.level_index, lane_width(len(self.levels) - 1)
         for s in range(self.n - 1):
             swap = list(range(self.n))
             swap[s], swap[s + 1] = s + 1, s
@@ -276,33 +268,6 @@ def star_distribution(k: int, m: int, epsilon: Fraction, y: LinearOrder) -> Dist
     return Distribution._from_levels(k, m, q * (size - 1), levels, index.getvalue())
 
 
-# Lanes that ``_gather_sum`` adds as one integer.
-_SUM_LANES = 1 << 14
-
-
-def _gather_sum(values: bytes, n: int, m: int, seatings, width: int) -> bytes:
-    """The lane-wise sum of the ``seat_gather`` of ``values`` by each seat
-    tuple of ``seatings``, in lanes of ``width`` bytes that no sum overflows.
-
-    The first gather is the buffer that becomes the result, and each later
-    one is added into it ``_SUM_LANES`` lanes at a time, so a sum holds the
-    buffer and one gather, never a table-sized int.
-    """
-    seatings = iter(seatings)
-    buffer = io.BytesIO(seat_gather(values, n, m, next(seatings), width))
-    piece = _SUM_LANES * width
-    with buffer.getbuffer() as out:  # the gather's own bytes: no other reference
-        for seats in seatings:
-            addend = seat_gather(values, n, m, seats, width)
-            for k in range(0, len(out), piece):
-                end = min(k + piece, len(out))
-                total = int.from_bytes(out[k:end], _ORDER) + int.from_bytes(addend[k:end], _ORDER)
-                out[k:end] = total.to_bytes(end - k, _ORDER)
-            del addend  # before the next gather is built
-    # No copy once the view is released, and no slice of it is left alive.
-    return buffer.getvalue()
-
-
 def lift_distribution(dist: Distribution, i: int) -> Distribution:
     """Average a distribution for n-1 voters over all n! voter relabelings,
     dropping seat ``i`` after each relabeling, and normalize by n! * m!.
@@ -317,7 +282,7 @@ def lift_distribution(dist: Distribution, i: int) -> Distribution:
     ``sum_j sym(x without seat j)`` with ``sym`` the sum of the input over
     the (n-1)! seat orders; the dropped seat ``i`` does not matter.  ``sym``
     is built once on the small table, then gathered once per dropped seat;
-    both sums add tables of packed lanes with ``_gather_sum``.
+    both sums add the gathers' packed lanes with ``orders.sum_lanes``.
     """
     n = dist.n + 1
     m = dist.m
@@ -339,21 +304,17 @@ def lift_distribution(dist: Distribution, i: int) -> Distribution:
         )
     # Lanes that hold n! times the largest code never carry, so every sum
     # below adds whole lanes as ints.
-    width = _lane_width(factorial(n) * codes[-1])
-    small = _pack(tuple(map(codes.__getitem__, _ranks(dist.levels, dist.level_index))), width)
-    sym = _gather_sum(small, n - 1, m, itertools.permutations(range(n - 1)), width)
+    width = lane_width(factorial(n) * codes[-1])
+    small = pack_lanes(tuple(map(codes.__getitem__, _ranks(dist.levels, dist.level_index))), width)
+    seatings = itertools.permutations(range(n - 1))
+    sym = sum_lanes((seat_gather(small, n - 1, m, seats, width) for seats in seatings), width)
     # Dropping seat j: source seat s reads seat s before j and seat s + 1 after.
     # The last seat first: its gather, which leaves a seat unread, holds the
     # most while it runs, and it runs before the sum holds a buffer.
     dropped = (tuple(s + (s >= j) for s in range(n - 1)) for j in reversed(range(n)))
-    lanes = _gather_sum(sym, n, m, dropped, width)
-    if width > 8:  # only lifts of numerators of 2**64 or more: decoded lane by lane
-        starts = range(0, len(lanes), width)
-        lanes = tuple(int.from_bytes(lanes[k : k + width], _ORDER) for k in starts)
-    elif width > 1:
-        lanes = memoryview(lanes).cast(_LANE_CODES[width])
+    lanes = sum_lanes((seat_gather(sym, n, m, seats, width) for seats in dropped), width)
     denominator = dist.denominator * factorial(n) * factorial(m)
-    return Distribution._from_levels(n, m, denominator, *_level_form(lanes, decode))
+    return Distribution._from_levels(n, m, denominator, *_level_form(lane_values(lanes, width), decode))
 
 
 def is_permutation_invariant(dist: Distribution) -> bool:

@@ -14,6 +14,7 @@ import io
 import itertools
 import json
 import os
+import struct
 import sys
 from functools import lru_cache
 from math import factorial
@@ -35,17 +36,54 @@ BYTE_MAX_VOTERS = 7
 _ORDER = sys.byteorder
 _LANE_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 _ALL_BYTES = bytes(range(256))
-# Bytes of result that a gather joins into one copy, so that the pieces and
-# the joined copy stay small next to a table.
+# Bytes of result that a gather joins into one copy, and lanes that one add
+# of ``sum_lanes`` reads, so that every piece stays small next to a table.
 _RUN_BYTES = 1 << 14
 _FORCE_BLOCK = 1 << 14  # profiles per block of ``profile_blocks``; read at each call
 
 
-def _lane_width(bound: int) -> int:
+def lane_width(bound: int) -> int:
     """Bytes per lane for entries up to ``bound``: 1, 2, 4 or 8 where that
     suffices, else the fewest 8-byte words that hold it."""
     width = max(1, -(-bound.bit_length() // 8))
     return next((w for w in (1, 2, 4) if w >= width), -(-width // 8) * 8)
+
+
+def pack_lanes(entries: tuple[int, ...], width: int) -> bytes:
+    """The ``entries``, each below ``256**width``, as lanes of ``width`` bytes."""
+    if width <= 8:
+        return struct.pack(f"{len(entries)}{_LANE_CODES[width]}", *entries)
+    return b"".join(map(int.to_bytes, entries, itertools.repeat(width), itertools.repeat(_ORDER)))
+
+
+def lane_values(lanes: bytes, width: int) -> bytes | memoryview | tuple[int, ...]:
+    """The entries of ``lanes`` as ints: the bytes of one-byte lanes, a native
+    ``memoryview`` cast up to 8 bytes, else a tuple of one int per lane."""
+    if width == 1:
+        return lanes
+    if width <= 8:
+        return memoryview(lanes).cast(_LANE_CODES[width])
+    return tuple(int.from_bytes(lanes[k : k + width], _ORDER) for k in range(0, len(lanes), width))
+
+
+def sum_lanes(tables, width: int) -> bytes:
+    """The lane-wise sum of ``tables``, equal-length tables of ``width``-byte
+    lanes that no sum overflows, read once.  The first table is the buffer
+    that becomes the result; each later one is added into it ``_RUN_BYTES``
+    lanes at a time and dropped before the next is read, so a sum holds the
+    buffer and one table, never a table-sized int."""
+    tables = iter(tables)
+    buffer = io.BytesIO(next(tables))
+    piece = _RUN_BYTES * width
+    with buffer.getbuffer() as out:  # the first table's own bytes: no other reference
+        for addend in tables:
+            for k in range(0, len(out), piece):
+                end = min(k + piece, len(out))
+                total = int.from_bytes(out[k:end], _ORDER) + int.from_bytes(addend[k:end], _ORDER)
+                out[k:end] = total.to_bytes(end - k, _ORDER)
+            del addend  # before the next table is built
+    # No copy once the view is released, and no slice of it is left alive.
+    return buffer.getvalue()
 
 
 def check_scale(n: int, m: int) -> None:
@@ -279,15 +317,15 @@ def pair_signatures(n: int, m: int) -> tuple[bytes, ...]:
     return signature_columns(n, pair_above(m))
 
 
-def signature_codes(n: int, m: int, share: Callable[[int, int], int]) -> bytes | memoryview:
+def signature_codes(n: int, m: int, share: Callable[[int, int], int]) -> bytes | memoryview | tuple[int, ...]:
     """Per profile k, the sum over pairs p of ``share(p, sig[p][k])``, a share
     being non-negative and called once per pair and signature.  Each pair adds
     one whole table: a ``translate`` of its column per lane byte, laid into
     lanes wide enough for the largest sum, so none carries.  The result is
-    ``bytes`` for one-byte lanes, else a native-order ``memoryview``."""
+    those lanes as ``lane_values`` reads them."""
     columns = pair_signatures(n, m)  # checks the scale before any allocation
     parts = [[share(p, s) for s in range(1 << n)] for p in range(len(columns))]
-    width = _lane_width(sum(map(max, parts)))
+    width = lane_width(sum(map(max, parts)))
     size = factorial(m) ** n
     lanes, total = bytearray(size * width if width > 1 else 0), 0
     for column, part in zip(columns, parts):
@@ -298,8 +336,7 @@ def signature_codes(n: int, m: int, share: Callable[[int, int], int]) -> bytes |
             else:
                 lanes[b if _ORDER == "little" else width - 1 - b :: width] = column.translate(lookup)
         total += int.from_bytes(lanes, _ORDER)
-    codes = total.to_bytes(size * width, _ORDER)
-    return codes if width == 1 else memoryview(codes).cast(_LANE_CODES[width])
+    return lane_values(total.to_bytes(size * width, _ORDER), width)
 
 
 def seat_gather(values, n: int, m: int, seats: tuple[int, ...], width: int = 1) -> bytes:

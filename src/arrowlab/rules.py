@@ -390,21 +390,20 @@ def _read_rule_blocks(fp) -> tuple[dict, bytes] | None:
 
 def _body_entries(piece: bytearray) -> bytes:
     """The entries of a piece of table body, at least one (no element is
-    empty), each in 0..255; or ``ValueError``.
+    empty), each in 0..99; or ``ValueError``.
 
     Up to its trailing whitespace, the piece is read as big-endian ints of a
     byte per byte.  An entry's last digit is a digit followed by a comma or
     the end; its entry is that digit plus ten times the byte before it (a
     digit, or 0 for a comma or whitespace), at most 99, so no byte carries.
-    Every other byte is set to 0xFF and deleted.  The decode stands where
-    there is one more entry than commas, so no element is empty, and as many
-    digits as entries plus one per entry of 10 and above: every digit then
+    Every other byte is set to 0xFF and deleted.  The decode stands where the
+    piece holds only JSON whitespace, digits and commas, where there is one
+    more entry than commas, so no element is empty, and where there are as
+    many digits as entries plus one per entry of 10 and above: every digit then
     ends an entry or leads a two-digit one that has no leading zero, and no
     digit is followed by whitespace (``1 2`` is no two entries).  Every other
-    piece, one with an entry of three digits among them, is parsed by
-    ``json.loads``."""
-    if piece.translate(None, _BODY_BYTES):
-        raise ValueError("not a piece of table body")
+    piece is refused: one with an entry of three digits among them, or with
+    whitespace before a comma."""
     text = piece.rstrip(b"\t\n\r ")
     size = len(text)
     digits, commas, values = (
@@ -414,8 +413,7 @@ def _body_entries(piece: bytearray) -> bytes:
     kept = (values + 10 * (values >> 8)) | (last ^ ((1 << 8 * size) - 1))
     entries = kept.to_bytes(size, "big").translate(None, b"\xff")
     count, wide = len(entries), len(entries.translate(None, _ALL_BYTES[:10]))
-    if count == (commas.bit_count() >> 3) + 1 and count + wide == digits.bit_count() >> 3:
+    only_body = not piece.translate(None, _BODY_BYTES)
+    if only_body and count == (commas.bit_count() >> 3) + 1 and count + wide == digits.bit_count() >> 3:
         return entries
-    if not (parsed := json.loads("[%s]" % piece.decode("ascii"))):
-        raise ValueError("not a piece of table body")
-    return bytes(parsed)
+    raise ValueError("not a piece of table body")

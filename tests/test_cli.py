@@ -18,11 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arrowlab import rules as rules_module
 from arrowlab.cli import SUITE_NAMES, main
 from arrowlab.dynamics import ReplayReport, force_profile, force_transfer, replay_contradiction
 from arrowlab.measures import format_rational, uniform_distribution
 from arrowlab.orders import enumerate_orders
 from arrowlab.rules import (
+    compose_collapse,
     cylinder_extend,
     dictator,
     pairwise_majority_rule,
@@ -89,6 +91,13 @@ def test_iterate_cylinder_under_lifted_star(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["terminated_by"] == "fixpoint"
     assert payload["fixpoint_is_dictatorship"] is False
+
+
+def test_iterate_lift_star_needs_two_voters(tmp_path, capsys):
+    rule_path = tmp_path / "rule.json"
+    save_rule(dictator(1, 3, 0), rule_path)
+    code, out, err = run_cli(["iterate", "--rule", str(rule_path), "--dist", "lift-star"], capsys)
+    assert (code, out, err) == (2, "", "error: lift-star needs at least two voters\n")
 
 
 def test_iterate_zero_steps_exits_with_step_limit_code(tmp_path, capsys):
@@ -317,6 +326,40 @@ def test_check_refuses_a_negative_seed(capsys):
     assert errors == [
         "arrowlab check: error: argument --seed: expected an integer of at least 0, got '-2'"
     ]
+
+
+def test_iterate_refuses_a_negative_max_steps(tmp_path, capsys):
+    """A negative ``--max-steps`` is a usage error when the arguments are
+    parsed, before the rule is loaded: exit 2, with one line naming
+    ``--max-steps``."""
+    rule_path = tmp_path / "rule.json"
+    save_rule(dictator(2, 3, 0), rule_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["iterate", "--rule", str(rule_path), "--max-steps", "-1"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    errors = [line for line in err.splitlines() if "error" in line]
+    assert errors == [
+        "arrowlab iterate: error: argument --max-steps: expected an integer of at least 0, got '-1'"
+    ]
+
+
+@pytest.mark.parametrize("suite, counter", [("isometry", "pairs_checked"), ("relabel", "relabelings_checked")])
+def test_a_wrong_relabeling_fails_its_suite(suite, counter, monkeypatch, capsys):
+    """A planted relabeling that keeps the identity but collapses a rule
+    onto voter 0 under the swap of two voters: the suite fails at the swap,
+    having checked the identity, and the command exits 4."""
+    relabel = rules_module.compose_voter_permutation
+
+    def planted(rule, perm):
+        return relabel(rule, perm) if perm.mapping == (0, 1) else compose_collapse(rule, 0)
+
+    monkeypatch.setattr(rules_module, "compose_voter_permutation", planted)
+    code, out, _ = run_cli(["check", "--suite", suite, "--samples", "2"], capsys)
+    report = json.loads(out)
+    assert report["suites"][suite] == {"asserted": True, "passed": False, counter: 1}
+    assert (code, report["all_passed"]) == (4, False)
 
 
 def test_override_still_refuses_six_candidates_in_one_line(monkeypatch, capsys):
@@ -808,7 +851,7 @@ FUZZ_FLAGS = {
     "verify-arrow": {**_SCALE, **_JOBS, **_OUT},
     "iterate": {
         "--rule": (("rule", "missing", "dir", "malformed"), ()),
-        "--max-steps": (("-1", "0", "1", "64"), ("x",)),
+        "--max-steps": (("0", "1", "64"), ("-1", "x")),
         **_DIST, **_SPREAD, **_JOBS, **_OUT,
     },
     "check": {

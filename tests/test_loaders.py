@@ -128,23 +128,29 @@ def test_rule_file_layouts_read_by_blocks(layout, block, tmp_path, monkeypatch):
     assert load_rule(path) == RULE == ref.load_rule(path)
 
 
-def test_rule_read_is_linear_in_the_file(monkeypatch):
+def test_rule_read_is_linear_in_the_file(monkeypatch, tmp_path):
     """A MiB of note before ``"table"``, and two MiB of space after the first
     entry, read by 256-byte blocks in well under the bound: a read that
     searches again what it has searched, or joins again what it has joined,
-    takes seconds on either, one that searches each byte once milliseconds."""
+    takes seconds on either, one that searches each byte once milliseconds.
+    The block read refuses the space before a comma, and ``load_rule`` then
+    parses the whole text, within the same bound."""
     monkeypatch.setattr(rules_module, "_BODY_BLOCK", 256)
     first, *rest = RULE.table
-    texts = {
-        "note": json.dumps({**RECORD, "note": "x" * (1 << 20)}, sort_keys=True),
-        "space": '{"format_version": 1, "m": 3, "n": 2, "table": [%d%s, %s]}'
-        % (first, " " * (2 << 20), ", ".join(map(str, rest))),
-    }
-    for name, text in texts.items():
-        started = time.perf_counter()
-        record, table = rules_module._read_rule_blocks(io.BytesIO(text.encode("ascii")))
-        assert time.perf_counter() - started < 0.25, name
-        assert table == RULE.table and record["table"] == []
+    note = json.dumps({**RECORD, "note": "x" * (1 << 20)}, sort_keys=True)
+    started = time.perf_counter()
+    record, table = rules_module._read_rule_blocks(io.BytesIO(note.encode("ascii")))
+    assert time.perf_counter() - started < 0.25, "note"
+    assert table == RULE.table and record["table"] == []
+    space = '{"format_version": 1, "m": 3, "n": 2, "table": [%d%s, %s]}' % (
+        first, " " * (2 << 20), ", ".join(map(str, rest))
+    )
+    path = tmp_path / "rule.json"
+    path.write_text(space)
+    started = time.perf_counter()
+    assert rules_module._read_rule_blocks(io.BytesIO(space.encode("ascii"))) is None
+    assert load_rule(path) == RULE
+    assert time.perf_counter() - started < 0.25, "space"
 
 
 def _json_texts(monkeypatch) -> list[str]:
@@ -168,16 +174,18 @@ def test_rule_body_is_decoded_without_json(layout, n, m, tmp_path, monkeypatch):
 
 
 def test_three_digit_rule_body_takes_json(tmp_path, monkeypatch):
-    """At m = 5, entries above 99 are past the decode; the body pieces go to
-    ``json.loads``, and the rule equals the whole-text reader's."""
+    """At m = 5, entries above 99 are past the decode: the block read refuses
+    the file, and ``json.loads`` parses one text, the whole file, to the
+    whole-text reader's rule."""
     monkeypatch.setenv("ARROWLAB_SCALE_OVERRIDE", "1")
     rule = dictator(2, 5, 1)
     path = tmp_path / "rule.json"
     save_rule(rule, path)
+    assert rules_module._read_rule_blocks(io.BytesIO(path.read_bytes())) is None
     texts = _json_texts(monkeypatch)
-    assert load_rule(path) == rule
-    assert len(texts) > 1 and all(text.startswith("[") for text in texts[:-1])
-    assert load_rule(path) == ref.load_rule(path)
+    loaded = load_rule(path)
+    assert texts == [path.read_text()]
+    assert loaded == rule == ref.load_rule(path)
 
 
 # Texts put in place of one table entry: bad values, JSON that is no

@@ -71,6 +71,11 @@ def test_star_needs_three_candidates():
         star_distribution(2, 2, Fraction(1, 4), enumerate_orders(2)[0])
 
 
+def test_star_refuses_a_ranking_over_another_m():
+    with pytest.raises(ValueError, match="^order over 4 candidates does not match m=3$"):
+        star_distribution(2, 3, Fraction(1, 2), enumerate_orders(4)[0])
+
+
 def test_star_is_permutation_invariant():
     mu = star_distribution(2, 3, Fraction(1, 2), ORDERS3[0])
     assert is_permutation_invariant(mu)

@@ -240,6 +240,13 @@ def test_majority_voter_tiebreak_two_voters_copies_that_voter():
     assert pairwise_majority_rule(2, 3, tiebreak_voter=0) == dictator(2, 3, 0)
 
 
+def test_majority_refuses_a_bad_tiebreak():
+    with pytest.raises(ValueError, match="^choose either a tiebreak order or a tiebreak voter, not both$"):
+        pairwise_majority_rule(2, 3, tiebreak_order=ORDERS3[0], tiebreak_voter=0)
+    with pytest.raises(ValueError, match="^tiebreak voter 2 out of range for n=2$"):
+        pairwise_majority_rule(2, 3, tiebreak_voter=2)
+
+
 def test_random_pareto_rule_deterministic_in_seed():
     assert random_pareto_rule(2, 3, 7) == random_pareto_rule(2, 3, 7)
     assert random_pareto_rule(2, 3, 7) != random_pareto_rule(2, 3, 8)
